@@ -11,17 +11,18 @@ import (
 	"cuisines/internal/core"
 	"cuisines/internal/encode"
 	"cuisines/internal/kmeans"
-	"cuisines/internal/recipedb"
 )
 
-// Stage artifacts are serialized with gob. Every type that hides state
-// behind unexported fields (recipedb.DB, itemset.Set, matrix.Dense,
-// distance.Condensed, hac.Tree) implements GobEncoder/GobDecoder, so
-// the artifacts below round-trip faithfully — float64 values bit-exact,
-// slices in order — which is what keeps warm-disk replays byte-identical
-// to cold runs. Codec versions are part of both the disk header and the
-// file name; bump a version whenever its encoded shape changes and old
-// files are simply ignored.
+// Stage artifacts are serialized either by the flat codecs of flat.go
+// (corpus, mine, matrices, pdist, geodist) or with gob (auth, tree,
+// elbow, validate). Every gob-coded type that hides state behind
+// unexported fields (itemset.Set, matrix.Dense, distance.Condensed,
+// hac.Tree) implements GobEncoder/GobDecoder, so the artifacts below
+// round-trip faithfully — float64 values bit-exact, slices in order —
+// which is what keeps warm-disk replays byte-identical to cold runs.
+// Codec versions are part of both the disk header and the file name;
+// bump a version whenever its encoded shape changes and old files are
+// simply ignored.
 
 // gobCodec is an artifact.Codec over one concrete Go type.
 type gobCodec[T any] struct {
@@ -66,9 +67,11 @@ type PatternFeatures struct {
 // version 3, pdist to 3, geodist to 2): a new encoded shape, so the
 // bump orphans old gob files and a warm-disk restart recomputes them
 // once instead of misreading them. Keys are unchanged — the flat
-// encoding is a representation change, not a semantic one.
+// encoding is a representation change, not a semantic one. The corpus
+// followed to version 2 (interned names, one ID/Name blob), since its
+// gob decode had come to dominate warm restarts.
 var (
-	corpusCodec   = gobCodec[*recipedb.DB]{kind: "corpus", version: 1}
+	corpusCodec   = flatCodec{kind: "corpus", version: 2, appendFn: appendCorpus, decodeFn: decodeCorpus}
 	mineCodec     = flatCodec{kind: "mine", version: 3, appendFn: appendMine, decodeFn: decodeMine}
 	matricesCodec = flatCodec{kind: "matrices", version: 3, appendFn: appendMatrices, decodeFn: decodeMatrices}
 	authCodec     = gobCodec[*authenticity.Matrix]{kind: "auth", version: 1}

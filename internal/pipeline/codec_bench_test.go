@@ -2,30 +2,37 @@ package pipeline
 
 import (
 	"bytes"
+	"encoding/gob"
 	"sync"
 	"testing"
 
 	"cuisines/internal/core"
 	"cuisines/internal/corpus"
 	"cuisines/internal/distance"
+	"cuisines/internal/recipedb"
 )
 
-// P7 (DESIGN.md §10): the artifact codec benchmark. For each large
-// numeric artifact it measures the retired gob path against the flat
+// P7 (DESIGN.md §10): the artifact codec benchmark. For each flat
+// artifact codec it measures the retired gob path against the flat
 // codec, encode and decode separately, with -benchmem — the gob
 // sub-benchmarks are the committed "before" evidence in BENCH_6.json,
 // and the decode allocs/op columns are the headline: flat decodes in
 // O(1) large allocations where gob allocates per element.
 
-var codecFixOnce sync.Once
-var codecFix struct {
+// codecFixture holds one artifact of each flat-coded kind, built once
+// at the pipeline tests' scale.
+type codecFixture struct {
+	db    *recipedb.DB
 	mined []core.RegionPatterns
 	feats *PatternFeatures
 	pdist *distance.Condensed
 	err   error
 }
 
-func codecFixtures(tb testing.TB) ([]core.RegionPatterns, *PatternFeatures, *distance.Condensed) {
+var codecFixOnce sync.Once
+var codecFix codecFixture
+
+func codecFixtures(tb testing.TB) codecFixture {
 	codecFixOnce.Do(func() {
 		db, err := corpus.Generate(corpus.Config{Seed: corpus.DefaultSeed, Scale: testScale})
 		if err != nil {
@@ -42,6 +49,7 @@ func codecFixtures(tb testing.TB) ([]core.RegionPatterns, *PatternFeatures, *dis
 			codecFix.err = err
 			return
 		}
+		codecFix.db = db
 		codecFix.mined = mined
 		codecFix.feats = &PatternFeatures{Table1: t1, Matrix: pm}
 		codecFix.pdist = distance.PdistWorkers(pm.X, distance.Euclidean, 0)
@@ -49,25 +57,24 @@ func codecFixtures(tb testing.TB) ([]core.RegionPatterns, *PatternFeatures, *dis
 	if codecFix.err != nil {
 		tb.Fatal(codecFix.err)
 	}
-	return codecFix.mined, codecFix.feats, codecFix.pdist
+	return codecFix
 }
 
 func BenchmarkArtifactCodecs(b *testing.B) {
-	mined, feats, pd := codecFixtures(b)
+	fx := codecFixtures(b)
 	cases := []struct {
 		name string
 		gob  interface {
-			Kind() string
-			Version() int
 			encodeTo(*bytes.Buffer, any) error
 			decodeFrom([]byte) (any, error)
 		}
 		flat flatCodec
 		v    any
 	}{
-		{"mine", gobBench[[]core.RegionPatterns]{}, mineCodec, mined},
-		{"matrices", gobBench[*PatternFeatures]{}, matricesCodec, feats},
-		{"pdist", gobBench[*distance.Condensed]{}, pdistCodec, pd},
+		{"corpus", gobCorpusBench{}, corpusCodec, fx.db},
+		{"mine", gobBench[[]core.RegionPatterns]{}, mineCodec, fx.mined},
+		{"matrices", gobBench[*PatternFeatures]{}, matricesCodec, fx.feats},
+		{"pdist", gobBench[*distance.Condensed]{}, pdistCodec, fx.pdist},
 	}
 	for _, c := range cases {
 		var gobBytes bytes.Buffer
@@ -127,13 +134,26 @@ func BenchmarkArtifactCodecs(b *testing.B) {
 // before the flat codecs) for benchmarking against them.
 type gobBench[T any] struct{}
 
-func (gobBench[T]) Kind() string { return "bench" }
-func (gobBench[T]) Version() int { return 0 }
-
 func (gobBench[T]) encodeTo(buf *bytes.Buffer, v any) error {
 	return gobCodec[T]{kind: "bench", version: 0}.Encode(buf, v)
 }
 
 func (gobBench[T]) decodeFrom(data []byte) (any, error) {
 	return gobCodec[T]{kind: "bench", version: 0}.Decode(bytes.NewReader(data))
+}
+
+// gobCorpusBench is the retired corpus codec: recipedb.DB's gob pair
+// coded the recipe slice and rebuilt the DB through recipedb.New.
+type gobCorpusBench struct{}
+
+func (gobCorpusBench) encodeTo(buf *bytes.Buffer, v any) error {
+	return gob.NewEncoder(buf).Encode(v.(*recipedb.DB).Recipes())
+}
+
+func (gobCorpusBench) decodeFrom(data []byte) (any, error) {
+	var recipes []recipedb.Recipe
+	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&recipes); err != nil {
+		return nil, err
+	}
+	return recipedb.New(recipes)
 }

@@ -6,23 +6,25 @@ import (
 	"hash/crc32"
 	"io"
 	"math"
+	"slices"
 
 	"cuisines/internal/core"
 	"cuisines/internal/distance"
 	"cuisines/internal/encode"
 	"cuisines/internal/itemset"
 	"cuisines/internal/matrix"
+	"cuisines/internal/recipedb"
 )
 
-// Flat artifact codecs (DESIGN.md §10). The large numeric artifacts —
-// mined pattern sets, the pattern feature matrix, condensed distance
-// matrices — used to round-trip through gob, whose reflective decode
-// allocates per element (every Set, every []float64 row fragment, every
-// string). The codecs here write a position-defined little-endian
-// layout instead, so a warm-disk read decodes in O(1) large
-// allocations: one backing arena per homogeneous section (one string
-// for all interned names, one []Item arena, one []Pattern arena, one
-// []float64), with every element subsliced out of it.
+// Flat artifact codecs (DESIGN.md §10). The large artifacts — the
+// recipe corpus, mined pattern sets, the pattern feature matrix,
+// condensed distance matrices — used to round-trip through gob, whose
+// reflective decode allocates per element (every recipe, every Set,
+// every []float64 row fragment, every string). The codecs here write a
+// position-defined layout instead, so a warm-disk read decodes in O(1)
+// large allocations: one backing arena per homogeneous section (one
+// string for all interned names, one []Item arena, one []Pattern arena,
+// one []float64), with every element subsliced out of it.
 //
 // Each payload is framed as
 //
@@ -33,6 +35,14 @@ import (
 // when written or read outside the store. Any framing, checksum, length
 // or order violation is a decode error, which the store treats as a
 // cache miss and recomputes — never a crash.
+//
+// Checksums prove only that the bytes arrived as sent, not that the
+// sender is honest: a peer can recompute both the store's sha256 and
+// the crc32c over a crafted body. So every header count that sizes an
+// allocation goes through flatReader.bound first, which caps it by the
+// bytes left in the body divided by the smallest encoding one element
+// can have. A decoder's allocations are thereby a small multiple of
+// its input, whatever the header claims.
 
 var (
 	flatMagic    = [4]byte{'C', 'F', 'L', '1'}
@@ -142,6 +152,52 @@ func (r *flatReader) f64(what string) float64 {
 	return math.Float64frombits(r.u64(what))
 }
 
+// bound converts a header count n to an int after checking that the
+// bytes left could hold n elements of at least minSize encoded bytes
+// each. Decoders call it before sizing an arena from n.
+func (r *flatReader) bound(n uint64, minSize int, what string) int {
+	if r.err != nil {
+		return 0
+	}
+	if left := len(r.data) - r.off; n > uint64(left/minSize) {
+		r.err = fmt.Errorf("pipeline: flat artifact %s %d exceeds the %d bytes left", what, n, left)
+		return 0
+	}
+	return int(n)
+}
+
+// uvarint reads an unsigned varint in its minimal encoding; an overlong
+// one (a trailing zero continuation byte) is an error, so every value
+// has exactly one encoding.
+func (r *flatReader) uvarint(what string) uint64 {
+	// Fast path for one-byte values: a corpus body's per-recipe counts
+	// and lengths, and the first 128 name ids.
+	if r.err == nil && r.off < len(r.data) {
+		if b := r.data[r.off]; b < 0x80 {
+			r.off++
+			return uint64(b)
+		}
+	}
+	return r.uvarintSlow(what)
+}
+
+func (r *flatReader) uvarintSlow(what string) uint64 {
+	if r.err != nil {
+		return 0
+	}
+	v, n := binary.Uvarint(r.data[r.off:])
+	if n <= 0 {
+		r.fail(what)
+		return 0
+	}
+	if n > 1 && r.data[r.off+n-1] == 0 {
+		r.err = fmt.Errorf("pipeline: flat artifact %s at %d is not minimally encoded", what, r.off)
+		return 0
+	}
+	r.off += n
+	return v
+}
+
 func (r *flatReader) rest() []byte {
 	b := r.data[r.off:]
 	r.off = len(r.data)
@@ -201,10 +257,11 @@ func appendInterned(dst []byte, names []string) []byte {
 // conversion of the whole blob and one []string of substrings sharing
 // its backing.
 func (r *flatReader) readInterned(what string) []string {
-	count := int(r.u32(what))
+	rawCount := r.u32(what)
 	blobLen := int(r.u32(what))
 	blob := string(r.bytes(blobLen, what))
-	if r.err != nil || count < 0 {
+	count := r.bound(uint64(rawCount), 4, what)
+	if r.err != nil {
 		return nil
 	}
 	names := make([]string, count)
@@ -224,6 +281,12 @@ func (r *flatReader) readInterned(what string) []string {
 	}
 	return names
 }
+
+// Smallest encodings of the pattern-tail elements, for bound.
+const (
+	minPatternTailBytes = 8 + 8 + 4 // support, count, numItems
+	minItemBytes        = 4 + 1     // nameID, kind
+)
 
 // appendPatternTail writes one pattern (minus any leading per-use
 // fields): f64 support | u64 count | u32 numItems | numItems × (u32
@@ -273,6 +336,176 @@ func (r *flatReader) readPatternTail(names []string, itemArena []itemset.Item, i
 	return itemset.Pattern{Items: set, Support: sup, Count: cnt}, nil
 }
 
+// --- corpus: *recipedb.DB ---------------------------------------------
+//
+// Body layout:
+//
+//	uvarint numRecipes | uvarint numEntries (list entries, all recipes)
+//	intern table of region, ingredient, process and utensil names
+//	  (first-seen order: per recipe, region then the three lists)
+//	uvarint blobLen | every recipe's ID then Name, concatenated
+//	per recipe: uvarint len(ID) | uvarint len(Name) | uvarint regionID |
+//	  uvarint numIngredients | uvarint numProcesses | uvarint numUtensils |
+//	  that many uvarint name ids
+//
+// A corpus repeats a few thousand names across hundreds of thousands
+// of list entries, so interning shrinks it to about a third of its gob
+// size, and decode allocates one string per section (names, ID/Name blob),
+// one []string arena that every list is cut from, and one
+// []recipedb.Recipe. The decoded DB shares no memory with the frame.
+//
+// Decode accepts exactly the bytes appendCorpus writes: names in
+// first-seen order, each used and none repeated, and minimal varints.
+// Any other body is an error, so a DB that decodes re-encodes to the
+// same bytes.
+
+// minRecipeBytes is the smallest encoded recipe: six one-byte varints.
+const minRecipeBytes = 6
+
+func appendCorpus(dst []byte, v any) ([]byte, error) {
+	db, ok := v.(*recipedb.DB)
+	if !ok {
+		return nil, fmt.Errorf("pipeline: corpus artifact is %T, want *recipedb.DB", v)
+	}
+	return appendRecipes(dst, db.Recipes()), nil
+}
+
+// appendRecipes writes the corpus body for recipes in stored order.
+func appendRecipes(dst []byte, recipes []recipedb.Recipe) []byte {
+	blobLen, numEntries := 0, 0
+	for i := range recipes {
+		rec := &recipes[i]
+		blobLen += len(rec.ID) + len(rec.Name)
+		numEntries += len(rec.Ingredients) + len(rec.Processes) + len(rec.Utensils)
+	}
+	// The interning pass writes the per-recipe section to its own
+	// buffer, since both the intern table and the blob precede it. Its
+	// capacity assumes one-byte counts and two-byte name ids, which
+	// holds up to 16384 distinct names.
+	names := newInternTable()
+	recs := make([]byte, 0, 6*len(recipes)+2*numEntries)
+	for i := range recipes {
+		rec := &recipes[i]
+		recs = binary.AppendUvarint(recs, uint64(len(rec.ID)))
+		recs = binary.AppendUvarint(recs, uint64(len(rec.Name)))
+		recs = binary.AppendUvarint(recs, uint64(names.id(rec.Region)))
+		recs = binary.AppendUvarint(recs, uint64(len(rec.Ingredients)))
+		recs = binary.AppendUvarint(recs, uint64(len(rec.Processes)))
+		recs = binary.AppendUvarint(recs, uint64(len(rec.Utensils)))
+		for _, list := range [...][]string{rec.Ingredients, rec.Processes, rec.Utensils} {
+			for _, s := range list {
+				recs = binary.AppendUvarint(recs, uint64(names.id(s)))
+			}
+		}
+	}
+	dst = binary.AppendUvarint(dst, uint64(len(recipes)))
+	dst = binary.AppendUvarint(dst, uint64(numEntries))
+	dst = appendInterned(dst, names.list)
+	dst = binary.AppendUvarint(dst, uint64(blobLen))
+	dst = slices.Grow(dst, blobLen+len(recs))
+	for i := range recipes {
+		dst = append(dst, recipes[i].ID...)
+		dst = append(dst, recipes[i].Name...)
+	}
+	return append(dst, recs...)
+}
+
+// corpusReader resolves name ids while enforcing first-seen order:
+// names[:seen] have appeared, and the only new id allowed is seen.
+type corpusReader struct {
+	flatReader
+	names []string
+	seen  int
+}
+
+func (r *corpusReader) name() string {
+	id := r.uvarint("name id")
+	switch {
+	case r.err != nil:
+		return ""
+	case id < uint64(r.seen):
+		return r.names[id]
+	case id == uint64(r.seen) && r.seen < len(r.names):
+		r.seen++
+		return r.names[id]
+	}
+	r.err = fmt.Errorf("pipeline: corpus artifact name id %d out of first-seen order (%d of %d seen)", id, r.seen, len(r.names))
+	return ""
+}
+
+func decodeCorpus(body []byte) (any, error) {
+	r := &corpusReader{flatReader: flatReader{data: body}}
+	numRecipes := r.bound(r.uvarint("recipe count"), minRecipeBytes, "recipe count")
+	numEntries := r.bound(r.uvarint("entry total"), 1, "entry total")
+	r.names = r.readInterned("names")
+	blobLen := r.bound(r.uvarint("blob length"), 1, "blob length")
+	blob := string(r.bytes(blobLen, "id/name blob"))
+	if r.err != nil {
+		return nil, r.err
+	}
+	unique := make(map[string]struct{}, len(r.names))
+	for _, s := range r.names {
+		if _, dup := unique[s]; dup {
+			return nil, fmt.Errorf("pipeline: corpus artifact interns %q twice", s)
+		}
+		unique[s] = struct{}{}
+	}
+
+	recipes := make([]recipedb.Recipe, numRecipes)
+	arena := make([]string, numEntries)
+	for i := range recipes {
+		rec := &recipes[i]
+		idLen := r.uvarint("id length")
+		nameLen := r.uvarint("name length")
+		rec.Region = r.name()
+		ni := r.uvarint("ingredient count")
+		np := r.uvarint("process count")
+		nu := r.uvarint("utensil count")
+		if r.err != nil {
+			return nil, r.err
+		}
+		if idLen > uint64(len(blob)) || nameLen > uint64(len(blob))-idLen {
+			return nil, fmt.Errorf("pipeline: corpus artifact recipe %d overruns the id/name blob", i)
+		}
+		rec.ID, rec.Name, blob = blob[:idLen], blob[idLen:idLen+nameLen], blob[idLen+nameLen:]
+		left := uint64(len(arena))
+		if ni > left || np > left-ni || nu > left-ni-np {
+			return nil, fmt.Errorf("pipeline: corpus artifact entry total %d exceeded", numEntries)
+		}
+		list := arena[:ni+np+nu]
+		arena = arena[ni+np+nu:]
+		for k := range list {
+			list[k] = r.name()
+		}
+		rec.Ingredients = cutList(list, 0, ni)
+		rec.Processes = cutList(list, ni, ni+np)
+		rec.Utensils = cutList(list, ni+np, ni+np+nu)
+	}
+	if r.err != nil {
+		return nil, r.err
+	}
+	if r.off != len(body) || len(arena) != 0 || len(blob) != 0 || r.seen != len(r.names) {
+		return nil, fmt.Errorf("pipeline: corpus artifact has trailing or unused data")
+	}
+	// New re-runs recipe validation (empty ID or region, no
+	// ingredients, duplicate IDs) and rebuilds the region index.
+	db, err := recipedb.New(recipes)
+	if err != nil {
+		return nil, err
+	}
+	return db, nil
+}
+
+// cutList returns list[lo:hi] capped at hi, so an append to one list
+// cannot overwrite the next, or nil when empty, as the corpus
+// generator and readers build empty lists.
+func cutList(list []string, lo, hi uint64) []string {
+	if lo == hi {
+		return nil
+	}
+	return list[lo:hi:hi]
+}
+
 // --- mine: []core.RegionPatterns ---------------------------------------
 //
 // Body layout:
@@ -316,14 +549,15 @@ func appendMine(dst []byte, v any) ([]byte, error) {
 	return dst, nil
 }
 
+// minRegionPatternsBytes is the smallest encoded region: an empty
+// name, the recipe count and a zero pattern count.
+const minRegionPatternsBytes = 4 + 8 + 4
+
 func decodeMine(body []byte) (any, error) {
 	r := &flatReader{data: body}
-	numRegions := int(r.u32("region count"))
-	totalPatterns := r.u64("pattern total")
-	totalItems := r.u64("item total")
-	if totalPatterns > math.MaxInt32 || totalItems > math.MaxInt32 {
-		return nil, fmt.Errorf("pipeline: mine artifact totals out of range")
-	}
+	numRegions := r.bound(uint64(r.u32("region count")), minRegionPatternsBytes, "region count")
+	totalPatterns := r.bound(r.u64("pattern total"), minPatternTailBytes, "pattern total")
+	totalItems := r.bound(r.u64("item total"), minItemBytes, "item total")
 	names := r.readInterned("item names")
 	if r.err != nil {
 		return nil, r.err
@@ -430,15 +664,16 @@ func appendMatrices(dst []byte, v any) ([]byte, error) {
 	return pf.Matrix.X.AppendFlat(dst), nil
 }
 
+// minTable1RowBytes is the smallest encoded Table I row: an empty
+// region name, recipes, patternCount and a zero top count.
+const minTable1RowBytes = 4 + 8 + 8 + 4
+
 func decodeMatrices(body []byte) (any, error) {
 	r := &flatReader{data: body}
 	minSupport := r.f64("min support")
-	numRows := int(r.u32("row count"))
-	totalTop := r.u64("top total")
-	totalItems := r.u64("top item total")
-	if totalTop > math.MaxInt32 || totalItems > math.MaxInt32 {
-		return nil, fmt.Errorf("pipeline: matrices artifact totals out of range")
-	}
+	numRows := r.bound(uint64(r.u32("row count")), minTable1RowBytes, "row count")
+	totalTop := r.bound(r.u64("top total"), 8+minPatternTailBytes, "top total")
+	totalItems := r.bound(r.u64("top item total"), minItemBytes, "top item total")
 	names := r.readInterned("item names")
 	if r.err != nil {
 		return nil, r.err
@@ -477,9 +712,9 @@ func decodeMatrices(body []byte) (any, error) {
 	if topUsed != len(topArena) || itemUsed != len(itemArena) {
 		return nil, fmt.Errorf("pipeline: matrices artifact has missing table data")
 	}
-	numRegions := int(r.u32("region count"))
-	if r.err != nil || numRegions < 0 {
-		return nil, errFlatFrame
+	numRegions := r.bound(uint64(r.u32("region count")), 4, "region count")
+	if r.err != nil {
+		return nil, r.err
 	}
 	regions := make([]string, numRegions)
 	for i := range regions {
