@@ -1,7 +1,7 @@
 package cuisines
 
 // The benchmark harness regenerates every table and figure of the paper
-// (see DESIGN.md §4 for the experiment index) and adds the A1-A4
+// (see DESIGN.md §4 for the experiment index) and adds the A2-A3
 // ablations. Domain results are attached as custom benchmark metrics so
 // `go test -bench . -benchmem` doubles as the experiment runner:
 //
@@ -14,13 +14,10 @@ package cuisines
 //	E7 BenchmarkFig6GeographicTree     Fig. 6
 //	E8 BenchmarkSec7TreeValidation     Sec. VII
 //	E9 BenchmarkCorpusGeneration       Sec. III corpus
-//	A1 BenchmarkMinerAblation          FP-Growth vs Apriori vs Eclat
 //	A2 BenchmarkLinkageAblation        linkage methods vs geography fit
 //	A3 BenchmarkFeatureAblation        binary vs support vs TF-IDF
-//	A4 BenchmarkFIHCAblation           FIHC vs pdist+linkage
 //	P1-P4 ...Parallel                  worker-count sweeps (DESIGN.md §3)
 //	P5 BenchmarkStagedReuse            cold vs staged-warm vs disk load (§8)
-//	P6 BenchmarkMinerBackends          backend × support × scale (§9)
 //
 // Benches run at a tenth of the full corpus so an iteration stays in the
 // tens-of-milliseconds range; EXPERIMENTS.md records the full-scale
@@ -33,19 +30,13 @@ import (
 	"testing"
 	"time"
 
-	"cuisines/internal/apriori"
 	"cuisines/internal/authenticity"
 	"cuisines/internal/core"
 	"cuisines/internal/corpus"
 	"cuisines/internal/distance"
-	"cuisines/internal/eclat"
 	"cuisines/internal/encode"
-	"cuisines/internal/fihc"
-	"cuisines/internal/fpgrowth"
 	"cuisines/internal/hac"
-	"cuisines/internal/itemset"
 	"cuisines/internal/matrix"
-	"cuisines/internal/miner"
 	"cuisines/internal/recipedb"
 	"cuisines/internal/rng"
 	"cuisines/internal/treecmp"
@@ -112,7 +103,7 @@ func BenchmarkCorpusGeneration(b *testing.B) {
 	b.ReportMetric(float64(recipes), "recipes")
 }
 
-// E1 — Table I: per-cuisine FP-Growth plus significance ranking.
+// E1 — Table I: per-cuisine Eclat plus significance ranking.
 func BenchmarkTable1PatternMining(b *testing.B) {
 	f := getFixture(b)
 	b.ResetTimer()
@@ -269,7 +260,7 @@ func BenchmarkPdistParallel(b *testing.B) {
 	}
 }
 
-// P2 — parallel per-cuisine mining: the 26 FP-Growth runs behind Table I
+// P2 — parallel per-cuisine mining: the 26 Eclat runs behind Table I
 // per worker count, on the shared bench-scale corpus.
 func BenchmarkMineRegionsParallel(b *testing.B) {
 	f := getFixture(b)
@@ -390,94 +381,6 @@ func BenchmarkStagedReuse(b *testing.B) {
 	})
 }
 
-// P6 — mining backend selection (DESIGN.md §9): every registered
-// backend over the whole corpus fan-out, per support threshold and
-// corpus scale, sequential (workers=1) so the numbers compare the
-// algorithms rather than the scheduler. All backends share the same
-// per-region bitset indexes and emit byte-identical patterns; this
-// sweep is what justifies miner.Default — the README's "Choosing a
-// mining backend" table is produced from it.
-func BenchmarkMinerBackends(b *testing.B) {
-	dbs := map[float64]*recipedb.DB{}
-	dbFor := func(b *testing.B, scale float64) *recipedb.DB {
-		b.Helper()
-		if db, ok := dbs[scale]; ok {
-			return db
-		}
-		db, err := corpus.Generate(corpus.Config{Seed: corpus.DefaultSeed, Scale: scale})
-		if err != nil {
-			b.Fatal(err)
-		}
-		dbs[scale] = db
-		return db
-	}
-	for _, scale := range []float64{benchScale, 1} {
-		for _, m := range miner.All() {
-			for _, sup := range []float64{0.35, 0.2} {
-				name := fmt.Sprintf("scale=%g/%s/sup=%s", scale, m.Name(), formatSup(sup))
-				b.Run(name, func(b *testing.B) {
-					if scale > benchScale && testing.Short() {
-						// The full-corpus cases exist for the README's
-						// default-selection table; the CI smoke run
-						// (-short) keeps to bench scale like every other
-						// bench in this file.
-						b.Skip("full-scale sweep skipped in -short mode")
-					}
-					db := dbFor(b, scale)
-					b.ResetTimer()
-					var patterns int
-					for i := 0; i < b.N; i++ {
-						mined, err := core.MineRegionsWith(db, sup, 1, m)
-						if err != nil {
-							b.Fatal(err)
-						}
-						patterns = 0
-						for _, rp := range mined {
-							patterns += len(rp.Patterns)
-						}
-					}
-					b.ReportMetric(float64(patterns), "patterns")
-				})
-			}
-		}
-	}
-}
-
-// A1 — miner ablation: the three miners on the same region at several
-// thresholds. Over the shared bitset index the historical ranking is
-// inverted: Eclat's bitmap intersections are fastest and Apriori's
-// bitmap-counted candidates stay nearly flat as support drops, while
-// FP-Growth pays tree-construction overhead that grows with the
-// frequent vocabulary (see the P6 table in README.md — the basis for
-// miner.Default).
-func BenchmarkMinerAblation(b *testing.B) {
-	f := getFixture(b)
-	ds := f.db.RegionDataset("Italian")
-	miners := []struct {
-		name string
-		mine func(*itemset.Dataset, float64) []itemset.Pattern
-	}{
-		{"FPGrowth", fpgrowth.Mine},
-		{"Apriori", apriori.Mine},
-		{"Eclat", eclat.Mine},
-	}
-	for _, m := range miners {
-		for _, sup := range []float64{0.3, 0.2, 0.15} {
-			b.Run(m.name+"/sup="+formatSup(sup), func(b *testing.B) {
-				var n int
-				for i := 0; i < b.N; i++ {
-					n = len(m.mine(ds, sup))
-				}
-				b.ReportMetric(float64(n), "patterns")
-			})
-		}
-	}
-}
-
-func formatSup(s float64) string {
-	return fmt.Sprintf("%.2f", s)
-}
-
 // A2 — linkage ablation: geography fit per linkage method on the
 // Euclidean pattern distances.
 func BenchmarkLinkageAblation(b *testing.B) {
@@ -533,32 +436,4 @@ func BenchmarkFeatureAblation(b *testing.B) {
 			b.ReportMetric(gamma, "geo-gamma")
 		})
 	}
-}
-
-// A4 — FIHC ablation: the paper's named alternative clustering
-// (frequent-itemset-based hierarchical clustering of cuisines-as-
-// documents) against the pdist+linkage pipeline, compared by partition
-// agreement with the geographic tree.
-func BenchmarkFIHCAblation(b *testing.B) {
-	f := getFixture(b)
-	docs := make([]fihc.Document, len(f.regions))
-	for i, region := range f.regions {
-		var tokens []string
-		for j, v := range f.pm.X.Row(i) {
-			if v != 0 {
-				tokens = append(tokens, f.pm.Vocabulary[j])
-			}
-		}
-		docs[i] = fihc.Document{ID: region, Tokens: tokens}
-	}
-	b.ResetTimer()
-	var clusters int
-	for i := 0; i < b.N; i++ {
-		tree, err := fihc.Run(docs, fihc.Options{MinSupport: 0.35})
-		if err != nil {
-			b.Fatal(err)
-		}
-		clusters = tree.NumClusters()
-	}
-	b.ReportMetric(float64(clusters), "clusters")
 }

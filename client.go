@@ -107,12 +107,7 @@ type ClaimsResponse struct {
 }
 
 // StatsResponse is the /v1/stats body: the Sec. III corpus statistics
-// plus the canonical mining backend the request selects. The backend is
-// echoed so operators can confirm how the daemon resolved their -miner
-// flag or ?miner= override; because the miner can never change any
-// output it is not part of the cache key, so the echoed name is the
-// backend a cache miss for these options would run, not necessarily
-// the one that originally computed the (shared) cached analysis.
+// plus the name of the frequent-itemset miner, which is always "eclat".
 type StatsResponse struct {
 	recipedb.Stats
 	Miner string `json:"miner"`
@@ -234,8 +229,8 @@ type Client struct {
 	// HTTPClient overrides http.DefaultClient when non-nil.
 	HTTPClient *http.Client
 	// Options selects which analysis the daemon answers from. Zero
-	// fields fall back to the daemon's own defaults; Workers is a
-	// daemon-side concern and is never transmitted.
+	// fields fall back to the daemon's own defaults; Workers and Miner
+	// are daemon-side concerns and are never transmitted.
 	Options Options
 	// Revalidate enables the client-side validator cache: successful
 	// response bodies are remembered with their ETag, subsequent
@@ -321,9 +316,6 @@ func (c *Client) query(extra url.Values) url.Values {
 	}
 	if c.Options.Linkage != "" {
 		q.Set("linkage", c.Options.Linkage)
-	}
-	if c.Options.Miner != "" {
-		q.Set("miner", c.Options.Miner)
 	}
 	for k, vs := range extra {
 		q[k] = vs
@@ -620,8 +612,7 @@ func (c *Client) Claims(ctx context.Context) (ClaimsResponse, error) {
 	return r, err
 }
 
-// Stats fetches the Sec. III corpus statistics plus the canonical
-// mining backend the daemon used for this client's options.
+// Stats fetches the Sec. III corpus statistics plus the miner's name.
 func (c *Client) Stats(ctx context.Context) (StatsResponse, error) {
 	var st StatsResponse
 	err := c.get(ctx, "/v1/stats", nil, &st)

@@ -14,7 +14,6 @@ import (
 	"testing"
 
 	"cuisines"
-	"cuisines/internal/miner"
 	"cuisines/internal/server"
 )
 
@@ -179,8 +178,8 @@ func TestClientRoundTrip(t *testing.T) {
 	if err != nil || !reflect.DeepEqual(st.Stats, ref.Stats()) {
 		t.Fatalf("stats differ:\nwire:  %+v\nlocal: %+v (%v)", st.Stats, ref.Stats(), err)
 	}
-	if want := miner.Default.Name(); st.Miner != want {
-		t.Fatalf("stats echoed miner %q, want default %q", st.Miner, want)
+	if st.Miner != "eclat" {
+		t.Fatalf("stats echoed miner %q, want %q", st.Miner, "eclat")
 	}
 }
 

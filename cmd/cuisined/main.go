@@ -23,13 +23,11 @@
 //	curl localhost:8372/metrics
 //
 // Requests may select a different analysis with seed=, scale=, support=
-// and linkage= query parameters (and a different mining backend with
-// miner=, which changes speed but never output); each distinct
-// combination is computed once and kept in an LRU cache. Underneath
-// it, the staged pipeline caches per-stage artifacts, so analyses
-// that share a corpus and mining run (different linkage, different
-// figure) share that work; with -cache-dir the artifacts persist
-// across restarts.
+// and linkage= query parameters; each distinct combination is computed
+// once and kept in an LRU cache. Underneath it, the staged pipeline
+// caches per-stage artifacts, so analyses that share a corpus and
+// mining run (different linkage, different figure) share that work;
+// with -cache-dir the artifacts persist across restarts.
 //
 // Clustering: with -self and -peers every node joins a consistent-hash
 // ring (see DESIGN.md §13). Requests are proxied to the analysis key's
@@ -63,7 +61,6 @@ import (
 	"cuisines/internal/cluster"
 	"cuisines/internal/core"
 	"cuisines/internal/corpus"
-	"cuisines/internal/miner"
 	"cuisines/internal/pipeline"
 	"cuisines/internal/server"
 )
@@ -83,7 +80,6 @@ func main() {
 		seed      = flag.Uint64("seed", corpus.DefaultSeed, "default corpus generator seed")
 		support   = flag.Float64("support", core.DefaultMinSupport, "default pattern-mining support threshold")
 		linkage   = flag.String("linkage", core.DefaultLinkage.String(), "default linkage method")
-		minerName = flag.String("miner", miner.Default.Name(), "frequent-itemset mining backend (apriori|eclat|fpgrowth; output is identical, only speed differs)")
 
 		reqTimeout = flag.Duration("request-timeout", 0, "per-request wall-clock cap; expired requests answer 503 (0 = none)")
 		maxRuns    = flag.Int("max-runs", 0, "concurrent pipeline runs admitted on cache misses (0 = all cores, -1 = unbounded)")
@@ -107,14 +103,10 @@ func main() {
 	flag.Parse()
 
 	if *doctor {
-		if err := runDoctor(os.Stdout, *cacheDir, *minerName, *linkage); err != nil {
+		if err := runDoctor(os.Stdout, *cacheDir, *linkage); err != nil {
 			log.Fatalf("doctor: %v", err)
 		}
 		return
-	}
-
-	if _, err := miner.Parse(*minerName); err != nil {
-		log.Fatal(err)
 	}
 
 	if *cacheDir != "" {
@@ -167,7 +159,6 @@ func main() {
 			MinSupport: *support,
 			Linkage:    *linkage,
 			Workers:    *workers,
-			Miner:      *minerName,
 		},
 		CacheSize:         *cacheSize,
 		RenderCacheBytes:  *renderMax,

@@ -64,7 +64,7 @@ func TestDoctorInventoriesArtifacts(t *testing.T) {
 	}
 
 	var out strings.Builder
-	if err := runDoctor(&out, dir, "apriori", "average"); err != nil {
+	if err := runDoctor(&out, dir, "average"); err != nil {
 		t.Fatalf("doctor failed: %v\n%s", err, out.String())
 	}
 	report := out.String()
@@ -80,18 +80,14 @@ func TestDoctorInventoriesArtifacts(t *testing.T) {
 
 func TestDoctorRejectsBadFlags(t *testing.T) {
 	var out strings.Builder
-	if err := runDoctor(&out, "", "nosuchminer", "average"); err == nil {
-		t.Fatal("doctor accepted an unknown miner")
-	}
-	out.Reset()
-	if err := runDoctor(&out, "", "apriori", "nosuchlinkage"); err == nil {
+	if err := runDoctor(&out, "", "nosuchlinkage"); err == nil {
 		t.Fatal("doctor accepted an unknown linkage")
 	}
 }
 
 func TestDoctorWithoutCacheDir(t *testing.T) {
 	var out strings.Builder
-	if err := runDoctor(&out, "", "apriori", "average"); err != nil {
+	if err := runDoctor(&out, "", "average"); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(out.String(), "memory-only") {

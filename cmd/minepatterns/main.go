@@ -1,12 +1,11 @@
 // Command minepatterns regenerates Table I of the paper: per-cuisine
-// frequent patterns mined at the chosen support with the selected
-// backend (FP-Growth, Apriori or Eclat — identical output, different
-// speed), headline patterns ranked by the documented significance
-// score, and per-cuisine pattern counts.
+// frequent patterns mined with Eclat at the chosen support, headline
+// patterns ranked by the documented significance score, and
+// per-cuisine pattern counts.
 //
 // Usage:
 //
-//	minepatterns [-support 0.2] [-scale 1.0] [-seed 20200426] [-top 3] [-miner eclat] [-paper]
+//	minepatterns [-support 0.2] [-scale 1.0] [-seed 20200426] [-top 3] [-paper]
 //
 // -paper appends the paper's published values next to the measured ones.
 package main
@@ -20,32 +19,26 @@ import (
 
 	"cuisines/internal/core"
 	"cuisines/internal/corpus"
-	"cuisines/internal/miner"
 )
 
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("minepatterns: ")
 	var (
-		support   = flag.Float64("support", core.DefaultMinSupport, "minimum relative support")
-		scale     = flag.Float64("scale", 1.0, "corpus scale (fraction of the 118k full corpus)")
-		seed      = flag.Uint64("seed", corpus.DefaultSeed, "corpus generator seed")
-		topK      = flag.Int("top", 3, "headline patterns per cuisine")
-		paper     = flag.Bool("paper", false, "append the paper's Table I values for comparison")
-		workers   = flag.Int("workers", 0, "worker pool size (0 = all cores, 1 = sequential; output is identical)")
-		minerName = flag.String("miner", miner.Default.Name(), "frequent-itemset mining backend (apriori|eclat|fpgrowth; output is identical, only speed differs)")
+		support = flag.Float64("support", core.DefaultMinSupport, "minimum relative support")
+		scale   = flag.Float64("scale", 1.0, "corpus scale (fraction of the 118k full corpus)")
+		seed    = flag.Uint64("seed", corpus.DefaultSeed, "corpus generator seed")
+		topK    = flag.Int("top", 3, "headline patterns per cuisine")
+		paper   = flag.Bool("paper", false, "append the paper's Table I values for comparison")
+		workers = flag.Int("workers", 0, "worker pool size (0 = all cores, 1 = sequential; output is identical)")
 	)
 	flag.Parse()
 
-	m, err := miner.Parse(*minerName)
-	if err != nil {
-		log.Fatal(err)
-	}
 	db, err := corpus.Generate(corpus.Config{Seed: *seed, Scale: *scale, Workers: *workers})
 	if err != nil {
 		log.Fatal(err)
 	}
-	t, err := core.BuildTable1With(db, *support, *topK, *workers, m)
+	t, err := core.BuildTable1Workers(db, *support, *topK, *workers)
 	if err != nil {
 		log.Fatal(err)
 	}

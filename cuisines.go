@@ -64,24 +64,20 @@ type Options struct {
 	// result is byte-identical for any value — parallelism only changes
 	// how fast the answer arrives, never the answer (see DESIGN.md §3).
 	Workers int
-	// Miner names the frequent-itemset mining backend for the
-	// per-cuisine mine stage: "apriori", "eclat" or "fpgrowth" (plus
-	// the "fp-growth"/"fp" spellings); empty selects the benchmark-
-	// chosen default. All backends run over the shared bitset
-	// transaction index and produce byte-identical pattern sets, so —
-	// like Workers — the miner is a pure performance knob: it never
-	// enters a cache or artifact key (see DESIGN.md §9).
+	// Miner names the frequent-itemset miner. Eclat is the only one,
+	// so the field accepts only "" and "eclat" (any case) and
+	// canonicalizes to "eclat"; it never enters a cache or artifact
+	// key (see DESIGN.md §9).
 	Miner string
 }
 
 // Canonical returns the Options with every default applied and the
-// linkage and miner names normalized ("upgma" -> "average",
-// "fp-growth" -> "fpgrowth"), rejecting unknown linkage methods and
-// mining backends. Two Options describe the same analysis exactly when
-// their canonical forms differ only in Workers or Miner: neither
-// parallelism nor the mining backend changes the output, so the
-// serving cache keys on the canonical form with both zeroed
-// (DESIGN.md §7, §9).
+// linkage and miner names normalized ("upgma" -> "average", "" ->
+// "eclat"), rejecting unknown linkage methods and miner names. Two
+// Options describe the same analysis exactly when their canonical forms
+// differ only in Workers or Miner: parallelism never changes the output
+// and there is only one miner, so the serving cache keys on the
+// canonical form with both zeroed (DESIGN.md §7, §9).
 func (o Options) Canonical() (Options, error) {
 	if o.Seed == 0 {
 		o.Seed = corpus.DefaultSeed
@@ -242,7 +238,7 @@ func NewEngine(cfg EngineConfig) *Engine {
 }
 
 // Run generates the calibrated corpus and executes the complete
-// pipeline — per-cuisine FP-Growth, Table I significance ranking, the
+// pipeline — per-cuisine Eclat mining, Table I significance ranking, the
 // Fig. 1 elbow analysis, the five dendrograms, and the Sec. VII
 // validation — reusing any stage artifacts the engine already holds.
 func (e *Engine) Run(opts Options) (*Analysis, error) {
@@ -264,17 +260,12 @@ func (e *Engine) RunContext(ctx context.Context, opts Options) (*Analysis, error
 	if err != nil {
 		return nil, err
 	}
-	m, err := miner.Parse(opts.Miner)
-	if err != nil {
-		return nil, err
-	}
 	res, err := e.pipe.Run(ctx, pipeline.Params{
 		Seed:       opts.Seed,
 		Scale:      opts.Scale,
 		MinSupport: opts.MinSupport,
 		Method:     method,
 		Workers:    opts.Workers,
-		Miner:      m,
 	})
 	if err != nil {
 		return nil, err
@@ -314,15 +305,10 @@ func (e *Engine) runOn(db *recipedb.DB, opts Options) (*Analysis, error) {
 	if err != nil {
 		return nil, err
 	}
-	m, err := miner.Parse(opts.Miner)
-	if err != nil {
-		return nil, err
-	}
 	res, err := e.pipe.RunOn(context.Background(), db, pipeline.Params{
 		MinSupport: opts.MinSupport,
 		Method:     method,
 		Workers:    opts.Workers,
-		Miner:      m,
 	})
 	if err != nil {
 		return nil, err

@@ -83,7 +83,26 @@ func Key(kind string, parts ...string) string {
 		h.Write([]byte{0}) // unambiguous joins
 		io.WriteString(h, p)
 	}
-	return hex.EncodeToString(h.Sum(nil)[:16])
+	return hex.EncodeToString(h.Sum(nil)[:keyBytes])
+}
+
+// keyBytes is the digest length Key keeps; a key is its lowercase hex.
+const keyBytes = 16
+
+// validKey reports whether key has the form Key produces: 32 lowercase
+// hex characters. The store's disk tier and peer reads refuse any
+// other key, so a key taken from a request can never name a file
+// outside the cache directory.
+func validKey(key string) bool {
+	if len(key) != 2*keyBytes {
+		return false
+	}
+	for i := 0; i < len(key); i++ {
+		if c := key[i]; (c < '0' || c > '9') && (c < 'a' || c > 'f') {
+			return false
+		}
+	}
+	return true
 }
 
 // Stats counts one kind's cache traffic. Hits are memory-tier hits,
@@ -468,7 +487,8 @@ func DecodeFrame(data []byte, codec Codec) (any, error) {
 
 // path returns the disk file for a key. Kind and codec version are in
 // the name so `ls` of a cache dir reads as an inventory and version
-// bumps orphan old files instead of tripping over them.
+// bumps orphan old files instead of tripping over them. Callers check
+// validKey first: only then is the name confined to s.dir.
 func (s *Store) path(key string, codec Codec) string {
 	name := fmt.Sprintf("%s-v%d-%s.art", sanitizeKind(codec.Kind()), codec.Version(), key)
 	return filepath.Join(s.dir, name)
@@ -485,11 +505,11 @@ func sanitizeKind(kind string) string {
 	}, kind)
 }
 
-// loadDisk attempts a disk-tier read. Every failure mode — absent
-// file, bad magic, version mismatch, checksum mismatch, decode error —
-// is (nil, false).
+// loadDisk attempts a disk-tier read. Every failure mode — invalid
+// key, absent file, bad magic, version mismatch, checksum mismatch,
+// decode error — is (nil, false).
 func (s *Store) loadDisk(key string, codec Codec) (any, bool) {
-	if s.dir == "" {
+	if s.dir == "" || !validKey(key) {
 		return nil, false
 	}
 	data, err := os.ReadFile(s.path(key, codec))
@@ -531,7 +551,11 @@ func (s *Store) saveFrame(key string, codec Codec, frame []byte) {
 
 // writeFrame is the shared disk-tier write path: temp file + rename so
 // a crash mid-write cannot leave a torn artifact under the final name.
+// An invalid key is never written.
 func (s *Store) writeFrame(key string, codec Codec, frame []byte) {
+	if !validKey(key) {
+		return
+	}
 	if err := os.MkdirAll(s.dir, 0o755); err != nil {
 		return
 	}
@@ -556,8 +580,12 @@ func (s *Store) writeFrame(key string, codec Codec, frame []byte) {
 // peer-serving read path. A finished memory-tier value is re-encoded
 // (and counts as a hit for LRU purposes); otherwise the disk tier's
 // file, which already is a frame, is returned after verification so a
-// locally-corrupted file is never propagated to a peer.
+// locally-corrupted file is never propagated to a peer. A key that
+// fails validKey (the peer route's key comes off the wire) is a miss.
 func (s *Store) Encoded(key string, codec Codec) ([]byte, bool) {
+	if !validKey(key) {
+		return nil, false
+	}
 	s.mu.Lock()
 	if e, ok := s.entries[key]; ok && e.done && e.err == nil && e.kind == codec.Kind() {
 		v := e.v
@@ -586,8 +614,12 @@ func (s *Store) Encoded(key string, codec Codec) ([]byte, bool) {
 // Has reports whether Encoded would likely succeed, without reading
 // payload bytes — the peer HEAD have-check. It is advisory: a stat-able
 // file may still fail verification on the subsequent GET, which the
-// fetching store treats as a miss anyway.
+// fetching store treats as a miss anyway. A key that fails validKey is
+// never had.
 func (s *Store) Has(key string, codec Codec) bool {
+	if !validKey(key) {
+		return false
+	}
 	s.mu.Lock()
 	if e, ok := s.entries[key]; ok && e.done && e.err == nil && e.kind == codec.Kind() {
 		s.mu.Unlock()

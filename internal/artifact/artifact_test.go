@@ -7,6 +7,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -148,18 +149,22 @@ func TestLRUEviction(t *testing.T) {
 	}
 }
 
+// diskKey is a well-formed key for the disk-tier tests: the store
+// writes and reads only keys of the form Key produces.
+var diskKey = Key("k")
+
 func TestDiskTierRoundTrip(t *testing.T) {
 	dir := t.TempDir()
 	c := intCodec{kind: "stage", version: 1}
 
 	s1 := NewStore(Options{Dir: dir})
-	if _, err := s1.GetOrCompute(context.Background(), "k", c, func() (any, error) { return 1234, nil }); err != nil {
+	if _, err := s1.GetOrCompute(context.Background(), diskKey, c, func() (any, error) { return 1234, nil }); err != nil {
 		t.Fatal(err)
 	}
 
 	// A fresh store over the same dir must answer from disk.
 	s2 := NewStore(Options{Dir: dir})
-	v, err := s2.GetOrCompute(context.Background(), "k", c, func() (any, error) {
+	v, err := s2.GetOrCompute(context.Background(), diskKey, c, func() (any, error) {
 		return nil, fmt.Errorf("should not recompute")
 	})
 	if err != nil || v.(int) != 1234 {
@@ -175,7 +180,7 @@ func TestDiskCorruptionIsIgnored(t *testing.T) {
 	dir := t.TempDir()
 	c := intCodec{kind: "stage", version: 1}
 	s1 := NewStore(Options{Dir: dir})
-	if _, err := s1.GetOrCompute(context.Background(), "k", c, func() (any, error) { return 5, nil }); err != nil {
+	if _, err := s1.GetOrCompute(context.Background(), diskKey, c, func() (any, error) { return 5, nil }); err != nil {
 		t.Fatal(err)
 	}
 	files, err := filepath.Glob(filepath.Join(dir, "*.art"))
@@ -201,7 +206,7 @@ func TestDiskCorruptionIsIgnored(t *testing.T) {
 			defer os.WriteFile(files[0], orig, 0o644)
 
 			s2 := NewStore(Options{Dir: dir})
-			v, err := s2.GetOrCompute(context.Background(), "k", c, func() (any, error) { return 5, nil })
+			v, err := s2.GetOrCompute(context.Background(), diskKey, c, func() (any, error) { return 5, nil })
 			if err != nil || v.(int) != 5 {
 				t.Fatalf("corrupted artifact was fatal: %v, %v", v, err)
 			}
@@ -215,14 +220,14 @@ func TestDiskCorruptionIsIgnored(t *testing.T) {
 func TestDiskVersionMismatchIsIgnored(t *testing.T) {
 	dir := t.TempDir()
 	s1 := NewStore(Options{Dir: dir})
-	if _, err := s1.GetOrCompute(context.Background(), "k", intCodec{kind: "stage", version: 1}, func() (any, error) { return 5, nil }); err != nil {
+	if _, err := s1.GetOrCompute(context.Background(), diskKey, intCodec{kind: "stage", version: 1}, func() (any, error) { return 5, nil }); err != nil {
 		t.Fatal(err)
 	}
 
 	// Same kind and key, bumped codec version: old file must be ignored.
 	s2 := NewStore(Options{Dir: dir})
 	runs := 0
-	v, err := s2.GetOrCompute(context.Background(), "k", intCodec{kind: "stage", version: 2}, func() (any, error) { runs++; return 6, nil })
+	v, err := s2.GetOrCompute(context.Background(), diskKey, intCodec{kind: "stage", version: 2}, func() (any, error) { runs++; return 6, nil })
 	if err != nil || v.(int) != 6 || runs != 1 {
 		t.Fatalf("version mismatch not recomputed: v=%v err=%v runs=%d", v, err, runs)
 	}
@@ -244,7 +249,7 @@ func TestDiskGCBoundsTotalSize(t *testing.T) {
 	s := NewStore(Options{Dir: dir, MaxDiskBytes: 250})
 	c := intCodec{kind: "stage", version: 1}
 	for i := 0; i < 10; i++ {
-		key := fmt.Sprintf("k%02d", i)
+		key := Key(fmt.Sprintf("k%02d", i))
 		if _, err := s.GetOrCompute(context.Background(), key, c, func() (any, error) { return i, nil }); err != nil {
 			t.Fatal(err)
 		}
@@ -270,7 +275,7 @@ func TestDiskGCBoundsTotalSize(t *testing.T) {
 	}
 	// The newest artifacts survive; a fresh store can still load one.
 	s2 := NewStore(Options{Dir: dir, MaxDiskBytes: 250})
-	if _, err := s2.GetOrCompute(context.Background(), "k09", c, func() (any, error) {
+	if _, err := s2.GetOrCompute(context.Background(), Key("k09"), c, func() (any, error) {
 		return nil, fmt.Errorf("newest artifact was evicted")
 	}); err != nil {
 		t.Fatal(err)
@@ -280,8 +285,68 @@ func TestDiskGCBoundsTotalSize(t *testing.T) {
 func TestUnwritableDirIsNotFatal(t *testing.T) {
 	// A bogus cache dir degrades to memory-only behaviour.
 	s := NewStore(Options{Dir: filepath.Join(string([]byte{0}), "nope")})
-	v, err := s.GetOrCompute(context.Background(), "k", intCodec{kind: "s", version: 1}, func() (any, error) { return 3, nil })
+	v, err := s.GetOrCompute(context.Background(), diskKey, intCodec{kind: "s", version: 1}, func() (any, error) { return 3, nil })
 	if err != nil || v.(int) != 3 {
 		t.Fatalf("unwritable dir was fatal: %v, %v", v, err)
+	}
+}
+
+func TestValidKey(t *testing.T) {
+	if k := Key("stage", "x"); !validKey(k) {
+		t.Fatalf("Key output %q rejected", k)
+	}
+	k := Key("stage", "x")
+	for _, bad := range []string{
+		"", "k", k[:31], k + "0", strings.ToUpper(k), "g" + k[1:],
+		"/../../secret", "../" + k[3:], k[:16] + "/" + k[17:],
+	} {
+		if validKey(bad) {
+			t.Errorf("validKey(%q) = true", bad)
+		}
+	}
+}
+
+// TestStoreRefusesMalformedKeys pins the disk tier to well-formed keys:
+// a key that would resolve outside the cache directory is neither had,
+// served, loaded nor written, even when a valid frame sits where it
+// points.
+func TestStoreRefusesMalformedKeys(t *testing.T) {
+	root := t.TempDir()
+	dir := filepath.Join(root, "a", "cache")
+	c := intCodec{kind: "stage", version: 1}
+	frame, err := EncodeFrame(c, 99)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// "stage-v1-/../../secret.art" under dir is root/a/secret.art.
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(root, "a", "secret.art"), frame, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	s := NewStore(Options{Dir: dir})
+	for _, key := range []string{"/../../secret", strings.ToUpper(Key("stage", "x")), "not-hex"} {
+		if s.Has(key, c) {
+			t.Errorf("Has(%q) = true", key)
+		}
+		if _, ok := s.Encoded(key, c); ok {
+			t.Errorf("Encoded(%q) served bytes", key)
+		}
+	}
+	// GetOrCompute still answers (memory tier), but never from or to
+	// disk under a malformed key.
+	v, err := s.GetOrCompute(context.Background(), "/../../secret", c, func() (any, error) { return 7, nil })
+	if err != nil || v.(int) != 7 {
+		t.Fatalf("GetOrCompute = %v, %v; want the computed 7, not the file outside the cache", v, err)
+	}
+	if _, err := s.GetOrCompute(context.Background(), "/../../written", c, func() (any, error) { return 8, nil }); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := os.Stat(filepath.Join(root, "a", "written.art")); !os.IsNotExist(err) {
+		t.Fatalf("malformed key wrote outside the cache directory: %v", err)
+	}
+	if st := s.Stats()["stage"]; st.DiskHits != 0 || st.Computed != 2 {
+		t.Fatalf("stats = %+v, want two computes and no disk hits", st)
 	}
 }

@@ -205,7 +205,7 @@ type Figures struct {
 	Geo       *CuisineTree          // Fig. 6
 	Patterns  *encode.PatternMatrix // shared feature matrix (Figs. 1-4)
 	AuthMat   *authenticity.Matrix  // shared authenticity matrix (Fig. 5)
-	Mined     []RegionPatterns      // per-cuisine FP-Growth output
+	Mined     []RegionPatterns      // per-cuisine Eclat output
 }
 
 // AnchoredPatterns filters out pure-process patterns (cooking grammar
@@ -243,7 +243,7 @@ func BuildFigures(db *recipedb.DB, minSupport float64, method hac.Method) (*Figu
 
 // BuildFiguresWorkers is BuildFigures with an explicit worker count
 // (<= 0 means GOMAXPROCS, 1 forces the fully sequential path). The
-// pipeline parallelizes at two grains: the per-cuisine FP-Growth runs
+// pipeline parallelizes at two grains: the per-cuisine Eclat runs
 // fan out first over the full budget, then the six independent figure
 // builds (the Fig. 1 elbow sweep, the three pattern trees, the
 // authenticity matrix + tree, and the geographic tree) run concurrently,

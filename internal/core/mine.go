@@ -8,6 +8,7 @@ package core
 import (
 	"fmt"
 
+	"cuisines/internal/eclat"
 	"cuisines/internal/itemset"
 	"cuisines/internal/miner"
 	"cuisines/internal/parallel"
@@ -29,38 +30,24 @@ type RegionPatterns struct {
 
 // MineRegions mines frequent itemsets per cuisine at the given support
 // threshold, exactly as Sec. V.A prescribes (ingredients, processes and
-// utensils concatenated; one run per region), with the default backend.
-// Regions are returned in the DB's sorted region order. The per-region
-// runs use every available core; see MineRegionsWorkers for the knob.
+// utensils concatenated; one Eclat run per region). Regions are
+// returned in the DB's sorted region order. The per-region runs use
+// every available core; see MineRegionsWorkers for the knob.
 func MineRegions(db *recipedb.DB, minSupport float64) ([]RegionPatterns, error) {
 	return MineRegionsWorkers(db, minSupport, 0)
 }
 
 // MineRegionsWorkers is MineRegions with an explicit worker count (<= 0
 // means GOMAXPROCS, 1 forces the sequential path). The per-cuisine runs
-// are independent — each reads the immutable DB and returns its own
-// result slot, and every backend emits patterns in canonical report
-// order — so the output is identical to the sequential path for any
-// worker count.
+// are independent — each indexes its region once, reads the immutable
+// DB and returns its own result slot in canonical report order — so the
+// output is identical to the sequential path for any worker count.
 func MineRegionsWorkers(db *recipedb.DB, minSupport float64, workers int) ([]RegionPatterns, error) {
-	return MineRegionsWith(db, minSupport, workers, nil)
-}
-
-// MineRegionsWith is MineRegionsWorkers with an explicit mining backend
-// (nil means miner.Default). Each region's transactions are indexed
-// into the shared vertical bitset representation exactly once, then
-// handed to the selected backend. All backends produce byte-identical
-// pattern sets (see internal/miner), so — like workers — the backend
-// changes how fast the answer arrives, never the answer.
-func MineRegionsWith(db *recipedb.DB, minSupport float64, workers int, m miner.Miner) ([]RegionPatterns, error) {
 	if db.Len() == 0 {
 		return nil, fmt.Errorf("core: empty database")
 	}
 	if minSupport <= 0 || minSupport > 1 {
 		return nil, fmt.Errorf("core: min support %v out of (0, 1]", minSupport)
-	}
-	if m == nil {
-		m = miner.Default
 	}
 	regions := db.Regions()
 	out := parallel.Map(len(regions), workers, func(i int) RegionPatterns {
@@ -68,10 +55,17 @@ func MineRegionsWith(db *recipedb.DB, minSupport float64, workers int, m miner.M
 		return RegionPatterns{
 			Region:   regions[i],
 			Recipes:  ds.Len(),
-			Patterns: m.Mine(itemset.NewIndex(ds), minSupport),
+			Patterns: eclat.MineIndex(itemset.NewIndex(ds), minSupport),
 		}
 	})
 	return out, nil
+}
+
+// MineRegionsWith is MineRegionsWorkers. Eclat is the only miner, so m
+// is ignored; the function remains only because the benchmark module's
+// replay calls it.
+func MineRegionsWith(db *recipedb.DB, minSupport float64, workers int, m miner.Miner) ([]RegionPatterns, error) {
+	return MineRegionsWorkers(db, minSupport, workers)
 }
 
 // PatternSets flattens mining results into parallel slices for the

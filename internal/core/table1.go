@@ -6,7 +6,6 @@ import (
 	"strings"
 	"text/tabwriter"
 
-	"cuisines/internal/miner"
 	"cuisines/internal/recipedb"
 )
 
@@ -37,16 +36,10 @@ func BuildTable1(db *recipedb.DB, minSupport float64, topK int) (*Table1, error)
 // per-cuisine mining fan-out (<= 0 means GOMAXPROCS, 1 forces the
 // sequential path).
 func BuildTable1Workers(db *recipedb.DB, minSupport float64, topK, workers int) (*Table1, error) {
-	return BuildTable1With(db, minSupport, topK, workers, nil)
-}
-
-// BuildTable1With is BuildTable1Workers with an explicit mining backend
-// (nil means miner.Default; the table is identical for every backend).
-func BuildTable1With(db *recipedb.DB, minSupport float64, topK, workers int, m miner.Miner) (*Table1, error) {
 	if topK <= 0 {
 		topK = 3
 	}
-	rps, err := MineRegionsWith(db, minSupport, workers, m)
+	rps, err := MineRegionsWorkers(db, minSupport, workers)
 	if err != nil {
 		return nil, err
 	}

@@ -7,7 +7,7 @@ import (
 	"strings"
 	"testing"
 
-	"cuisines/internal/fpgrowth"
+	"cuisines/internal/eclat"
 	"cuisines/internal/geo"
 	"cuisines/internal/itemset"
 	"cuisines/internal/recipedb"
@@ -245,7 +245,7 @@ func TestPatternCountShape(t *testing.T) {
 	db := getMediumDB(t)
 	counts := make(map[string]int)
 	for _, region := range db.Regions() {
-		counts[region] = len(fpgrowth.Mine(db.RegionDataset(region), 0.2))
+		counts[region] = len(eclat.Mine(db.RegionDataset(region), 0.2))
 	}
 	rich := []string{"Northern Africa", "Indian Subcontinent"}
 	sparse := []string{"Australian", "Canadian", "Caribbean", "Mexican"}

@@ -4,9 +4,9 @@
 // internal/itemset — in dense layout the inner loop is a branch-free
 // word-wise AND over []uint64; in chunked layout (sparse universes) it
 // is a roaring-style container intersection that shrinks toward cheap
-// array merges as prefixes get rarer. Eclat is one of the three
-// pluggable backends behind internal/miner, exercised head-to-head in
-// the miner-agreement property tests and the A1/P6 benches.
+// array merges as prefixes get rarer. Eclat is the repository's only
+// frequent-itemset miner (core.MineRegions runs it once per cuisine);
+// internal/miner's tests pin it to a brute-force level-wise reference.
 //
 // The per-depth intersection buffers are recycled through a sync.Pool
 // across mining runs, so a steady-state mine allocates only its output
@@ -37,8 +37,7 @@ func MineWithOptions(d *itemset.Dataset, minSupport float64, opts Options) []ite
 	return MineIndexWithOptions(itemset.NewIndex(d), minSupport, opts)
 }
 
-// MineIndex mines a prebuilt bitmap index (the shared representation all
-// backends accept, so one index per region serves any of them).
+// MineIndex mines a prebuilt bitmap index.
 func MineIndex(ix *itemset.Index, minSupport float64) []itemset.Pattern {
 	return MineIndexWithOptions(ix, minSupport, Options{})
 }

@@ -1,9 +1,6 @@
 package itemset
 
-import (
-	"math/bits"
-	"sync"
-)
+import "math/bits"
 
 // This file implements the density-adaptive bitmap representation behind
 // Index (DESIGN.md §10). A Bitmap stores a set of transaction ids in one
@@ -199,34 +196,6 @@ func AndBitmaps(dst, a, b *Bitmap) int {
 	return total
 }
 
-// AndCardinality returns |a ∩ b| without materializing the result. Same
-// layout/universe contract as AndBitmaps.
-func AndCardinality(a, b *Bitmap) int {
-	if a.dense != nil || b.dense != nil {
-		n := 0
-		for w, aw := range a.dense {
-			n += bits.OnesCount64(aw & b.dense[w])
-		}
-		return n
-	}
-	total := 0
-	i, j := 0, 0
-	for i < len(a.chunks) && j < len(b.chunks) {
-		ca, cb := &a.chunks[i], &b.chunks[j]
-		switch {
-		case ca.key < cb.key:
-			i++
-		case cb.key < ca.key:
-			j++
-		default:
-			total += containerAndCard(ca, cb)
-			i++
-			j++
-		}
-	}
-	return total
-}
-
 // intersectContainers appends ca ∩ cb to dst.chunks (omitting empty
 // results) and returns its cardinality. The result container picks its
 // own form by density: array-involved intersections can only shrink, so
@@ -309,46 +278,6 @@ func intersectContainers(dst *Bitmap, ca, cb *container) int {
 	}
 }
 
-// containerAndCard is intersectContainers without the materialization.
-func containerAndCard(ca, cb *container) int {
-	switch {
-	case ca.arr != nil && cb.arr != nil:
-		n, i, j := 0, 0, 0
-		for i < len(ca.arr) && j < len(cb.arr) {
-			x, y := ca.arr[i], cb.arr[j]
-			switch {
-			case x == y:
-				n++
-				i++
-				j++
-			case x < y:
-				i++
-			default:
-				j++
-			}
-		}
-		return n
-	case ca.arr != nil || cb.arr != nil:
-		arr, words := ca.arr, cb.words
-		if arr == nil {
-			arr, words = cb.arr, ca.words
-		}
-		n := 0
-		for _, off := range arr {
-			if words[off>>6]&(1<<(off&63)) != 0 {
-				n++
-			}
-		}
-		return n
-	default:
-		n := 0
-		for k, aw := range ca.words {
-			n += bits.OnesCount64(aw & cb.words[k])
-		}
-		return n
-	}
-}
-
 // setAscending sets a bit in a chunked bitmap under construction. Bits
 // must arrive in strictly ascending order (the transaction scan order of
 // NewIndex). arena is the item's private []uint16 window for array
@@ -382,9 +311,3 @@ func (b *Bitmap) setAscending(tid int, arena []uint16, used int) int {
 	c.card++
 	return used
 }
-
-// andScratchPool recycles the intermediate bitmaps multi-way
-// SupportCount folds need in chunked mode (Apriori's candidate-counting
-// hot path). Buffers are reshaped per use, so one pool serves indexes of
-// any size or mode.
-var andScratchPool = sync.Pool{New: func() any { return new([2]Bitmap) }}

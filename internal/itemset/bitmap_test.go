@@ -142,9 +142,6 @@ func TestAndBitmapsMatchesBruteForce(t *testing.T) {
 				want := intersectInts(ta, tb)
 
 				ca, cb := chunkedFromTids(ta, n), chunkedFromTids(tb, n)
-				if got := AndCardinality(ca, cb); got != len(want) {
-					t.Fatalf("n=%d da=%g db=%g: chunked AndCardinality = %d, want %d", n, da, db, got, len(want))
-				}
 				if got := AndBitmaps(dst, ca, cb); got != len(want) {
 					t.Fatalf("n=%d da=%g db=%g: chunked AndBitmaps = %d, want %d", n, da, db, got, len(want))
 				}
@@ -153,9 +150,6 @@ func TestAndBitmapsMatchesBruteForce(t *testing.T) {
 				}
 
 				xa, xb := denseFromTids(ta, n), denseFromTids(tb, n)
-				if got := AndCardinality(xa, xb); got != len(want) {
-					t.Fatalf("n=%d da=%g db=%g: dense AndCardinality = %d, want %d", n, da, db, got, len(want))
-				}
 				if got := AndBitmaps(denseDst, xa, xb); got != len(want) {
 					t.Fatalf("n=%d da=%g db=%g: dense AndBitmaps = %d, want %d", n, da, db, got, len(want))
 				}

@@ -6,15 +6,10 @@ import (
 )
 
 // Index is a vertical bitset view of a Dataset: every distinct item maps
-// to a bitmap over transaction positions. It is the shared representation
-// the mining backends (internal/miner) operate on — built once per
-// region, then read concurrently by whichever algorithm is selected:
-//
-//   - support of an item is a cached popcount,
-//   - support of a candidate itemset is an intersection cardinality
-//     (Apriori's counting step, replacing per-transaction subset scans),
-//   - Eclat intersects the bitmaps directly instead of merging tid lists,
-//   - FP-Growth reads the horizontal projection (Txns) to build its tree.
+// to a bitmap over transaction positions. It is what Eclat
+// (internal/eclat) mines — built once per region: the support of an
+// item is a cached popcount, and Eclat intersects the bitmaps directly
+// instead of merging tid lists.
 //
 // Bitmaps come in two layouts (see bitmap.go): the dense flat []uint64
 // of the seed implementation, and roaring-style chunked containers for
@@ -22,21 +17,19 @@ import (
 // under ModeAuto, or forced via NewIndexMode — and never changes any
 // mined output, only the cost of intersections (pinned by the dense/
 // chunked equivalence tests in internal/miner, arbitrated by the P6
-// benchmark).
+// benchmark in BENCH_6.json).
 //
 // Item ids are dense, 0-based and assigned in canonical item order
 // (Item.Less), so id comparison is item comparison and id-sorted slices
 // are canonically sorted. The Index is immutable after construction and
 // safe for concurrent readers.
 type Index struct {
-	items []Item         // id -> item, canonically sorted
-	idOf  map[Item]int32 // item -> id
-	bits  [][]uint64     // id -> dense bitmap (words slices of one arena); dense mode only
-	bms   []Bitmap       // id -> bitmap view (both modes)
-	count []int          // id -> popcount of the item's bitmap
-	txns  [][]int32      // transaction -> ascending item ids (slices of one arena)
-	words int            // words per dense bitmap
-	mode  IndexMode      // resolved ModeDense or ModeChunked
+	items []Item    // id -> item, canonically sorted
+	bms   []Bitmap  // id -> bitmap (dense ones are word slices of one arena)
+	count []int     // id -> popcount of the item's bitmap
+	n     int       // transactions indexed
+	words int       // words per dense bitmap
+	mode  IndexMode // resolved ModeDense or ModeChunked
 }
 
 // IndexMode selects the bitmap layout of an Index.
@@ -68,9 +61,8 @@ func (m IndexMode) String() string {
 
 // DefaultIndexMode is the layout NewIndex uses. ModeAuto lets each index
 // pick by its own density; the thresholds and this default are
-// arbitrated by the P6 miner-backend benchmark (README "Benchmark
-// trajectory"), exactly like miner.Default — it is a pure performance
-// knob that never changes mined output.
+// arbitrated by the P6 benchmark (BENCH_6.json) — it is a pure
+// performance knob that never changes mined output.
 var DefaultIndexMode = ModeAuto
 
 // autoMode resolves ModeAuto for a universe of n transactions holding
@@ -100,7 +92,7 @@ func NewIndex(d *Dataset) *Index {
 // NewIndexMode is NewIndex with an explicit bitmap layout.
 func NewIndexMode(d *Dataset, mode IndexMode) *Index {
 	n := d.Len()
-	ix := &Index{words: (n + 63) / 64}
+	ix := &Index{n: n, words: (n + 63) / 64}
 
 	counts := d.ItemCounts()
 	ix.items = make([]Item, 0, len(counts))
@@ -110,9 +102,9 @@ func NewIndexMode(d *Dataset, mode IndexMode) *Index {
 		totalBits += c
 	}
 	sort.Slice(ix.items, func(i, j int) bool { return ix.items[i].Less(ix.items[j]) })
-	ix.idOf = make(map[Item]int32, len(ix.items))
+	idOf := make(map[Item]int32, len(ix.items))
 	for i, it := range ix.items {
-		ix.idOf[it] = int32(i)
+		idOf[it] = int32(i)
 	}
 
 	ix.mode = mode
@@ -122,35 +114,19 @@ func NewIndexMode(d *Dataset, mode IndexMode) *Index {
 
 	ix.count = make([]int, len(ix.items))
 	ix.bms = make([]Bitmap, len(ix.items))
-	ix.txns = make([][]int32, n)
-
-	// One backing arena serves every per-transaction id slice: the
-	// horizontal projection costs two allocations total instead of one
-	// per transaction.
-	txnArena := make([]int32, totalBits)
 
 	switch ix.mode {
 	case ModeDense:
 		arena := make([]uint64, len(ix.items)*ix.words)
-		ix.bits = make([][]uint64, len(ix.items))
-		for i := range ix.bits {
-			ix.bits[i] = arena[i*ix.words : (i+1)*ix.words]
-			ix.bms[i] = Bitmap{n: n, dense: ix.bits[i]}
+		for i := range ix.bms {
+			ix.bms[i] = Bitmap{n: n, dense: arena[i*ix.words : (i+1)*ix.words]}
 		}
 		for tid, t := range d.Transactions() {
-			items := t.Items.Items()
-			if len(items) == 0 {
-				continue
-			}
-			ids := txnArena[:len(items):len(items)]
-			txnArena = txnArena[len(items):]
-			for k, it := range items { // canonical set order => ascending ids
-				id := ix.idOf[it]
-				ids[k] = id
-				ix.bits[id][tid>>6] |= 1 << (uint(tid) & 63)
+			for _, it := range t.Items.Items() {
+				id := idOf[it]
+				ix.bms[id].dense[tid>>6] |= 1 << (uint(tid) & 63)
 				ix.count[id]++
 			}
-			ix.txns[tid] = ids
 		}
 
 	case ModeChunked:
@@ -167,20 +143,12 @@ func NewIndexMode(d *Dataset, mode IndexMode) *Index {
 			ix.bms[i].n = n
 		}
 		for tid, t := range d.Transactions() {
-			items := t.Items.Items()
-			if len(items) == 0 {
-				continue
-			}
-			ids := txnArena[:len(items):len(items)]
-			txnArena = txnArena[len(items):]
-			for k, it := range items {
-				id := ix.idOf[it]
-				ids[k] = id
+			for _, it := range t.Items.Items() {
+				id := idOf[it]
 				window := arrArena[offsets[id]:offsets[id+1]]
 				used[id] = int32(ix.bms[id].setAscending(tid, window, int(used[id])))
 				ix.count[id]++
 			}
-			ix.txns[tid] = ids
 		}
 	}
 	return ix
@@ -188,7 +156,7 @@ func NewIndexMode(d *Dataset, mode IndexMode) *Index {
 
 // NumTransactions returns the number of transactions indexed (including
 // empty ones, which carry no bits but count toward relative support).
-func (ix *Index) NumTransactions() int { return len(ix.txns) }
+func (ix *Index) NumTransactions() int { return ix.n }
 
 // NumItems returns the number of distinct items.
 func (ix *Index) NumItems() int { return len(ix.items) }
@@ -199,11 +167,6 @@ func (ix *Index) Item(id int32) Item { return ix.items[id] }
 // Mode returns the resolved bitmap layout (ModeDense or ModeChunked).
 func (ix *Index) Mode() IndexMode { return ix.mode }
 
-// Bits returns the item's flat transaction bitmap in dense mode, nil in
-// chunked mode. The slice is shared index state and must not be
-// modified; layout-agnostic callers should use ItemBitmap.
-func (ix *Index) Bits(id int32) []uint64 { return ix.bms[id].dense }
-
 // ItemBitmap returns the item's transaction bitmap in the index's
 // layout. Shared index state; must not be modified or used as an
 // intersection target.
@@ -212,76 +175,22 @@ func (ix *Index) ItemBitmap(id int32) *Bitmap { return &ix.bms[id] }
 // Count returns the item's support count (the popcount of its bitmap).
 func (ix *Index) Count(id int32) int { return ix.count[id] }
 
-// Words returns the dense bitmap length in 64-bit words, the buffer
-// size dense intersection scratch space needs.
-func (ix *Index) Words() int { return ix.words }
-
 // PrepareScratch shapes b (typically pooled, possibly previously used
 // against a different index) into an intersection target for this
 // index's layout and universe.
 func (ix *Index) PrepareScratch(b *Bitmap) {
 	if ix.mode == ModeDense {
 		b.ensureDense(ix.words)
-		b.n = len(ix.txns)
+		b.n = ix.n
 		return
 	}
-	b.reset(len(ix.txns))
+	b.reset(ix.n)
 }
-
-// Txns returns the horizontal projection: per transaction, the ascending
-// item ids. Shared index state; must not be modified.
-func (ix *Index) Txns() [][]int32 { return ix.txns }
 
 // MinCount converts a relative support threshold to the smallest
 // absolute count satisfying it, sharing Dataset.MinCount's convention.
 func (ix *Index) MinCount(support float64) int {
-	return minCount(len(ix.txns), support)
-}
-
-// SupportCount returns the number of transactions containing every item
-// of ids: the cardinality of the intersection of their bitmaps, computed
-// without materializing it in dense mode (and for chunked pairs), or by
-// folding through pooled scratch for longer chunked candidates. An empty
-// id list counts every transaction (the empty set's support convention).
-func (ix *Index) SupportCount(ids []int32) int {
-	switch len(ids) {
-	case 0:
-		return ix.NumTransactions()
-	case 1:
-		return ix.count[ids[0]]
-	}
-	if ix.mode == ModeDense {
-		n := 0
-		first, rest := ix.bms[ids[0]].dense, ids[1:]
-		for w := 0; w < ix.words; w++ {
-			x := first[w]
-			for _, id := range rest {
-				x &= ix.bms[id].dense[w]
-				if x == 0 {
-					break
-				}
-			}
-			n += bits.OnesCount64(x)
-		}
-		return n
-	}
-	if len(ids) == 2 {
-		return AndCardinality(&ix.bms[ids[0]], &ix.bms[ids[1]])
-	}
-	sc := andScratchPool.Get().(*[2]Bitmap)
-	defer andScratchPool.Put(sc)
-	cur, next := &sc[0], &sc[1]
-	ix.PrepareScratch(cur)
-	ix.PrepareScratch(next)
-	cnt := AndBitmaps(cur, &ix.bms[ids[0]], &ix.bms[ids[1]])
-	for _, id := range ids[2:] {
-		if cnt == 0 {
-			return 0
-		}
-		cnt = AndBitmaps(next, cur, &ix.bms[id])
-		cur, next = next, cur
-	}
-	return cnt
+	return minCount(ix.n, support)
 }
 
 // Pattern converts a mined id set to a Pattern with relative support

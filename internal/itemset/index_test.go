@@ -1,7 +1,6 @@
 package itemset
 
 import (
-	"math/bits"
 	"math/rand"
 	"testing"
 )
@@ -21,12 +20,21 @@ func findID(ix *Index, it Item) (int32, bool) {
 	return 0, false
 }
 
-func popcount(words []uint64) int {
-	n := 0
-	for _, w := range words {
-		n += bits.OnesCount64(w)
+// supportCount folds the bitmaps of ids through scratch intersections,
+// the way Eclat extends a prefix. An empty id list counts every
+// transaction (the empty set's support convention).
+func supportCount(ix *Index, ids []int32) int {
+	if len(ids) == 0 {
+		return ix.NumTransactions()
 	}
-	return n
+	cur, cnt := ix.ItemBitmap(ids[0]), ix.Count(ids[0])
+	for _, id := range ids[1:] {
+		next := &Bitmap{}
+		ix.PrepareScratch(next)
+		cnt = AndBitmaps(next, cur, ix.ItemBitmap(id))
+		cur = next
+	}
+	return cnt
 }
 
 func TestIndexBasics(t *testing.T) {
@@ -56,9 +64,6 @@ func TestIndexBasics(t *testing.T) {
 	if _, ok := findID(ix, NewItem("zz", Ingredient)); ok {
 		t.Fatal("unindexed item resolved")
 	}
-	if got := ix.Words(); got != 1 {
-		t.Fatalf("words = %d", got)
-	}
 }
 
 func TestIndexSupportCountMatchesDataset(t *testing.T) {
@@ -75,36 +80,38 @@ func TestIndexSupportCountMatchesDataset(t *testing.T) {
 			txns[i] = Transaction{Items: NewSet(items...)}
 		}
 		d := NewDataset(txns)
-		ix := NewIndex(d)
-		if ix.NumTransactions() != d.Len() {
-			t.Fatalf("trial %d: transactions %d != %d", trial, ix.NumTransactions(), d.Len())
-		}
-		// Every single item count must equal the dataset's scan.
-		for id := int32(0); int(id) < ix.NumItems(); id++ {
-			it := ix.Item(id)
-			if got, want := ix.Count(id), d.SupportCount(NewSet(it)); got != want {
-				t.Fatalf("trial %d: item %v count %d, dataset says %d", trial, it, got, want)
+		for _, mode := range []IndexMode{ModeDense, ModeChunked} {
+			ix := NewIndexMode(d, mode)
+			if ix.NumTransactions() != d.Len() {
+				t.Fatalf("trial %d %v: transactions %d != %d", trial, mode, ix.NumTransactions(), d.Len())
 			}
-			if got := popcount(ix.Bits(id)); got != ix.Count(id) {
-				t.Fatalf("trial %d: cached count %d != popcount %d", trial, ix.Count(id), got)
+			// Every single item count must equal the dataset's scan.
+			for id := int32(0); int(id) < ix.NumItems(); id++ {
+				it := ix.Item(id)
+				if got, want := ix.Count(id), d.SupportCount(NewSet(it)); got != want {
+					t.Fatalf("trial %d %v: item %v count %d, dataset says %d", trial, mode, it, got, want)
+				}
+				if got := ix.ItemBitmap(id).Count(); got != ix.Count(id) {
+					t.Fatalf("trial %d %v: cached count %d != popcount %d", trial, mode, ix.Count(id), got)
+				}
 			}
-		}
-		// Random candidate itemsets: AND-counting must equal subset scans.
-		for probe := 0; probe < 20; probe++ {
-			k := 1 + r.Intn(4)
-			var ids []int32
-			var items []Item
-			for j := 0; j < k && ix.NumItems() > 0; j++ {
-				id := int32(r.Intn(ix.NumItems()))
-				ids = append(ids, id)
-				items = append(items, ix.Item(id))
+			// Random candidate itemsets: AND-counting must equal subset scans.
+			for probe := 0; probe < 20; probe++ {
+				k := 1 + r.Intn(4)
+				var ids []int32
+				var items []Item
+				for j := 0; j < k && ix.NumItems() > 0; j++ {
+					id := int32(r.Intn(ix.NumItems()))
+					ids = append(ids, id)
+					items = append(items, ix.Item(id))
+				}
+				if got, want := supportCount(ix, ids), d.SupportCount(NewSet(items...)); got != want {
+					t.Fatalf("trial %d %v: support of %v = %d, dataset says %d", trial, mode, items, got, want)
+				}
 			}
-			if got, want := ix.SupportCount(ids), d.SupportCount(NewSet(items...)); got != want {
-				t.Fatalf("trial %d: SupportCount(%v) = %d, dataset says %d", trial, items, got, want)
+			if got := supportCount(ix, nil); got != d.Len() {
+				t.Fatalf("trial %d %v: empty-set support %d != %d", trial, mode, got, d.Len())
 			}
-		}
-		if got := ix.SupportCount(nil); got != d.Len() {
-			t.Fatalf("trial %d: empty-set support %d != %d", trial, got, d.Len())
 		}
 	}
 }

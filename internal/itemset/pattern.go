@@ -42,8 +42,8 @@ func StringPattern(s Set) string {
 // pattern cannot distinguish) broken by the kind-aware canonical set
 // key. The paper sorts its frozensets before stringifying; a total
 // order over distinct itemsets makes every report deterministic and
-// lets all mining backends emit byte-identical pattern slices no matter
-// their internal enumeration order.
+// makes a miner's output one exact slice whatever its enumeration
+// order, which is how Eclat is compared with its reference miner.
 func SortPatterns(ps []Pattern) {
 	sort.Slice(ps, func(i, j int) bool {
 		if ps[i].Support != ps[j].Support {

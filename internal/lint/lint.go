@@ -3,7 +3,7 @@
 // check at run time (DESIGN.md §11).
 //
 // The engine's load-bearing properties — byte-identical output across
-// worker counts, mining backends and bitmap layouts, and
+// worker counts and bitmap layouts, and
 // content-addressed artifact reuse — are conventions of the code, not
 // of the language. Each analyzer turns one such convention into a
 // build error:
@@ -49,20 +49,24 @@ var Analyzers = []*analysis.Analyzer{
 // deterministicPkgs are the packages under the byte-identity contract
 // (DESIGN.md §3): their outputs feed artifact keys, cached analyses
 // and the serving layer, so any run-to-run nondeterminism inside them
-// poisons caches fleet-wide. cmd/, internal/server, internal/parallel,
-// internal/artifact and friends are deliberately outside: they own
-// wall clocks, access logs and goroutines, and never produce artifact
-// bytes themselves.
+// poisons caches fleet-wide. Every package that computes artifact
+// bytes is listed, including the corpus (recipedb), the elbow curve
+// (kmeans) and the geographic distances (geo). cmd/, internal/server,
+// internal/parallel, internal/artifact and friends are deliberately
+// outside: they own wall clocks, access logs and goroutines, and never
+// produce artifact bytes themselves. TestScopedPackagesExist keeps
+// every entry naming a real package.
 var deterministicPkgs = map[string]bool{
 	"cuisines":                       true,
 	"cuisines/internal/core":         true,
 	"cuisines/internal/pipeline":     true,
 	"cuisines/internal/itemset":      true,
 	"cuisines/internal/miner":        true,
-	"cuisines/internal/apriori":      true,
 	"cuisines/internal/eclat":        true,
-	"cuisines/internal/fpgrowth":     true,
 	"cuisines/internal/hac":          true,
+	"cuisines/internal/kmeans":       true,
+	"cuisines/internal/geo":          true,
+	"cuisines/internal/recipedb":     true,
 	"cuisines/internal/rules":        true,
 	"cuisines/internal/encode":       true,
 	"cuisines/internal/distance":     true,

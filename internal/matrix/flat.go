@@ -41,18 +41,15 @@ func DecodeFlat(data []byte) (*Dense, error) {
 	}
 	rows := binary.LittleEndian.Uint64(data)
 	cols := binary.LittleEndian.Uint64(data[8:])
-	// Cap each dimension before multiplying: a crafted header with
-	// rows=cols=1<<32 would overflow the product and slip past the
-	// length check.
-	if rows > math.MaxInt32 || cols > math.MaxInt32 {
-		return nil, fmt.Errorf("matrix: flat payload dimensions %dx%d out of range", rows, cols)
-	}
-	n := int(rows) * int(cols)
-	if len(data) != flatHeaderSize+8*n {
-		return nil, fmt.Errorf("matrix: flat payload %d bytes, want %d for %dx%d", len(data), flatHeaderSize+8*n, rows, cols)
-	}
-	out := make([]float64, n)
+	// Compare element counts, not byte counts: with both dimensions
+	// capped, rows*cols fits a uint64, but 16+8*rows*cols can wrap
+	// around to a crafted payload length and size a huge allocation.
 	body := data[flatHeaderSize:]
+	if rows > math.MaxInt32 || cols > math.MaxInt32 || len(body)%8 != 0 || rows*cols != uint64(len(body)/8) {
+		return nil, fmt.Errorf("matrix: flat payload %d bytes does not hold %dx%d values", len(data), rows, cols)
+	}
+	n := int(rows * cols)
+	out := make([]float64, n)
 	for i := range out {
 		out[i] = math.Float64frombits(binary.LittleEndian.Uint64(body[8*i:]))
 	}

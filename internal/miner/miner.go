@@ -1,145 +1,51 @@
-// Package miner defines the pluggable frequent-itemset mining backend
-// layer: a single Miner interface over the shared bitset transaction
-// index (itemset.Index), a registry of the three implementations
-// (Apriori, Eclat, FP-Growth), and the selection knob threaded through
-// core.MineRegionsWith, the pipeline's mine stage, cuisines.Options and
-// the daemon/CLI flags (DESIGN.md §9).
-//
-// Every backend emits the identical sorted pattern set for the same
-// index and threshold — pinned by the byte-identity and randomized
-// agreement tests in this package — so the backend, like the worker
-// count, is a pure performance knob: it never enters an artifact or
-// cache key, and switching it against a warm store recomputes nothing.
+// Package miner names the frequent-itemset miner behind the mine stage.
+// Eclat (internal/eclat) is the only one: the paper mines each cuisine
+// once (Sec. V.A), and Eclat was the fastest of the three byte-identical
+// backends this repository used to carry (BENCH_6.json, P6). The
+// package survives for the Options.Miner spelling check in
+// cuisines.Options.Canonical; the miner never enters an artifact or
+// cache key.
 package miner
 
 import (
 	"fmt"
-	"sort"
 	"strings"
-	"sync"
 
-	"cuisines/internal/apriori"
 	"cuisines/internal/eclat"
-	"cuisines/internal/fpgrowth"
 	"cuisines/internal/itemset"
 )
 
-// Miner is one frequent-itemset mining backend. Mine returns every
-// itemset whose relative support in the indexed transactions is at
-// least minSupport (a fraction in (0, 1], or an absolute count if > 1),
-// in canonical report order (itemset.SortPatterns). Implementations
-// must be stateless and safe for concurrent use: one Miner value serves
-// every region fan-out worker.
+// Miner is a frequent-itemset miner. Mine returns every itemset whose
+// relative support in the indexed transactions is at least minSupport
+// (a fraction in (0, 1], or an absolute count if > 1), in canonical
+// report order (itemset.SortPatterns). It is safe for concurrent use.
 type Miner interface {
-	// Name returns the canonical lowercase backend name ("eclat").
+	// Name returns the canonical lowercase name ("eclat").
 	Name() string
 	// Mine mines the prebuilt index at the given support threshold.
 	Mine(ix *itemset.Index, minSupport float64) []itemset.Pattern
 }
 
-// backend adapts a mining function to the Miner interface.
-type backend struct {
-	name string
-	mine func(*itemset.Index, float64) []itemset.Pattern
+type eclatMiner struct{}
+
+func (eclatMiner) Name() string { return "eclat" }
+func (eclatMiner) Mine(ix *itemset.Index, minSupport float64) []itemset.Pattern {
+	return eclat.MineIndex(ix, minSupport)
 }
 
-func (b backend) Name() string { return b.name }
-func (b backend) Mine(ix *itemset.Index, minSupport float64) []itemset.Pattern {
-	return b.mine(ix, minSupport)
-}
+// Eclat intersects the index's bitmaps directly (Zaki 2000).
+var Eclat Miner = eclatMiner{}
 
-// The three built-in backends.
-var (
-	// Apriori is the level-wise baseline (Agrawal & Srikant 1994),
-	// counting candidates against the bitset index.
-	Apriori Miner = backend{"apriori", apriori.MineIndex}
-	// Eclat intersects the index's bitmaps directly (Zaki 2000). It is
-	// the fastest backend at the paper's per-cuisine scales (see the P6
-	// benchmark table in README.md) and therefore the default.
-	Eclat Miner = backend{"eclat", eclat.MineIndex}
-	// FPGrowth is the paper's named algorithm (Han, Pei & Yin 2000).
-	FPGrowth Miner = backend{"fpgrowth", fpgrowth.MineIndex}
-)
-
-// Default is the backend used when none is selected — the P6 benchmark
-// winner (backend × support × scale; see "Choosing a mining backend" in
-// README.md). Changing it never changes any output, only how fast the
-// mine stage runs.
+// Default is the miner an empty name selects: Eclat, the only one.
 var Default = Eclat
 
-var (
-	mu       sync.RWMutex
-	registry = map[string]Miner{}
-	// aliases maps accepted spellings to canonical names.
-	aliases = map[string]string{
-		"fp-growth": "fpgrowth",
-		"fp_growth": "fpgrowth",
-		"fp":        "fpgrowth",
-	}
-)
-
-func init() {
-	for _, m := range []Miner{Apriori, Eclat, FPGrowth} {
-		Register(m)
-	}
-}
-
-// Register adds a backend under its canonical (lowercased) name. It
-// panics on an empty or duplicate name: registration is an init-time
-// programming act, not a runtime input.
-func Register(m Miner) {
-	name := strings.ToLower(strings.TrimSpace(m.Name()))
-	if name == "" {
-		panic("miner: Register with empty name")
-	}
-	mu.Lock()
-	defer mu.Unlock()
-	if _, dup := registry[name]; dup {
-		panic(fmt.Sprintf("miner: Register called twice for %q", name))
-	}
-	registry[name] = m
-}
-
-// Parse resolves a backend name, case-insensitively and accepting the
-// common FP-Growth spellings ("fp-growth", "fp"). The empty string
+// Parse resolves a miner name, case-insensitively. The empty string
 // resolves to Default, mirroring how Options canonicalization treats
-// unset knobs.
+// unset knobs; any name but "eclat" is an error.
 func Parse(name string) (Miner, error) {
-	s := strings.ToLower(strings.TrimSpace(name))
-	if s == "" {
-		return Default, nil
+	switch strings.ToLower(strings.TrimSpace(name)) {
+	case "", "eclat":
+		return Eclat, nil
 	}
-	if canon, ok := aliases[s]; ok {
-		s = canon
-	}
-	mu.RLock()
-	m, ok := registry[s]
-	mu.RUnlock()
-	if !ok {
-		return nil, fmt.Errorf("miner: unknown mining backend %q (have %s)", name, strings.Join(Names(), ", "))
-	}
-	return m, nil
-}
-
-// All returns every registered backend in name order — the sweep the
-// agreement tests and the P6 benchmark iterate over.
-func All() []Miner {
-	mu.RLock()
-	defer mu.RUnlock()
-	out := make([]Miner, 0, len(registry))
-	for _, m := range registry {
-		out = append(out, m)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Name() < out[j].Name() })
-	return out
-}
-
-// Names returns the registered backend names in sorted order.
-func Names() []string {
-	all := All()
-	names := make([]string, len(all))
-	for i, m := range all {
-		names[i] = m.Name()
-	}
-	return names
+	return nil, fmt.Errorf("miner: unknown mining backend %q (eclat is the only one)", name)
 }

@@ -1,141 +1,170 @@
 package miner_test
 
 import (
-	"bytes"
-	"encoding/gob"
 	"math/rand"
+	"reflect"
 	"strings"
 	"testing"
 
-	"cuisines/internal/corpus"
+	"cuisines/internal/core"
+	"cuisines/internal/eclat"
 	"cuisines/internal/itemset"
 	"cuisines/internal/miner"
 )
 
 func TestParse(t *testing.T) {
-	cases := []struct {
-		in   string
-		want string
-	}{
-		{"apriori", "apriori"},
-		{"eclat", "eclat"},
-		{"fpgrowth", "fpgrowth"},
-		{"FP-Growth", "fpgrowth"},
-		{"fp_growth", "fpgrowth"},
-		{"fp", "fpgrowth"},
-		{" Eclat ", "eclat"},
-		{"", miner.Default.Name()},
-	}
-	for _, c := range cases {
-		m, err := miner.Parse(c.in)
+	for _, in := range []string{"", "eclat", " Eclat ", "ECLAT"} {
+		m, err := miner.Parse(in)
 		if err != nil {
-			t.Errorf("Parse(%q): %v", c.in, err)
+			t.Errorf("Parse(%q): %v", in, err)
 			continue
 		}
-		if m.Name() != c.want {
-			t.Errorf("Parse(%q) = %q, want %q", c.in, m.Name(), c.want)
+		if m.Name() != "eclat" || m != miner.Default {
+			t.Errorf("Parse(%q) = %q, want the default eclat", in, m.Name())
 		}
 	}
-	if _, err := miner.Parse("magic"); err == nil || !strings.Contains(err.Error(), "magic") {
-		t.Errorf("unknown backend error = %v", err)
+	for _, in := range []string{"magic", "apriori", "fpgrowth", "fp-growth"} {
+		if _, err := miner.Parse(in); err == nil || !strings.Contains(err.Error(), in) {
+			t.Errorf("Parse(%q) error = %v", in, err)
+		}
 	}
 }
 
-func TestRegistryOrder(t *testing.T) {
-	names := miner.Names()
-	if len(names) < 3 {
-		t.Fatalf("names = %v", names)
-	}
-	for i := 1; i < len(names); i++ {
-		if names[i-1] >= names[i] {
-			t.Fatalf("names not sorted: %v", names)
-		}
-	}
-	all := miner.All()
-	for i, m := range all {
-		if m.Name() != names[i] {
-			t.Fatalf("All()[%d] = %q, Names()[%d] = %q", i, m.Name(), i, names[i])
-		}
-	}
-	// The default must be a registered backend (Parse must round-trip it).
-	m, err := miner.Parse(miner.Default.Name())
-	if err != nil || m.Name() != miner.Default.Name() {
-		t.Fatalf("Default %q not registered: %v", miner.Default.Name(), err)
-	}
-}
-
-// encodePatterns serializes a pattern slice the same way the pipeline's
-// mine artifact does (gob), making "byte-identical output" literal.
-func encodePatterns(t *testing.T, ps []itemset.Pattern) []byte {
-	t.Helper()
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(ps); err != nil {
-		t.Fatal(err)
-	}
-	return buf.Bytes()
-}
-
-// TestBackendsByteIdenticalOnCorpus is the tentpole's acceptance test:
-// all registered backends must produce byte-identical serialized
-// pattern sets for every region of the calibrated corpus at both
-// support thresholds. This is what licenses excluding the miner name
-// from artifact and cache keys.
+// TestBackendsByteIdenticalOnCorpus holds the two miners, Eclat and
+// the reference, to identical output: it mines every region of the
+// calibrated corpus through the production path (core.MineRegions:
+// one index per region, the worker fan-out, Eclat) and requires the
+// reference miner's exact pattern slices at both Table I thresholds.
 func TestBackendsByteIdenticalOnCorpus(t *testing.T) {
-	if testing.Short() {
-		t.Skip("corpus sweep is slow")
-	}
-	db, err := corpus.Generate(corpus.Config{Seed: corpus.DefaultSeed, Scale: 0.1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	all := miner.All()
-	for _, region := range db.Regions() {
-		ix := itemset.NewIndex(db.RegionDataset(region))
-		for _, sup := range []float64{0.2, 0.35} {
-			ref := encodePatterns(t, all[0].Mine(ix, sup))
-			for _, m := range all[1:] {
-				got := encodePatterns(t, m.Mine(ix, sup))
-				if !bytes.Equal(ref, got) {
-					t.Errorf("region %q sup %g: %s output differs from %s",
-						region, sup, m.Name(), all[0].Name())
-				}
+	db, ref := corpusReference(t)
+	for _, sup := range corpusSupports {
+		mined, err := core.MineRegions(db, sup)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(mined) != len(ref) {
+			t.Fatalf("sup %g: mined %d regions, reference %d", sup, len(mined), len(ref))
+		}
+		for _, rp := range mined {
+			if want := ref[rp.Region][sup]; !reflect.DeepEqual(rp.Patterns, want) {
+				t.Errorf("region %q sup %g: eclat mined %d patterns, reference %d, or they differ",
+					rp.Region, sup, len(rp.Patterns), len(want))
 			}
 		}
 	}
 }
 
-// TestBackendsAgreeOnRandomDatasets is the cross-miner agreement
-// property test on randomized synthetic datasets: random transaction
-// counts, item universes and support thresholds, not just
-// corpus-derived shapes. Every backend pair must agree exactly
-// (byte-identically, via the same gob framing as the corpus test).
+// randomDataset draws nTxn transactions over a universe of letters, each
+// holding up to maxLen items of random kinds (duplicates collapse, so
+// transactions may be shorter; minLen 0 allows empty transactions).
+func randomDataset(r *rand.Rand, nTxn, universe, minLen, maxLen int) *itemset.Dataset {
+	txns := make([]itemset.Transaction, nTxn)
+	for i := range txns {
+		n := minLen + r.Intn(maxLen-minLen+1)
+		var items []itemset.Item
+		for j := 0; j < n; j++ {
+			items = append(items, itemset.NewItem(
+				string(rune('a'+r.Intn(universe))), itemset.Kind(r.Intn(3))))
+		}
+		txns[i] = itemset.Transaction{Items: itemset.NewSet(items...)}
+	}
+	return itemset.NewDataset(txns)
+}
+
+// TestBackendsAgreeOnRandomDatasets is the randomized agreement
+// property between Eclat and the reference: random transaction counts,
+// item universes and support thresholds, not just corpus-derived
+// shapes, empty transactions included.
 func TestBackendsAgreeOnRandomDatasets(t *testing.T) {
 	r := rand.New(rand.NewSource(20200426))
-	all := miner.All()
 	for trial := 0; trial < 60; trial++ {
-		nTxn := 1 + r.Intn(150)
-		universe := 2 + r.Intn(12)
-		maxLen := 1 + r.Intn(8)
-		txns := make([]itemset.Transaction, nTxn)
-		for i := range txns {
-			n := r.Intn(maxLen + 1) // empty transactions allowed
-			var items []itemset.Item
-			for j := 0; j < n; j++ {
-				items = append(items, itemset.NewItem(
-					string(rune('a'+r.Intn(universe))), itemset.Kind(r.Intn(3))))
-			}
-			txns[i] = itemset.Transaction{Items: itemset.NewSet(items...)}
-		}
-		ix := itemset.NewIndex(itemset.NewDataset(txns))
+		nTxn, universe := 1+r.Intn(150), 2+r.Intn(12)
+		d := randomDataset(r, nTxn, universe, 0, 1+r.Intn(8))
 		sup := []float64{0.1, 0.2, 0.35, 0.5, 0.8}[r.Intn(5)]
-		ref := all[0].Mine(ix, sup)
-		refBytes := encodePatterns(t, ref)
-		for _, m := range all[1:] {
-			if got := encodePatterns(t, m.Mine(ix, sup)); !bytes.Equal(refBytes, got) {
-				t.Fatalf("trial %d (txns=%d universe=%d sup=%g): %s disagrees with %s\n%s: %v\n%s: %v",
-					trial, nTxn, universe, sup, m.Name(), all[0].Name(),
-					all[0].Name(), ref, m.Name(), m.Mine(ix, sup))
+		got, want := miner.Eclat.Mine(itemset.NewIndex(d), sup), referenceMine(d, sup)
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("trial %d (txns=%d universe=%d sup=%g): eclat disagrees with the reference\neclat:     %v\nreference: %v",
+				trial, nTxn, universe, sup, got, want)
+		}
+	}
+}
+
+// TestEclatAgreesWithReferenceProperty is the small-dataset agreement
+// property: a few dozen short transactions over seven letters, where
+// supports near the thresholds collide most often.
+func TestEclatAgreesWithReferenceProperty(t *testing.T) {
+	r := rand.New(rand.NewSource(11))
+	for trial := 0; trial < 50; trial++ {
+		d := randomDataset(r, 5+r.Intn(25), 7, 1, 6)
+		sup := []float64{0.15, 0.25, 0.4}[r.Intn(3)]
+		if got, want := miner.Eclat.Mine(itemset.NewIndex(d), sup), referenceMine(d, sup); !reflect.DeepEqual(got, want) {
+			t.Fatalf("trial %d sup %g: eclat %v\nreference %v", trial, sup, got, want)
+		}
+	}
+}
+
+// TestLevelWiseAgreesWithEclatProperty is the level-wise against
+// depth-first agreement property on its own seed, entering Eclat
+// through eclat.Mine's Dataset entry point rather than a prebuilt index.
+func TestLevelWiseAgreesWithEclatProperty(t *testing.T) {
+	r := rand.New(rand.NewSource(10))
+	for trial := 0; trial < 50; trial++ {
+		d := randomDataset(r, 5+r.Intn(25), 7, 1, 6)
+		sup := []float64{0.15, 0.25, 0.4}[r.Intn(3)]
+		if got, want := eclat.Mine(d, sup), referenceMine(d, sup); !reflect.DeepEqual(got, want) {
+			t.Fatalf("trial %d sup %g: eclat %v\nreference %v", trial, sup, got, want)
+		}
+	}
+}
+
+// TestEclatMineTextbookExample runs the mine stage's miner value on the
+// hand-counted FP-Growth paper example: the exact table, and the
+// reference's exact pattern slice.
+func TestEclatMineTextbookExample(t *testing.T) {
+	d := textbookDataset()
+	got := miner.Eclat.Mine(itemset.NewIndex(d), 0.6)
+	checkTextbook(t, got)
+	if want := referenceMine(d, 0.6); !reflect.DeepEqual(got, want) {
+		t.Fatalf("eclat %v\nreference %v", got, want)
+	}
+}
+
+// TestSharedIndexMinesLikeReference mines one index at a sequence of
+// thresholds that revisits earlier ones: the index is immutable shared
+// state, so every run must equal the reference on the dataset.
+func TestSharedIndexMinesLikeReference(t *testing.T) {
+	txn := func(names ...string) itemset.Transaction {
+		return itemset.Transaction{Items: itemset.FromNames(itemset.Ingredient, names...)}
+	}
+	d := itemset.NewDataset([]itemset.Transaction{
+		txn("a", "b", "c"), txn("a", "b"), txn("a", "c"), txn("b", "c"), txn("a"),
+	})
+	ix := itemset.NewIndex(d)
+	for _, sup := range []float64{0.4, 0.6, 0.2, 0.4, 1.0, 0.6} {
+		if got, want := miner.Eclat.Mine(ix, sup), referenceMine(d, sup); !reflect.DeepEqual(got, want) {
+			t.Fatalf("sup=%g: shared index mined %v\nreference %v", sup, got, want)
+		}
+	}
+}
+
+// TestEclatMaxLenAgreesWithReferenceProperty pins eclat's MaxLen option:
+// mining with MaxLen k must give exactly the reference's patterns of at
+// most k items, in the same order.
+func TestEclatMaxLenAgreesWithReferenceProperty(t *testing.T) {
+	r := rand.New(rand.NewSource(12))
+	for trial := 0; trial < 40; trial++ {
+		d := randomDataset(r, 5+r.Intn(25), 6, 1, 6)
+		sup := []float64{0.15, 0.3, 1.0}[r.Intn(3)]
+		maxLen := 1 + r.Intn(3)
+		var want []itemset.Pattern
+		for _, p := range referenceMine(d, sup) {
+			if p.Items.Len() <= maxLen {
+				want = append(want, p)
 			}
+		}
+		got := eclat.MineIndexWithOptions(itemset.NewIndex(d), sup, eclat.Options{MaxLen: maxLen})
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("trial %d sup %g MaxLen %d: eclat %v\nreference %v", trial, sup, maxLen, got, want)
 		}
 	}
 }

@@ -1,49 +1,45 @@
 package miner_test
 
 import (
-	"bytes"
 	"math/rand"
+	"reflect"
 	"testing"
 
-	"cuisines/internal/corpus"
 	"cuisines/internal/itemset"
 	"cuisines/internal/miner"
 )
 
 // The index-mode equivalence suite: the dense and chunked bitmap
-// layouts are pure representation choices, so every miner must emit
-// byte-identical sorted pattern sets from either — the same invariant
-// the backend-agreement tests pin across miners, pinned here across
-// layouts. Together with those tests this closes the square: any
-// (miner, layout) pair is exchangeable for any other.
+// layouts are pure representation choices, so Eclat must emit the
+// reference miner's exact pattern slices from either, and from
+// whichever one ModeAuto picks.
+
+var allModes = []itemset.IndexMode{itemset.ModeDense, itemset.ModeChunked, itemset.ModeAuto}
+
+// mineModes mines d through every layout and reports each result that
+// differs from the reference.
+func mineModes(t *testing.T, what string, d *itemset.Dataset, sup float64, want []itemset.Pattern) {
+	t.Helper()
+	for _, mode := range allModes {
+		ix := itemset.NewIndexMode(d, mode)
+		if mode != itemset.ModeAuto && ix.Mode() != mode {
+			t.Fatalf("%s: requested mode %v not honored", what, mode)
+		}
+		if got := miner.Eclat.Mine(ix, sup); !reflect.DeepEqual(got, want) {
+			t.Errorf("%s sup %g: eclat over the %v index (%d patterns) differs from the reference (%d)",
+				what, sup, mode, len(got), len(want))
+		}
+	}
+}
 
 // TestIndexModesByteIdenticalOnCorpus mines every corpus region through
-// both layouts at the Table I support thresholds, with all three
-// backends.
+// each layout at the Table I support thresholds.
 func TestIndexModesByteIdenticalOnCorpus(t *testing.T) {
-	if testing.Short() {
-		t.Skip("corpus sweep is slow")
-	}
-	db, err := corpus.Generate(corpus.Config{Seed: corpus.DefaultSeed, Scale: 0.1})
-	if err != nil {
-		t.Fatal(err)
-	}
+	db, ref := corpusReference(t)
 	for _, region := range db.Regions() {
 		d := db.RegionDataset(region)
-		dense := itemset.NewIndexMode(d, itemset.ModeDense)
-		chunked := itemset.NewIndexMode(d, itemset.ModeChunked)
-		if dense.Mode() != itemset.ModeDense || chunked.Mode() != itemset.ModeChunked {
-			t.Fatalf("region %q: requested modes not honored", region)
-		}
-		for _, sup := range []float64{0.2, 0.35} {
-			for _, m := range miner.All() {
-				got := encodePatterns(t, m.Mine(dense, sup))
-				want := encodePatterns(t, m.Mine(chunked, sup))
-				if !bytes.Equal(got, want) {
-					t.Errorf("region %q sup %g: %s output differs between dense and chunked index",
-						region, sup, m.Name())
-				}
-			}
+		for _, sup := range corpusSupports {
+			mineModes(t, "region "+region, d, sup, ref[region][sup])
 		}
 	}
 }
@@ -53,7 +49,7 @@ func TestIndexModesByteIdenticalOnCorpus(t *testing.T) {
 // pick different container forms — near-universal items (dense words /
 // bitmap containers), mid-frequency items (array containers near the
 // flip threshold), rare items (short arrays) — plus a multi-chunk
-// universe, mined through both layouts by every backend.
+// universe.
 func TestIndexModesAgreeOnRandomDensityRegimes(t *testing.T) {
 	r := rand.New(rand.NewSource(20200808))
 	type regime struct {
@@ -69,53 +65,33 @@ func TestIndexModesAgreeOnRandomDensityRegimes(t *testing.T) {
 	}
 	sups := []float64{0.05, 0.15, 0.3}
 	for ri, rg := range regimes {
-		txns := make([]itemset.Transaction, rg.nTxn)
-		for i := range txns {
-			var items []itemset.Item
-			for j, p := range rg.probs {
-				if r.Float64() < p {
-					items = append(items, itemset.NewItem(string(rune('a'+j)), itemset.Kind(j%3)))
-				}
-			}
-			txns[i] = itemset.Transaction{Items: itemset.NewSet(items...)}
-		}
-		d := itemset.NewDataset(txns)
-		dense := itemset.NewIndexMode(d, itemset.ModeDense)
-		chunked := itemset.NewIndexMode(d, itemset.ModeChunked)
+		d := densityDataset(r, rg.nTxn, rg.probs)
 		sup := sups[ri%len(sups)]
-		for _, m := range miner.All() {
-			got := encodePatterns(t, m.Mine(dense, sup))
-			want := encodePatterns(t, m.Mine(chunked, sup))
-			if !bytes.Equal(got, want) {
-				t.Errorf("regime %d (txns=%d) sup %g: %s output differs between dense and chunked index",
-					ri, rg.nTxn, sup, m.Name())
-			}
-		}
+		mineModes(t, "regime "+string(rune('0'+ri)), d, sup, referenceMine(d, sup))
 	}
 }
 
 // TestAutoModeMatchesExplicitModes pins ModeAuto to being exactly a
-// selection between the two explicit layouts — whatever it picks, the
-// mined output must match both.
+// selection between the two explicit layouts on a universe wide enough
+// for either: whatever it picks, the mined output is the reference's.
 func TestAutoModeMatchesExplicitModes(t *testing.T) {
 	r := rand.New(rand.NewSource(7))
-	txns := make([]itemset.Transaction, 2000)
+	d := densityDataset(r, 2000, []float64{0.8, 0.3, 0.1, 0.02, 0.01})
+	mineModes(t, "auto fixture", d, 0.05, referenceMine(d, 0.05))
+}
+
+// densityDataset draws nTxn transactions in which item j appears with
+// probability probs[j].
+func densityDataset(r *rand.Rand, nTxn int, probs []float64) *itemset.Dataset {
+	txns := make([]itemset.Transaction, nTxn)
 	for i := range txns {
 		var items []itemset.Item
-		for j, p := range []float64{0.8, 0.3, 0.1, 0.02, 0.01} {
+		for j, p := range probs {
 			if r.Float64() < p {
-				items = append(items, itemset.NewItem(string(rune('a'+j)), itemset.Ingredient))
+				items = append(items, itemset.NewItem(string(rune('a'+j)), itemset.Kind(j%3)))
 			}
 		}
 		txns[i] = itemset.Transaction{Items: itemset.NewSet(items...)}
 	}
-	d := itemset.NewDataset(txns)
-	auto := itemset.NewIndexMode(d, itemset.ModeAuto)
-	dense := itemset.NewIndexMode(d, itemset.ModeDense)
-	for _, m := range miner.All() {
-		got := encodePatterns(t, m.Mine(auto, 0.05))
-		if !bytes.Equal(got, encodePatterns(t, m.Mine(dense, 0.05))) {
-			t.Errorf("%s: auto-mode output differs from dense", m.Name())
-		}
-	}
+	return itemset.NewDataset(txns)
 }

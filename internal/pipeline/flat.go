@@ -282,6 +282,44 @@ func (r *flatReader) readInterned(what string) []string {
 	return names
 }
 
+// nameTable resolves interned name ids while enforcing the encoder's
+// canonical form: the names are distinct, and ids appear in first-seen
+// order, so names[:seen] have appeared and the only new id allowed is
+// seen. A decoder that also requires every name to be seen accepts
+// exactly the intern table the encoder would write.
+type nameTable struct {
+	names []string
+	seen  int
+}
+
+// newNameTable wraps a decoded intern table, rejecting repeated names.
+func newNameTable(names []string) (*nameTable, error) {
+	unique := make(map[string]struct{}, len(names))
+	for _, s := range names {
+		if _, dup := unique[s]; dup {
+			return nil, fmt.Errorf("pipeline: flat artifact interns %q twice", s)
+		}
+		unique[s] = struct{}{}
+	}
+	return &nameTable{names: names}, nil
+}
+
+// resolve returns the name for id, or an error if id is out of
+// first-seen order.
+func (t *nameTable) resolve(id uint64) (string, error) {
+	switch {
+	case id < uint64(t.seen):
+		return t.names[id], nil
+	case id == uint64(t.seen) && t.seen < len(t.names):
+		t.seen++
+		return t.names[id], nil
+	}
+	return "", fmt.Errorf("pipeline: flat artifact name id %d out of first-seen order (%d of %d seen)", id, t.seen, len(t.names))
+}
+
+// allSeen reports whether every interned name was used.
+func (t *nameTable) allSeen() bool { return t.seen == len(t.names) }
+
 // Smallest encodings of the pattern-tail elements, for bound.
 const (
 	minPatternTailBytes = 8 + 8 + 4 // support, count, numItems
@@ -306,7 +344,7 @@ func appendPatternTail(dst []byte, p itemset.Pattern, names *internTable) []byte
 // items from the shared arena. The Set is rebuilt through
 // itemset.SetFromSorted, which re-verifies canonical order so a
 // corrupted body cannot produce a malformed Set.
-func (r *flatReader) readPatternTail(names []string, itemArena []itemset.Item, itemUsed *int) (itemset.Pattern, error) {
+func (r *flatReader) readPatternTail(names *nameTable, itemArena []itemset.Item, itemUsed *int) (itemset.Pattern, error) {
 	sup := r.f64("pattern support")
 	cnt := int(r.u64("pattern count value"))
 	ni := int(r.u32("item count"))
@@ -319,15 +357,16 @@ func (r *flatReader) readPatternTail(names []string, itemArena []itemset.Item, i
 	items := itemArena[*itemUsed : *itemUsed+ni : *itemUsed+ni]
 	*itemUsed += ni
 	for k := range items {
-		nameID := int(r.u32("item name id"))
+		nameID := r.u32("item name id")
 		kindB := r.bytes(1, "item kind")
 		if r.err != nil {
 			return itemset.Pattern{}, r.err
 		}
-		if nameID >= len(names) {
-			return itemset.Pattern{}, fmt.Errorf("pipeline: flat artifact name id %d out of range %d", nameID, len(names))
+		name, err := names.resolve(uint64(nameID))
+		if err != nil {
+			return itemset.Pattern{}, err
 		}
-		items[k] = itemset.Item{Name: names[nameID], Kind: itemset.Kind(kindB[0])}
+		items[k] = itemset.Item{Name: name, Kind: itemset.Kind(kindB[0])}
 	}
 	set, err := itemset.SetFromSorted(items)
 	if err != nil {
@@ -410,45 +449,36 @@ func appendRecipes(dst []byte, recipes []recipedb.Recipe) []byte {
 	return append(dst, recs...)
 }
 
-// corpusReader resolves name ids while enforcing first-seen order:
-// names[:seen] have appeared, and the only new id allowed is seen.
+// corpusReader resolves the body's varint name ids through the intern
+// table.
 type corpusReader struct {
 	flatReader
-	names []string
-	seen  int
+	names *nameTable
 }
 
 func (r *corpusReader) name() string {
 	id := r.uvarint("name id")
-	switch {
-	case r.err != nil:
+	if r.err != nil {
 		return ""
-	case id < uint64(r.seen):
-		return r.names[id]
-	case id == uint64(r.seen) && r.seen < len(r.names):
-		r.seen++
-		return r.names[id]
 	}
-	r.err = fmt.Errorf("pipeline: corpus artifact name id %d out of first-seen order (%d of %d seen)", id, r.seen, len(r.names))
-	return ""
+	s, err := r.names.resolve(id)
+	r.err = err
+	return s
 }
 
 func decodeCorpus(body []byte) (any, error) {
 	r := &corpusReader{flatReader: flatReader{data: body}}
 	numRecipes := r.bound(r.uvarint("recipe count"), minRecipeBytes, "recipe count")
 	numEntries := r.bound(r.uvarint("entry total"), 1, "entry total")
-	r.names = r.readInterned("names")
+	names := r.readInterned("names")
 	blobLen := r.bound(r.uvarint("blob length"), 1, "blob length")
 	blob := string(r.bytes(blobLen, "id/name blob"))
 	if r.err != nil {
 		return nil, r.err
 	}
-	unique := make(map[string]struct{}, len(r.names))
-	for _, s := range r.names {
-		if _, dup := unique[s]; dup {
-			return nil, fmt.Errorf("pipeline: corpus artifact interns %q twice", s)
-		}
-		unique[s] = struct{}{}
+	var err error
+	if r.names, err = newNameTable(names); err != nil {
+		return nil, err
 	}
 
 	recipes := make([]recipedb.Recipe, numRecipes)
@@ -484,7 +514,7 @@ func decodeCorpus(body []byte) (any, error) {
 	if r.err != nil {
 		return nil, r.err
 	}
-	if r.off != len(body) || len(arena) != 0 || len(blob) != 0 || r.seen != len(r.names) {
+	if r.off != len(body) || len(arena) != 0 || len(blob) != 0 || !r.names.allSeen() {
 		return nil, fmt.Errorf("pipeline: corpus artifact has trailing or unused data")
 	}
 	// New re-runs recipe validation (empty ID or region, no
@@ -516,7 +546,11 @@ func cutList(list []string, lo, hi uint64) []string {
 //	  per pattern: pattern tail (see appendPatternTail)
 //
 // The totals up front let the decoder allocate the pattern and item
-// arenas before the walk; every Set subslices the item arena.
+// arenas before the walk; every Set subslices the item arena. As for
+// the corpus, the intern table must be the encoder's (distinct names,
+// each used, ids in first-seen order), so a body that decodes
+// re-encodes to the same bytes; the matrices table below follows the
+// same rule.
 
 func appendMine(dst []byte, v any) ([]byte, error) {
 	rps, ok := v.([]core.RegionPatterns)
@@ -558,9 +592,12 @@ func decodeMine(body []byte) (any, error) {
 	numRegions := r.bound(uint64(r.u32("region count")), minRegionPatternsBytes, "region count")
 	totalPatterns := r.bound(r.u64("pattern total"), minPatternTailBytes, "pattern total")
 	totalItems := r.bound(r.u64("item total"), minItemBytes, "item total")
-	names := r.readInterned("item names")
+	names, err := newNameTable(r.readInterned("item names"))
 	if r.err != nil {
 		return nil, r.err
+	}
+	if err != nil {
+		return nil, err
 	}
 	// The arenas: every pattern and item across all regions lives in
 	// one backing array each.
@@ -595,8 +632,8 @@ func decodeMine(body []byte) (any, error) {
 	if r.err != nil {
 		return nil, r.err
 	}
-	if r.off != len(body) || patUsed != len(patArena) || itemUsed != len(itemArena) {
-		return nil, fmt.Errorf("pipeline: mine artifact has trailing or missing data")
+	if r.off != len(body) || patUsed != len(patArena) || itemUsed != len(itemArena) || !names.allSeen() {
+		return nil, fmt.Errorf("pipeline: mine artifact has trailing, missing or unused data")
 	}
 	return rps, nil
 }
@@ -674,9 +711,12 @@ func decodeMatrices(body []byte) (any, error) {
 	numRows := r.bound(uint64(r.u32("row count")), minTable1RowBytes, "row count")
 	totalTop := r.bound(r.u64("top total"), 8+minPatternTailBytes, "top total")
 	totalItems := r.bound(r.u64("top item total"), minItemBytes, "top item total")
-	names := r.readInterned("item names")
+	names, err := newNameTable(r.readInterned("item names"))
 	if r.err != nil {
 		return nil, r.err
+	}
+	if err != nil {
+		return nil, err
 	}
 	topArena := make([]core.ScoredPattern, totalTop)
 	itemArena := make([]itemset.Item, totalItems)
@@ -709,8 +749,8 @@ func decodeMatrices(body []byte) (any, error) {
 			row.Top = nil
 		}
 	}
-	if topUsed != len(topArena) || itemUsed != len(itemArena) {
-		return nil, fmt.Errorf("pipeline: matrices artifact has missing table data")
+	if topUsed != len(topArena) || itemUsed != len(itemArena) || !names.allSeen() {
+		return nil, fmt.Errorf("pipeline: matrices artifact has missing or unused table data")
 	}
 	numRegions := r.bound(uint64(r.u32("region count")), 4, "region count")
 	if r.err != nil {

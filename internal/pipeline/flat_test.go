@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/binary"
+	"math"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -14,6 +15,8 @@ import (
 	"cuisines/internal/artifact"
 	"cuisines/internal/core"
 	"cuisines/internal/distance"
+	"cuisines/internal/itemset"
+	"cuisines/internal/matrix"
 	"cuisines/internal/recipedb"
 )
 
@@ -368,6 +371,77 @@ func TestFlatDecodeBoundsAllocations(t *testing.T) {
 		}
 		if d := after.TotalAlloc - before.TotalAlloc; d >= 1<<20 {
 			t.Errorf("%s: rejecting a %d-byte body allocated %d bytes", tc.name, len(tc.body), d)
+		}
+	}
+}
+
+// TestFlatDecodeRejectsNonCanonicalNames pins the mine and matrices
+// decoders to the intern table their encoders write: distinct names,
+// each used, in first-seen order. Each crafted body below carries valid
+// checksums and names a well-formed pattern {a, b}, but its table is
+// not the canonical one, so accepting it would yield a value that
+// re-encodes to different bytes.
+func TestFlatDecodeRejectsNonCanonicalNames(t *testing.T) {
+	u32 := binary.LittleEndian.AppendUint32
+	u64 := binary.LittleEndian.AppendUint64
+	// pattern writes the tail of pattern {a, b} whose items use ids.
+	pattern := func(dst []byte, ids [2]uint32) []byte {
+		dst = u64(dst, math.Float64bits(1))
+		dst = u64(dst, 1)
+		dst = u32(dst, 2)
+		for _, id := range ids {
+			dst = append(u32(dst, id), byte(itemset.Ingredient))
+		}
+		return dst
+	}
+	mine := func(names []string, ids [2]uint32) []byte {
+		body := u64(u64(u32(nil, 1), 1), 2)
+		body = appendInterned(body, names)
+		body = u32(u64(appendString(body, "R"), 1), 1)
+		return pattern(body, ids)
+	}
+	matrices := func(names []string, ids [2]uint32) []byte {
+		body := u64(u64(u32(u64(nil, math.Float64bits(1)), 1), 1), 2)
+		body = appendInterned(body, names)
+		body = u32(u64(u64(appendString(body, "R"), 1), 1), 1)
+		body = pattern(u64(body, math.Float64bits(1)), ids)
+		body = appendString(u32(body, 1), "R")
+		body = appendInterned(body, []string{"a+b"})
+		return matrix.NewDense(1, 1).AppendFlat(body)
+	}
+	for _, tc := range []struct {
+		name  string
+		names []string
+		ids   [2]uint32
+		ok    bool
+	}{
+		{"canonical", []string{"a", "b"}, [2]uint32{0, 1}, true},
+		{"unused name", []string{"a", "b", "c"}, [2]uint32{0, 1}, false},
+		{"not first-seen order", []string{"b", "a"}, [2]uint32{1, 0}, false},
+		{"repeated name", []string{"a", "b", "a"}, [2]uint32{0, 1}, false},
+	} {
+		for _, c := range []struct {
+			codec flatCodec
+			body  []byte
+		}{
+			{mineCodec, mine(tc.names, tc.ids)},
+			{matricesCodec, matrices(tc.names, tc.ids)},
+		} {
+			frame := hostileFrame(t, c.codec, c.body)
+			v, err := artifact.DecodeFrame(frame, c.codec)
+			if !tc.ok {
+				if err == nil {
+					t.Errorf("%s/%s: non-canonical table accepted", c.codec.kind, tc.name)
+				}
+				continue
+			}
+			if err != nil {
+				t.Fatalf("%s/%s: %v", c.codec.kind, tc.name, err)
+			}
+			again, err := artifact.EncodeFrame(c.codec, v)
+			if err != nil || !bytes.Equal(again, frame) {
+				t.Fatalf("%s/%s: canonical body does not re-encode to itself (%v)", c.codec.kind, tc.name, err)
+			}
 		}
 	}
 }

@@ -5,29 +5,28 @@ import (
 	"testing"
 
 	"cuisines/internal/artifact"
+	"cuisines/internal/core"
+	"cuisines/internal/distance"
 	"cuisines/internal/recipedb"
 )
 
-// FuzzDecodeCorpus treats every input twice: as a store frame read off
-// disk or the peer wire, and as a corpus body that a hostile peer framed
-// with valid checksums. Either way the decode must fail cleanly or
-// yield a DB whose re-encoded frame is exactly the input's (frames may
-// carry trailing bytes past their payload, which the store ignores).
-// It must never panic.
-func FuzzDecodeCorpus(f *testing.F) {
-	db, err := recipedb.New([]recipedb.Recipe{
-		{ID: "r1", Name: "Stew", Region: "French", Ingredients: []string{"beef", "wine"}, Processes: []string{"simmer"}, Utensils: []string{"pot"}},
-		{ID: "r2", Name: "Fry", Region: "Chinese", Ingredients: []string{"soy sauce", "wine"}, Processes: []string{"heat"}},
-		{ID: "r3", Name: "Salad", Region: "French", Ingredients: []string{"lettuce"}},
-	})
+// fuzzCodec is the shared body of the flat-decoder fuzz targets. It
+// seeds f with v's frame and body, their truncations and single-bit
+// flips, then treats every input twice: as a store frame read off disk
+// or the peer wire, and as a body that a hostile peer framed with valid
+// checksums. Either way the decode must fail cleanly or yield a value
+// whose re-encoded frame is a prefix of the input (frames may carry
+// trailing bytes past their payload, which the store ignores). It must
+// never panic.
+func fuzzCodec(f *testing.F, c flatCodec, v any) {
+	frame, err := artifact.EncodeFrame(c, v)
 	if err != nil {
 		f.Fatal(err)
 	}
-	frame, err := artifact.EncodeFrame(corpusCodec, db)
+	body, err := c.appendFn(nil, v)
 	if err != nil {
 		f.Fatal(err)
 	}
-	body := appendRecipes(nil, db.Recipes())
 	for _, seed := range [][]byte{frame, body} {
 		f.Add(seed)
 		for _, n := range []int{0, 8, len(seed) / 2, len(seed) - 1} {
@@ -41,20 +40,68 @@ func FuzzDecodeCorpus(f *testing.F) {
 	}
 
 	check := func(t *testing.T, frame []byte) {
-		v, err := artifact.DecodeFrame(frame, corpusCodec)
+		v, err := artifact.DecodeFrame(frame, c)
 		if err != nil {
 			return
 		}
-		again, err := artifact.EncodeFrame(corpusCodec, v)
+		again, err := artifact.EncodeFrame(c, v)
 		if err != nil {
-			t.Fatalf("re-encode of a decoded corpus failed: %v", err)
+			t.Fatalf("re-encode of a decoded %s artifact failed: %v", c.kind, err)
 		}
 		if !bytes.HasPrefix(frame, again) {
-			t.Fatalf("decoded corpus re-encodes to different bytes:\n in  %x\n out %x", frame, again)
+			t.Fatalf("decoded %s artifact re-encodes to different bytes:\n in  %x\n out %x", c.kind, frame, again)
 		}
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		check(t, data)
-		check(t, hostileFrame(t, corpusCodec, data))
+		check(t, hostileFrame(t, c, data))
 	})
+}
+
+// fuzzDB is a three-recipe corpus over two regions whose ingredient,
+// process and utensil lists exercise every corpus section.
+func fuzzDB(f *testing.F) *recipedb.DB {
+	db, err := recipedb.New([]recipedb.Recipe{
+		{ID: "r1", Name: "Stew", Region: "French", Ingredients: []string{"beef", "wine"}, Processes: []string{"simmer"}, Utensils: []string{"pot"}},
+		{ID: "r2", Name: "Fry", Region: "Chinese", Ingredients: []string{"soy sauce", "wine"}, Processes: []string{"heat"}},
+		{ID: "r3", Name: "Salad", Region: "French", Ingredients: []string{"lettuce"}},
+	})
+	if err != nil {
+		f.Fatal(err)
+	}
+	return db
+}
+
+// fuzzFeatures mines fuzzDB and builds its pattern features.
+func fuzzFeatures(f *testing.F) ([]core.RegionPatterns, *PatternFeatures) {
+	mined, err := core.MineRegions(fuzzDB(f), 1)
+	if err != nil {
+		f.Fatal(err)
+	}
+	t1, pm, err := core.BuildPatternFeatures(mined, 1)
+	if err != nil {
+		f.Fatal(err)
+	}
+	return mined, &PatternFeatures{Table1: t1, Matrix: pm}
+}
+
+func FuzzDecodeCorpus(f *testing.F) {
+	fuzzCodec(f, corpusCodec, fuzzDB(f))
+}
+
+func FuzzDecodeMine(f *testing.F) {
+	mined, _ := fuzzFeatures(f)
+	fuzzCodec(f, mineCodec, mined)
+}
+
+func FuzzDecodeMatrices(f *testing.F) {
+	_, feats := fuzzFeatures(f)
+	fuzzCodec(f, matricesCodec, feats)
+}
+
+// FuzzDecodeCondensed covers the codec behind both the pdist and the
+// geodist artifacts.
+func FuzzDecodeCondensed(f *testing.F) {
+	_, feats := fuzzFeatures(f)
+	fuzzCodec(f, pdistCodec, distance.Pdist(feats.Matrix.X, distance.Cosine))
 }

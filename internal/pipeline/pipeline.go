@@ -44,25 +44,20 @@ import (
 	"cuisines/internal/geo"
 	"cuisines/internal/hac"
 	"cuisines/internal/kmeans"
-	"cuisines/internal/miner"
 	"cuisines/internal/parallel"
 	"cuisines/internal/recipedb"
 )
 
 // Params are the analysis parameters after canonicalization. Workers
-// and Miner never enter an artifact key: parallelism changes how fast
-// the answer arrives, and every mining backend produces byte-identical
-// pattern sets (internal/miner), so neither can change the answer —
-// switching either against a warm store recomputes nothing.
+// never enters an artifact key: parallelism changes how fast the answer
+// arrives, never the answer, so switching it against a warm store
+// recomputes nothing.
 type Params struct {
 	Seed       uint64
 	Scale      float64
 	MinSupport float64
 	Method     hac.Method
 	Workers    int
-	// Miner selects the frequent-itemset backend for the mine stage;
-	// nil means miner.Default.
-	Miner miner.Miner
 }
 
 // Result is one full run of the paper's evaluation in pipeline form.
@@ -134,9 +129,6 @@ func withDefaults(pr Params) Params {
 	if pr.MinSupport <= 0 {
 		pr.MinSupport = core.DefaultMinSupport
 	}
-	if pr.Miner == nil {
-		pr.Miner = miner.Default
-	}
 	return pr
 }
 
@@ -146,12 +138,9 @@ func withDefaults(pr Params) Params {
 // outer fan-out and each chain's inner pdist / k-sweep, so total
 // concurrency stays bounded by Workers rather than multiplying.
 func (p *Pipeline) runFrom(ctx context.Context, db *recipedb.DB, corpusKey string, pr Params) (*Result, error) {
-	// The backend is deliberately absent from the mine key: all miners
-	// emit byte-identical pattern sets, so a backend switch on a warm
-	// store must hit the cached artifact, not recompute it.
 	mineKey := artifact.Key("mine", corpusKey, fmt.Sprintf("support=%g", pr.MinSupport))
 	mined, err := stage(ctx, p.store, mineKey, mineCodec, func() ([]core.RegionPatterns, error) {
-		return core.MineRegionsWith(db, pr.MinSupport, pr.Workers, pr.Miner)
+		return core.MineRegionsWorkers(db, pr.MinSupport, pr.Workers)
 	})
 	if err != nil {
 		return nil, err

@@ -11,7 +11,6 @@ import (
 	"cuisines/internal/core"
 	"cuisines/internal/corpus"
 	"cuisines/internal/hac"
-	"cuisines/internal/miner"
 	"cuisines/internal/recipedb"
 )
 
@@ -147,48 +146,6 @@ func TestMinSupportOnlyChangeReusesCorpus(t *testing.T) {
 		if got := st[kind].Computed; got != 2 {
 			t.Errorf("%s stage computed %d times across a support-only change, want 2", kind, got)
 		}
-	}
-}
-
-// TestMinerChangeRecomputesNothing pins the key-exclusion contract for
-// the mining backend: because every backend emits byte-identical
-// pattern sets, the miner never enters a stage key, so switching it
-// against a warm store must hit every cached artifact — zero new stage
-// executions — and return byte-identical output.
-func TestMinerChangeRecomputesNothing(t *testing.T) {
-	p := New(nil)
-	pr := testParams(core.DefaultLinkage, 0)
-	pr.Miner = miner.FPGrowth
-	res, err := p.Run(context.Background(), pr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := snapshot(t, res)
-	computed := func() uint64 {
-		var n uint64
-		for _, s := range p.Store().Stats() {
-			n += s.Computed
-		}
-		return n
-	}
-	cold := computed()
-
-	for _, m := range []miner.Miner{miner.Apriori, miner.Eclat, nil} {
-		pr.Miner = m
-		res, err := p.Run(context.Background(), pr)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got := snapshot(t, res); got != want {
-			name := "default"
-			if m != nil {
-				name = m.Name()
-			}
-			t.Errorf("miner %s: output differs on a warm store", name)
-		}
-	}
-	if got := computed(); got != cold {
-		t.Errorf("miner switches recomputed %d stage executions on a warm store, want 0", got-cold)
 	}
 }
 

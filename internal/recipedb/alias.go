@@ -1,6 +1,7 @@
 package recipedb
 
 import (
+	"fmt"
 	"sort"
 
 	"cuisines/internal/itemset"
@@ -55,17 +56,26 @@ func DefaultAliases() AliasTable {
 }
 
 // normalize returns a copy of the table with canonical keys and values,
-// dropping self-mappings.
-func (t AliasTable) normalize() AliasTable {
+// dropping self-mappings. Two aliases that canonicalize to one key must
+// agree on its target ("Ghee" -> "butter" next to "ghee" -> "clarified
+// butter" is an error), so the result never depends on map order.
+func (t AliasTable) normalize() (AliasTable, error) {
 	out := make(AliasTable, len(t))
-	for k, v := range t {
-		ck, cv := itemset.CanonicalName(k), itemset.CanonicalName(v)
-		if ck == "" || ck == cv {
+	target := make(map[string]string, len(t)) // self-mappings included
+	for _, k := range t.Aliases() {
+		ck, cv := itemset.CanonicalName(k), itemset.CanonicalName(t[k])
+		if ck == "" {
 			continue
 		}
-		out[ck] = cv
+		if prev, dup := target[ck]; dup && prev != cv {
+			return nil, fmt.Errorf("recipedb: alias %q maps to both %q and %q", ck, prev, cv)
+		}
+		target[ck] = cv
+		if ck != cv {
+			out[ck] = cv
+		}
 	}
-	return out
+	return out, nil
 }
 
 // Resolve returns the canonical name for a raw name (following at most
@@ -92,9 +102,13 @@ func (t AliasTable) Aliases() []string {
 // ResolveAliases returns a new DB with every ingredient name passed
 // through the alias table (processes and utensils are left as-is; the
 // paper's alias concern is ingredients). Duplicate ingredients created by
-// the resolution are collapsed.
+// the resolution are collapsed. A table whose aliases canonicalize to
+// one key with different targets is an error.
 func ResolveAliases(db *DB, table AliasTable) (*DB, error) {
-	t := table.normalize()
+	t, err := table.normalize()
+	if err != nil {
+		return nil, err
+	}
 	out := make([]Recipe, db.Len())
 	for i := 0; i < db.Len(); i++ {
 		r := *db.Recipe(i)

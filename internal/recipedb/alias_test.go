@@ -8,8 +8,18 @@ import (
 	"cuisines/internal/itemset"
 )
 
+// mustNormalize is normalize for tables the test knows are consistent.
+func mustNormalize(t *testing.T, tbl AliasTable) AliasTable {
+	t.Helper()
+	out, err := tbl.normalize()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
 func TestAliasResolve(t *testing.T) {
-	tbl := AliasTable{"Scallion": "green onion"}.normalize()
+	tbl := mustNormalize(t, AliasTable{"Scallion": "green onion"})
 	if got := tbl.Resolve("SCALLION"); got != "green onion" {
 		t.Fatalf("Resolve = %q", got)
 	}
@@ -19,9 +29,37 @@ func TestAliasResolve(t *testing.T) {
 }
 
 func TestNormalizeDropsSelfMappings(t *testing.T) {
-	tbl := AliasTable{"onion": "Onion", "scallion": "green onion"}.normalize()
+	tbl := mustNormalize(t, AliasTable{"onion": "Onion", "scallion": "green onion"})
 	if len(tbl) != 1 {
 		t.Fatalf("normalize kept self-mapping: %v", tbl)
+	}
+}
+
+// TestResolveAliasesRejectsConflicts pins that aliases colliding after
+// canonicalization must agree on their target: the winner would
+// otherwise be whichever map entry came last. Agreeing duplicates are
+// fine.
+func TestResolveAliasesRejectsConflicts(t *testing.T) {
+	db, err := New([]Recipe{{ID: "r1", Region: "Indian Subcontinent", Ingredients: []string{"ghee", "rice"}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tbl := range []AliasTable{
+		{"Ghee": "butter", "ghee": "clarified butter"},
+		{"ghee": "ghee", "GHEE": "butter"},
+	} {
+		for i := 0; i < 20; i++ { // map order varies run to run
+			if _, err := ResolveAliases(db, tbl); err == nil {
+				t.Fatalf("conflicting table %v accepted", tbl)
+			}
+		}
+	}
+	resolved, err := ResolveAliases(db, AliasTable{"Ghee": "Clarified Butter", "ghee": "clarified butter"})
+	if err != nil {
+		t.Fatalf("agreeing duplicates rejected: %v", err)
+	}
+	if got := resolved.Recipe(0).Ingredients; !reflect.DeepEqual(got, []string{"clarified butter", "rice"}) {
+		t.Fatalf("resolved ingredients = %v", got)
 	}
 }
 

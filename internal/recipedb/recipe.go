@@ -152,7 +152,7 @@ func (db *DB) RegionRecipes(region string) []*Recipe {
 }
 
 // RegionDataset converts one region's recipes to a mining dataset — the
-// per-cuisine FP-Growth input of Sec. V.A.
+// per-cuisine mining input of Sec. V.A.
 func (db *DB) RegionDataset(region string) *itemset.Dataset {
 	idx := db.byRegion[region]
 	txns := make([]itemset.Transaction, 0, len(idx))

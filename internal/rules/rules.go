@@ -60,8 +60,8 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
-// Generate derives rules from a frequent pattern set (as produced by the
-// miners at a single support threshold). Patterns whose subsets are
+// Generate derives rules from a frequent pattern set (as produced by
+// Eclat at a single support threshold). Patterns whose subsets are
 // missing from the set are skipped defensively (cannot happen with a
 // complete miner output). Rules are ranked by confidence, then lift, then
 // textual order.

@@ -6,7 +6,7 @@ import (
 	"strings"
 	"testing"
 
-	"cuisines/internal/fpgrowth"
+	"cuisines/internal/eclat"
 	"cuisines/internal/itemset"
 )
 
@@ -21,7 +21,7 @@ func txn(names ...string) itemset.Transaction {
 // mineFor mines a small dataset to feed Generate with a real pattern set.
 func mineFor(t *testing.T, minSup float64, txns ...itemset.Transaction) []itemset.Pattern {
 	t.Helper()
-	return fpgrowth.Mine(itemset.NewDataset(txns), minSup)
+	return eclat.Mine(itemset.NewDataset(txns), minSup)
 }
 
 func TestGenerateKnownConfidence(t *testing.T) {
@@ -176,7 +176,7 @@ func TestGenerateMeasuresConsistentProperty(t *testing.T) {
 			txns = append(txns, txn(names...))
 		}
 		ds := itemset.NewDataset(txns)
-		ps := fpgrowth.Mine(ds, 0.15)
+		ps := eclat.Mine(ds, 0.15)
 		for _, rule := range Generate(ps, Options{MinConfidence: 0.3}) {
 			union := rule.Antecedent.Union(rule.Consequent)
 			wantSupp := ds.Support(union)

@@ -23,8 +23,8 @@ import (
 type Runner func(context.Context, cuisines.Options) (*cuisines.Analysis, error)
 
 // Cache memoizes full pipeline runs keyed by canonicalized
-// cuisines.Options (seed, scale, min-support, linkage — never Workers
-// or Miner, which cannot change the output). A fixed number of
+// cuisines.Options (seed, scale, min-support, linkage — never Workers,
+// which cannot change the output, or Miner, which has one value). A fixed number of
 // analyses is kept with LRU eviction, and lookups are deduplicated
 // single-flight style: any number of concurrent Gets for the same key
 // share exactly one pipeline run.
@@ -109,7 +109,7 @@ func NewCache(size int, run Runner, gate *Gate) *Cache {
 // Key returns the cache key for opts: the canonical form with Workers
 // and Miner zeroed (the two output-neutral knobs — requests differing
 // only in them share one analysis). The error is the canonicalization
-// error (unknown linkage or mining backend).
+// error (unknown linkage or miner name).
 func Key(opts cuisines.Options) (cuisines.Options, error) {
 	canon, err := opts.Canonical()
 	if err != nil {
@@ -134,7 +134,6 @@ func (c *Cache) Get(ctx context.Context, opts cuisines.Options) (*cuisines.Analy
 	}
 	runOpts := key
 	runOpts.Workers = opts.Workers
-	runOpts.Miner = opts.Miner
 
 	c.mu.Lock()
 	if e, ok := c.entries[key]; ok {

@@ -20,8 +20,7 @@ const HopHeader = "X-Cuisined-Hop"
 // RoutingKey derives the cluster routing key for opts: the canonical
 // options with the output-neutral knobs zeroed (same equivalence class
 // as the analysis cache key), rendered to a stable string for the
-// ring. Requests differing only in workers or mining backend land on
-// the same owner and share its warm analysis.
+// ring. Requests differing only in workers land on the same owner and share its warm analysis.
 func RoutingKey(opts cuisines.Options) (string, error) {
 	key, err := Key(opts)
 	if err != nil {

@@ -115,6 +115,42 @@ func TestGzipDecodesIdenticalToIdentity(t *testing.T) {
 	}
 }
 
+// TestAcceptsGzip pins Accept-Encoding negotiation to RFC 9110
+// §12.5.3: an explicit gzip member decides by its own q-value, * only
+// covers codings the header does not list, and parameter names are
+// case-insensitive.
+func TestAcceptsGzip(t *testing.T) {
+	for header, want := range map[string]bool{
+		"":                      false,
+		"identity":              false,
+		"deflate, br":           false,
+		"gzip":                  true,
+		"GZip":                  true,
+		"x-gzip":                true,
+		"gzip, deflate, br":     true,
+		"*":                     true,
+		"gzip;q=0":              false,
+		"gzip; q=0.000":         false,
+		"gzip;q=0.001":          true,
+		"gzip;q=1.0":            true,
+		"gzip;Q=0":              false,
+		"gzip;q=0, *":           false,
+		"*, gzip;q=0":           false,
+		"*;q=0":                 false,
+		"*;q=0, gzip":           true,
+		"deflate, *;q=0.5":      true,
+		"br;q=1, gzip;q=0, *;q": false,
+	} {
+		r := httptest.NewRequest(http.MethodGet, "/v1/table", nil)
+		if header != "" {
+			r.Header.Set("Accept-Encoding", header)
+		}
+		if got := acceptsGzip(r); got != want {
+			t.Errorf("Accept-Encoding %q: acceptsGzip = %v, want %v", header, got, want)
+		}
+	}
+}
+
 func TestCompactAndPrettyParseIdentical(t *testing.T) {
 	s := testServer(t)
 	_, compact, _ := get(t, s, "/v1/table")
@@ -153,19 +189,31 @@ func TestPrettyBypassesRenderCache(t *testing.T) {
 	}
 }
 
-func TestStatsMinerEchoKeyedSeparately(t *testing.T) {
+// TestStatsIgnoresMinerParam pins that URLs written when miner= chose
+// a backend still work: the parameter is ignored, the echo names the
+// one miner, and the response is the cached /v1/stats entry itself.
+func TestStatsIgnoresMinerParam(t *testing.T) {
 	s := testServer(t)
-	_, b1, _ := get(t, s, "/v1/stats?miner=apriori")
-	_, b2, _ := get(t, s, "/v1/stats?miner=eclat")
-	var s1, s2 cuisines.StatsResponse
-	if err := json.Unmarshal(b1, &s1); err != nil {
+	code, plain, h := get(t, s, "/v1/stats")
+	if code != 200 {
+		t.Fatalf("/v1/stats = %d", code)
+	}
+	misses := s.renders.Stats().Misses
+	for _, m := range []string{"apriori", "fpgrowth", "eclat", "bogus"} {
+		code, b, hm := get(t, s, "/v1/stats?miner="+m)
+		if code != 200 || !bytes.Equal(b, plain) || hm.Get("ETag") != h.Get("ETag") {
+			t.Fatalf("miner=%s: status %d, body or ETag differs from /v1/stats", m, code)
+		}
+	}
+	if got := s.renders.Stats().Misses; got != misses {
+		t.Fatalf("miner= requests rendered %d new entries, want 0", got-misses)
+	}
+	var st cuisines.StatsResponse
+	if err := json.Unmarshal(plain, &st); err != nil {
 		t.Fatal(err)
 	}
-	if err := json.Unmarshal(b2, &s2); err != nil {
-		t.Fatal(err)
-	}
-	if s1.Miner != "apriori" || s2.Miner != "eclat" {
-		t.Fatalf("miner echo wrong: %q / %q (render key must include the miner)", s1.Miner, s2.Miner)
+	if st.Miner != "eclat" {
+		t.Fatalf("stats echoed miner %q, want %q", st.Miner, "eclat")
 	}
 }
 

@@ -69,10 +69,8 @@ func (s *Server) writeBuildError(w http.ResponseWriter, err error) {
 }
 
 // serveJSON renders v = build() as compact JSON through the render
-// cache. extraKey distinguishes responses that depend on more than the
-// path and content query parameters (only /v1/stats' miner echo today).
-// ?pretty=1 bypasses the cache entirely and indents for humans.
-func (rc *resource) serveJSON(w http.ResponseWriter, r *http.Request, extraKey string, build func() (any, error)) {
+// cache. ?pretty=1 bypasses the cache entirely and indents for humans.
+func (rc *resource) serveJSON(w http.ResponseWriter, r *http.Request, build func() (any, error)) {
 	if rc.pretty {
 		v, err := build()
 		if err != nil {
@@ -82,7 +80,7 @@ func (rc *resource) serveJSON(w http.ResponseWriter, r *http.Request, extraKey s
 		writeJSONIndent(w, http.StatusOK, v)
 		return
 	}
-	rc.serveBytes(w, r, "application/json; charset=utf-8", extraKey, func() ([]byte, error) {
+	rc.serveBytes(w, r, "application/json; charset=utf-8", func() ([]byte, error) {
 		v, err := build()
 		if err != nil {
 			return nil, err
@@ -98,8 +96,8 @@ func (rc *resource) serveJSON(w http.ResponseWriter, r *http.Request, extraKey s
 // serveBytes is the cached byte path shared by JSON and plain-text
 // endpoints: single-flighted render, strong ETag, conditional 304,
 // negotiated once-per-entry gzip.
-func (rc *resource) serveBytes(w http.ResponseWriter, r *http.Request, contentType, extraKey string, build func() ([]byte, error)) {
-	key := rc.owner + "|" + r.URL.EscapedPath() + "|" + canonicalQuery(r.URL.Query()) + extraKey
+func (rc *resource) serveBytes(w http.ResponseWriter, r *http.Request, contentType string, build func() ([]byte, error)) {
+	key := rc.owner + "|" + r.URL.EscapedPath() + "|" + canonicalQuery(r.URL.Query())
 	e, err := rc.s.renders.Get(r.Context(), rc.owner, key, build)
 	if err != nil {
 		rc.s.writeBuildError(w, err)
@@ -134,8 +132,9 @@ func (rc *resource) serveBytes(w http.ResponseWriter, r *http.Request, contentTy
 
 // renderKeyDrop lists query parameters that must not fragment render
 // keys: the analysis options are already captured by the owner (the
-// analysis cache key), miner is canonicalized into extraKey where it
-// matters (/v1/stats), and pretty bypasses the cache entirely.
+// analysis cache key), miner is ignored (Eclat is the only miner, but
+// URLs that still carry miner= share entries with those that do not),
+// and pretty bypasses the cache entirely.
 var renderKeyDrop = map[string]bool{
 	"seed": true, "scale": true, "support": true, "linkage": true,
 	"miner": true, "pretty": true,
@@ -184,25 +183,43 @@ func etagMatch(header, etag string) bool {
 	return false
 }
 
-// acceptsGzip reports whether the request negotiates gzip: a gzip (or
-// *) member of Accept-Encoding whose q-value is not zero.
+// acceptsGzip reports whether the request negotiates gzip (RFC 9110
+// §12.5.3): a gzip (or x-gzip) member of Accept-Encoding decides by its
+// q-value; only when gzip is not listed does a * member decide. A
+// q-value of zero means "not acceptable"; codings and parameter names
+// are case-insensitive.
 func acceptsGzip(r *http.Request) bool {
+	gzipQ, anyQ := -1.0, -1.0 // -1: not listed
 	for _, part := range strings.Split(r.Header.Get("Accept-Encoding"), ",") {
-		coding, params, _ := strings.Cut(strings.TrimSpace(part), ";")
-		coding = strings.TrimSpace(coding)
-		if coding != "gzip" && coding != "x-gzip" && coding != "*" {
-			continue
+		coding, params, _ := strings.Cut(part, ";")
+		switch strings.ToLower(strings.TrimSpace(coding)) {
+		case "gzip", "x-gzip":
+			gzipQ = max(gzipQ, qValue(params))
+		case "*":
+			anyQ = max(anyQ, qValue(params))
 		}
-		q := strings.ReplaceAll(strings.TrimSpace(params), " ", "")
-		if strings.HasPrefix(q, "q=0") && !strings.HasPrefix(q, "q=0.") {
-			continue
-		}
-		if strings.HasPrefix(q, "q=0.") && strings.Trim(q[4:], "0") == "" {
-			continue
-		}
-		return true
 	}
-	return false
+	if gzipQ >= 0 {
+		return gzipQ > 0
+	}
+	return anyQ > 0
+}
+
+// qValue returns the weight in an Accept-Encoding member's parameters
+// ("q=0.5", "Q=0"). A missing or unparsable weight counts as 1.
+func qValue(params string) float64 {
+	for _, p := range strings.Split(params, ";") {
+		name, v, ok := strings.Cut(p, "=")
+		if !ok || !strings.EqualFold(strings.TrimSpace(name), "q") {
+			continue
+		}
+		q, err := strconv.ParseFloat(strings.TrimSpace(v), 64)
+		if err != nil {
+			return 1
+		}
+		return q
+	}
+	return 1
 }
 
 // isPretty reports the ?pretty=1 opt-in.

@@ -21,9 +21,8 @@ import (
 // Config configures a Server.
 type Config struct {
 	// Base holds the daemon's default analysis options. Requests may
-	// override the analysis fields (seed, scale, support, linkage) and
-	// the mining backend (miner) via query parameters; Workers always
-	// comes from Base.
+	// override the analysis fields (seed, scale, support, linkage) via
+	// query parameters; Workers and Miner always come from Base.
 	Base cuisines.Options
 	// CacheSize bounds the number of distinct analyses held (LRU);
 	// <= 0 means DefaultCacheSize.
@@ -317,9 +316,6 @@ func (s *Server) requestOptions(r *http.Request) (opts, canon cuisines.Options, 
 	if v := q.Get("linkage"); v != "" {
 		opts.Linkage = v
 	}
-	if v := q.Get("miner"); v != "" {
-		opts.Miner = v
-	}
 	canon, err = opts.Canonical()
 	if err != nil {
 		return opts, canon, err
@@ -359,8 +355,7 @@ func (s *Server) with(h analysisHandler) http.HandlerFunc {
 		}
 		// The render owner is the analysis cache key (canon with the two
 		// output-neutral knobs zeroed), so requests differing only in
-		// workers/miner share rendered bytes just as they share the
-		// analysis.
+		// workers share rendered bytes just as they share the analysis.
 		key := canon
 		key.Workers = 0
 		key.Miner = ""
@@ -440,13 +435,13 @@ func (s *Server) handleCacheStats(w http.ResponseWriter, _ *http.Request) {
 }
 
 func (s *Server) handleTable(w http.ResponseWriter, r *http.Request, rc *resource) {
-	rc.serveJSON(w, r, "", func() (any, error) {
+	rc.serveJSON(w, r, func() (any, error) {
 		return cuisines.TableResponse{Rows: rc.a.Table()}, nil
 	})
 }
 
 func (s *Server) handleDendrogram(w http.ResponseWriter, r *http.Request, rc *resource, f cuisines.Figure) {
-	rc.serveJSON(w, r, "", func() (any, error) {
+	rc.serveJSON(w, r, func() (any, error) {
 		d, err := rc.a.Dendrogram(f)
 		if err != nil {
 			return nil, err
@@ -456,7 +451,7 @@ func (s *Server) handleDendrogram(w http.ResponseWriter, r *http.Request, rc *re
 }
 
 func (s *Server) handleNewick(w http.ResponseWriter, r *http.Request, rc *resource, f cuisines.Figure) {
-	rc.serveBytes(w, r, "text/plain; charset=utf-8", "", func() ([]byte, error) {
+	rc.serveBytes(w, r, "text/plain; charset=utf-8", func() ([]byte, error) {
 		nw, err := rc.a.Newick(f)
 		if err != nil {
 			return nil, err
@@ -471,7 +466,7 @@ func (s *Server) handleClusters(w http.ResponseWriter, r *http.Request, rc *reso
 		writeError(w, http.StatusBadRequest, fmt.Errorf("k must be a positive integer"))
 		return
 	}
-	rc.serveJSON(w, r, "", func() (any, error) {
+	rc.serveJSON(w, r, func() (any, error) {
 		groups, err := rc.a.Clusters(f, k)
 		if err != nil {
 			return nil, failWith(http.StatusBadRequest, err)
@@ -490,7 +485,7 @@ func (s *Server) handleClosest(w http.ResponseWriter, r *http.Request, rc *resou
 		writeError(w, http.StatusNotFound, fmt.Errorf("unknown region %q", region))
 		return
 	}
-	rc.serveJSON(w, r, "", func() (any, error) {
+	rc.serveJSON(w, r, func() (any, error) {
 		closest, err := rc.a.ClosestCuisine(f, region)
 		if err != nil {
 			return nil, err
@@ -515,7 +510,7 @@ func (s *Server) handleFingerprint(w http.ResponseWriter, r *http.Request, rc *r
 		writeError(w, http.StatusBadRequest, fmt.Errorf("k must be a positive integer"))
 		return
 	}
-	rc.serveJSON(w, r, "", func() (any, error) {
+	rc.serveJSON(w, r, func() (any, error) {
 		fp, err := rc.a.Fingerprint(region, k)
 		if err != nil {
 			return nil, err
@@ -529,7 +524,7 @@ func (s *Server) handlePatterns(w http.ResponseWriter, r *http.Request, rc *reso
 	if !ok {
 		return
 	}
-	rc.serveJSON(w, r, "", func() (any, error) {
+	rc.serveJSON(w, r, func() (any, error) {
 		ps, err := rc.a.CuisinePatterns(region)
 		if err != nil {
 			return nil, err
@@ -564,7 +559,7 @@ func (s *Server) handleRules(w http.ResponseWriter, r *http.Request, rc *resourc
 		writeError(w, http.StatusBadRequest, err)
 		return
 	}
-	rc.serveJSON(w, r, "", func() (any, error) {
+	rc.serveJSON(w, r, func() (any, error) {
 		rules, err := rc.a.AssociationRules(region, minConf, maxRules)
 		if err != nil {
 			return nil, err
@@ -583,7 +578,7 @@ func (s *Server) handlePairings(w http.ResponseWriter, r *http.Request, rc *reso
 		writeError(w, http.StatusBadRequest, err)
 		return
 	}
-	rc.serveJSON(w, r, "", func() (any, error) {
+	rc.serveJSON(w, r, func() (any, error) {
 		pairing, err := rc.a.FoodPairingFor(region)
 		if err != nil {
 			return nil, err
@@ -611,7 +606,7 @@ func (s *Server) handleSubstitutes(w http.ResponseWriter, r *http.Request, rc *r
 		writeError(w, http.StatusBadRequest, fmt.Errorf("k must be a positive integer"))
 		return
 	}
-	rc.serveJSON(w, r, "", func() (any, error) {
+	rc.serveJSON(w, r, func() (any, error) {
 		subs, err := rc.a.Substitutes(region, ingredient, k)
 		if err != nil {
 			// The region exists (checked above), so the failure is the
@@ -641,7 +636,7 @@ func (s *Server) handleMap(w http.ResponseWriter, r *http.Request, rc *resource)
 			return
 		}
 	}
-	rc.serveJSON(w, r, "", func() (any, error) {
+	rc.serveJSON(w, r, func() (any, error) {
 		points, variance, err := rc.a.CuisineMap()
 		if err != nil {
 			return nil, err
@@ -659,7 +654,7 @@ func (s *Server) handleMap(w http.ResponseWriter, r *http.Request, rc *resource)
 }
 
 func (s *Server) handleClaims(w http.ResponseWriter, r *http.Request, rc *resource) {
-	rc.serveJSON(w, r, "", func() (any, error) {
+	rc.serveJSON(w, r, func() (any, error) {
 		return cuisines.ClaimsResponse{
 			Claims:  rc.a.Claims(),
 			Fits:    rc.a.GeographyFits(),
@@ -668,12 +663,10 @@ func (s *Server) handleClaims(w http.ResponseWriter, r *http.Request, rc *resour
 	})
 }
 
-// handleStats echoes the canonical mining backend the request selected
-// alongside the corpus statistics. The miner is output-neutral for the
-// analysis (zeroed out of the cache key) but not for this response, so
-// it re-enters the render key as extraKey.
+// handleStats echoes the canonical miner name ("eclat", the only one)
+// alongside the corpus statistics.
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request, rc *resource) {
-	rc.serveJSON(w, r, "|miner="+rc.canon.Miner, func() (any, error) {
+	rc.serveJSON(w, r, func() (any, error) {
 		return cuisines.StatsResponse{Stats: rc.a.Stats(), Miner: rc.canon.Miner}, nil
 	})
 }

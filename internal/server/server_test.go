@@ -14,7 +14,6 @@ import (
 	"testing"
 
 	"cuisines"
-	"cuisines/internal/miner"
 )
 
 // testScale keeps pipeline runs fast while preserving all 26 regions
@@ -205,19 +204,8 @@ func TestEndpoints(t *testing.T) {
 			if st.Regions != 26 || st.Recipes <= 0 {
 				t.Fatalf("stats: %+v", st)
 			}
-			if st.Miner != miner.Default.Name() {
-				t.Fatalf("stats echoed miner %q, want default %q", st.Miner, miner.Default.Name())
-			}
-		}},
-		{"stats miner override echoed", "/v1/stats?miner=fp-growth", 200, func(t *testing.T, b []byte) {
-			var st struct {
-				Miner string `json:"miner"`
-			}
-			if err := json.Unmarshal(b, &st); err != nil {
-				t.Fatal(err)
-			}
-			if st.Miner != "fpgrowth" {
-				t.Fatalf("stats echoed miner %q, want canonical %q", st.Miner, "fpgrowth")
+			if st.Miner != "eclat" {
+				t.Fatalf("stats echoed miner %q, want %q", st.Miner, "eclat")
 			}
 		}},
 		{"bad scale", "/v1/table?scale=banana", 400, checkError},
@@ -226,7 +214,6 @@ func TestEndpoints(t *testing.T) {
 		{"bad seed", "/v1/table?seed=-3", 400, checkError},
 		{"bad support", "/v1/table?support=1.5", 400, checkError},
 		{"unknown linkage", "/v1/table?linkage=centroid", 400, checkError},
-		{"unknown miner", "/v1/table?miner=bogus", 400, checkError},
 		{"unknown path", "/v1/nope", 404, nil},
 	}
 	for _, tc := range cases {
@@ -376,14 +363,14 @@ func TestConcurrentRequestsDeduplicated(t *testing.T) {
 		t.Fatalf("upgma alias missed the average-linkage cache entry (%d runs)", got)
 	}
 
-	// A miner override is never a new key: the backend cannot change
-	// the output, so it must share the existing analysis.
+	// A leftover miner= parameter is ignored: Eclat is the only miner,
+	// so the request shares the existing analysis.
 	resp, err = http.Get(ts.URL + "/v1/stats?miner=apriori")
 	if err != nil {
 		t.Fatal(err)
 	}
 	resp.Body.Close()
 	if got := runs.Load(); got != 2 {
-		t.Fatalf("miner override split the analysis cache key (%d runs)", got)
+		t.Fatalf("miner parameter split the analysis cache key (%d runs)", got)
 	}
 }
