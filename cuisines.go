@@ -26,6 +26,7 @@ import (
 	"context"
 	"fmt"
 	"io"
+	"math"
 	"strings"
 	"sync"
 
@@ -77,8 +78,13 @@ type Options struct {
 // Options describe the same analysis exactly when their canonical forms
 // differ only in Workers or Miner: parallelism never changes the output
 // and there is only one miner, so the serving cache keys on the
-// canonical form with both zeroed (DESIGN.md §7, §9).
+// canonical form with both zeroed (DESIGN.md §7, §9). A NaN or infinite
+// Scale or MinSupport is an error: a NaN key never equals itself, so no
+// cache could ever hit or evict it.
 func (o Options) Canonical() (Options, error) {
+	if !finite(o.Scale) || !finite(o.MinSupport) {
+		return Options{}, fmt.Errorf("cuisines: scale %v and min support %v must be finite", o.Scale, o.MinSupport)
+	}
 	if o.Seed == 0 {
 		o.Seed = corpus.DefaultSeed
 	}
@@ -103,6 +109,9 @@ func (o Options) Canonical() (Options, error) {
 	o.Miner = m.Name()
 	return o, nil
 }
+
+// finite reports whether x is neither NaN nor ±Inf.
+func finite(x float64) bool { return !math.IsNaN(x) && !math.IsInf(x, 0) }
 
 // Figure selects one of the paper's dendrograms.
 type Figure int

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"strings"
 	"testing"
 
@@ -70,6 +71,9 @@ func TestMineRegionsRejectsBadInput(t *testing.T) {
 	}
 	if _, err := MineRegions(smallDB(t), 1.5); err == nil {
 		t.Fatal("support > 1 accepted")
+	}
+	if _, err := MineRegions(smallDB(t), math.NaN()); err == nil {
+		t.Fatal("NaN support accepted")
 	}
 }
 

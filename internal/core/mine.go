@@ -46,7 +46,7 @@ func MineRegionsWorkers(db *recipedb.DB, minSupport float64, workers int) ([]Reg
 	if db.Len() == 0 {
 		return nil, fmt.Errorf("core: empty database")
 	}
-	if minSupport <= 0 || minSupport > 1 {
+	if !(minSupport > 0 && minSupport <= 1) {
 		return nil, fmt.Errorf("core: min support %v out of (0, 1]", minSupport)
 	}
 	regions := db.Regions()

@@ -1,10 +1,9 @@
 // Package eclat implements the Eclat frequent-itemset miner (Zaki 2000):
 // depth-first search over the itemset lattice with vertical tidset
 // intersection. The tidsets are the shared bitmap index of
-// internal/itemset — in dense layout the inner loop is a branch-free
-// word-wise AND over []uint64; in chunked layout (sparse universes) it
-// is a roaring-style container intersection that shrinks toward cheap
-// array merges as prefixes get rarer. Eclat is the repository's only
+// internal/itemset, flat []uint64 bitmaps over the region's
+// transactions, so the inner loop is itemset.AndInto: a branch-free
+// word-wise AND with a running popcount. Eclat is the repository's only
 // frequent-itemset miner (core.MineRegions runs it once per cuisine);
 // internal/miner's tests pin it to a brute-force level-wise reference.
 //
@@ -48,17 +47,19 @@ func MineIndex(ix *itemset.Index, minSupport float64) []itemset.Pattern {
 // is overwritten only after every deeper extension of the previous
 // sibling has finished with it, so one buffer per depth suffices.
 type scratch struct {
-	levels []*itemset.Bitmap
+	levels [][]uint64
 }
 
-// level returns the scratch bitmap for depth, shaped for ix's layout.
-func (s *scratch) level(ix *itemset.Index, depth int) *itemset.Bitmap {
+// level returns the scratch bitmap for depth, ix.Words() long.
+func (s *scratch) level(ix *itemset.Index, depth int) []uint64 {
 	for len(s.levels) < depth {
-		s.levels = append(s.levels, new(itemset.Bitmap))
+		s.levels = append(s.levels, nil)
 	}
-	b := s.levels[depth-1]
-	ix.PrepareScratch(b)
-	return b
+	words := ix.Words()
+	if cap(s.levels[depth-1]) < words {
+		s.levels[depth-1] = make([]uint64, words)
+	}
+	return s.levels[depth-1][:words]
 }
 
 var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
@@ -97,18 +98,18 @@ func MineIndexWithOptions(ix *itemset.Index, minSupport float64, opts Options) [
 	// Depth-first extension: each prefix holds the items chosen so far
 	// and the bitmap of their intersection; extensions come from the tail
 	// of the frequent item order.
-	var dfs func(prefix []int32, prefixBits *itemset.Bitmap, start, depth int)
-	dfs = func(prefix []int32, prefixBits *itemset.Bitmap, start, depth int) {
+	var dfs func(prefix []int32, prefixBits []uint64, start, depth int)
+	dfs = func(prefix []int32, prefixBits []uint64, start, depth int) {
 		for i := start; i < len(freq); i++ {
 			var (
 				cnt  int
-				bits *itemset.Bitmap
+				bits []uint64
 			)
 			if prefixBits == nil {
 				cnt, bits = freq[i].count, ix.ItemBitmap(freq[i].id)
 			} else {
 				bits = sc.level(ix, depth)
-				cnt = itemset.AndBitmaps(bits, prefixBits, ix.ItemBitmap(freq[i].id))
+				cnt = itemset.AndInto(bits, prefixBits, ix.ItemBitmap(freq[i].id))
 			}
 			if cnt < minCount {
 				continue

@@ -1,7 +1,9 @@
 package itemset
 
 import (
+	"math/bits"
 	"math/rand"
+	"sort"
 	"testing"
 )
 
@@ -29,12 +31,20 @@ func supportCount(ix *Index, ids []int32) int {
 	}
 	cur, cnt := ix.ItemBitmap(ids[0]), ix.Count(ids[0])
 	for _, id := range ids[1:] {
-		next := &Bitmap{}
-		ix.PrepareScratch(next)
-		cnt = AndBitmaps(next, cur, ix.ItemBitmap(id))
+		next := make([]uint64, ix.Words())
+		cnt = AndInto(next, cur, ix.ItemBitmap(id))
 		cur = next
 	}
 	return cnt
+}
+
+// popcount counts the set bits of a bitmap.
+func popcount(words []uint64) int {
+	n := 0
+	for _, w := range words {
+		n += bits.OnesCount64(w)
+	}
+	return n
 }
 
 func TestIndexBasics(t *testing.T) {
@@ -80,38 +90,39 @@ func TestIndexSupportCountMatchesDataset(t *testing.T) {
 			txns[i] = Transaction{Items: NewSet(items...)}
 		}
 		d := NewDataset(txns)
-		for _, mode := range []IndexMode{ModeDense, ModeChunked} {
-			ix := NewIndexMode(d, mode)
-			if ix.NumTransactions() != d.Len() {
-				t.Fatalf("trial %d %v: transactions %d != %d", trial, mode, ix.NumTransactions(), d.Len())
+		ix := NewIndex(d)
+		if ix.NumTransactions() != d.Len() {
+			t.Fatalf("trial %d: transactions %d != %d", trial, ix.NumTransactions(), d.Len())
+		}
+		// Every single item count must equal the dataset's scan.
+		for id := int32(0); int(id) < ix.NumItems(); id++ {
+			it := ix.Item(id)
+			if got, want := ix.Count(id), d.SupportCount(NewSet(it)); got != want {
+				t.Fatalf("trial %d: item %v count %d, dataset says %d", trial, it, got, want)
 			}
-			// Every single item count must equal the dataset's scan.
-			for id := int32(0); int(id) < ix.NumItems(); id++ {
-				it := ix.Item(id)
-				if got, want := ix.Count(id), d.SupportCount(NewSet(it)); got != want {
-					t.Fatalf("trial %d %v: item %v count %d, dataset says %d", trial, mode, it, got, want)
-				}
-				if got := ix.ItemBitmap(id).Count(); got != ix.Count(id) {
-					t.Fatalf("trial %d %v: cached count %d != popcount %d", trial, mode, ix.Count(id), got)
-				}
+			if got := popcount(ix.ItemBitmap(id)); got != ix.Count(id) {
+				t.Fatalf("trial %d: cached count %d != popcount %d", trial, ix.Count(id), got)
 			}
-			// Random candidate itemsets: AND-counting must equal subset scans.
-			for probe := 0; probe < 20; probe++ {
-				k := 1 + r.Intn(4)
-				var ids []int32
-				var items []Item
-				for j := 0; j < k && ix.NumItems() > 0; j++ {
-					id := int32(r.Intn(ix.NumItems()))
-					ids = append(ids, id)
-					items = append(items, ix.Item(id))
-				}
-				if got, want := supportCount(ix, ids), d.SupportCount(NewSet(items...)); got != want {
-					t.Fatalf("trial %d %v: support of %v = %d, dataset says %d", trial, mode, items, got, want)
-				}
+			if got := len(ix.ItemBitmap(id)); got != ix.Words() {
+				t.Fatalf("trial %d: bitmap of %d words, Words() = %d", trial, got, ix.Words())
 			}
-			if got := supportCount(ix, nil); got != d.Len() {
-				t.Fatalf("trial %d %v: empty-set support %d != %d", trial, mode, got, d.Len())
+		}
+		// Random candidate itemsets: AND-counting must equal subset scans.
+		for probe := 0; probe < 20; probe++ {
+			k := 1 + r.Intn(4)
+			var ids []int32
+			var items []Item
+			for j := 0; j < k && ix.NumItems() > 0; j++ {
+				id := int32(r.Intn(ix.NumItems()))
+				ids = append(ids, id)
+				items = append(items, ix.Item(id))
 			}
+			if got, want := supportCount(ix, ids), d.SupportCount(NewSet(items...)); got != want {
+				t.Fatalf("trial %d: support of %v = %d, dataset says %d", trial, items, got, want)
+			}
+		}
+		if got := supportCount(ix, nil); got != d.Len() {
+			t.Fatalf("trial %d: empty-set support %d != %d", trial, got, d.Len())
 		}
 	}
 }
@@ -155,5 +166,98 @@ func TestAndInto(t *testing.T) {
 	// Aliasing dst with an operand is allowed.
 	if got := AndInto(a, a, b); got != 2 || a[0] != 0b0010 {
 		t.Fatalf("aliased AndInto = %d, a0=%b", got, a[0])
+	}
+}
+
+// randomTids draws a sorted, duplicate-free tid sample of the given
+// density from [0, n).
+func randomTids(r *rand.Rand, n int, density float64) []int {
+	var tids []int
+	for tid := 0; tid < n; tid++ {
+		if r.Float64() < density {
+			tids = append(tids, tid)
+		}
+	}
+	return tids
+}
+
+func intersectInts(a, b []int) []int {
+	in := make(map[int]bool, len(a))
+	for _, x := range a {
+		in[x] = true
+	}
+	var out []int
+	for _, x := range b {
+		if in[x] {
+			out = append(out, x)
+		}
+	}
+	sort.Ints(out)
+	return out
+}
+
+// bitmapOf sets the tids in an n-bit bitmap.
+func bitmapOf(tids []int, n int) []uint64 {
+	words := make([]uint64, (n+63)/64)
+	for _, tid := range tids {
+		words[tid>>6] |= 1 << (tid & 63)
+	}
+	return words
+}
+
+// tidsOf lists the set bits of a bitmap in ascending order.
+func tidsOf(words []uint64) []int {
+	var out []int
+	for wi, w := range words {
+		for w != 0 {
+			out = append(out, wi<<6+bits.TrailingZeros64(w))
+			w &= w - 1
+		}
+	}
+	return out
+}
+
+func equalInts(a, b []int) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if a[i] != b[i] {
+			return false
+		}
+	}
+	return true
+}
+
+// TestAndIntoMatchesBruteForce is the randomized density-regime property
+// test of the intersection kernel: universes that are a word multiple
+// (64) and ragged (50, 1000, 65537), operand densities from 0.1% to
+// 90%, and one target recycled across every trial the way the eclat
+// DFS recycles its per-depth buffers, so stale bits from a previous
+// trial must never survive.
+func TestAndIntoMatchesBruteForce(t *testing.T) {
+	r := rand.New(rand.NewSource(20200620))
+	universes := []int{50, 64, 1000, 1<<16 + 1}
+	densities := []float64{0.001, 0.02, 0.2, 0.9}
+	var dst []uint64 // recycled target
+	for _, n := range universes {
+		words := (n + 63) / 64
+		if cap(dst) < words {
+			dst = make([]uint64, words)
+		}
+		dst = dst[:words]
+		for _, da := range densities {
+			for _, db := range densities {
+				ta := randomTids(r, n, da)
+				tb := randomTids(r, n, db)
+				want := intersectInts(ta, tb)
+				if got := AndInto(dst, bitmapOf(ta, n), bitmapOf(tb, n)); got != len(want) {
+					t.Fatalf("n=%d da=%g db=%g: AndInto = %d, want %d", n, da, db, got, len(want))
+				}
+				if got := tidsOf(dst); !equalInts(got, want) {
+					t.Fatalf("n=%d da=%g db=%g: intersection bits diverge", n, da, db)
+				}
+			}
+		}
 	}
 }

@@ -24,7 +24,7 @@ func sortedOK(m map[string]int) []string {
 }
 
 // sortSliceOK collects values and sorts with a comparator, like
-// itemset.NewIndexMode does with ix.items.
+// itemset.NewIndex does with ix.items.
 func sortSliceOK(m map[string]int) []int {
 	var vals []int
 	for _, v := range m {

@@ -217,6 +217,31 @@ func TestStatsIgnoresMinerParam(t *testing.T) {
 	}
 }
 
+// TestRepeatedParamOrderServesFirstValue pins the render key of a
+// repeated parameter to the value the handler reads, the first: once
+// ?k=4&k=3 is cached, ?k=3&k=4 must still serve the k=3 body.
+func TestRepeatedParamOrderServesFirstValue(t *testing.T) {
+	s := testServer(t)
+	const base = "/v1/clusters/fig2"
+	_, k4, _ := get(t, s, base+"?k=4")
+	_, k3, _ := get(t, s, base+"?k=3")
+	for _, tc := range []struct {
+		query string
+		want  []byte
+	}{
+		{"?k=4&k=3", k4},
+		{"?k=3&k=4", k3},
+	} {
+		code, body, _ := get(t, s, base+tc.query)
+		if code != 200 || !bytes.Equal(body, tc.want) {
+			t.Fatalf("GET %s = %d, body %s, want %s", base+tc.query, code, body, tc.want)
+		}
+	}
+	if bytes.Equal(k3, k4) {
+		t.Fatal("k=3 and k=4 rendered identical bodies")
+	}
+}
+
 func TestRenderEntriesEvictedWithAnalysis(t *testing.T) {
 	s := New(Config{
 		Base:      cuisines.Options{Scale: testScale},

@@ -142,6 +142,9 @@ var renderKeyDrop = map[string]bool{
 
 // canonicalQuery renders the content-bearing query parameters in a
 // canonical order, so ?a=1&b=2 and ?b=2&a=1 share one render entry.
+// Only the first value of a repeated parameter enters the key: it is
+// the one every handler reads (q.Get), so ?k=4&k=3 and ?k=3&k=4 render
+// different bodies and must not share an entry.
 func canonicalQuery(q url.Values) string {
 	keys := make([]string, 0, len(q))
 	for k := range q {
@@ -152,17 +155,10 @@ func canonicalQuery(q url.Values) string {
 	sort.Strings(keys)
 	var b strings.Builder
 	for _, k := range keys {
-		vs := q[k]
-		if len(vs) > 1 {
-			vs = append([]string(nil), vs...)
-			sort.Strings(vs)
-		}
-		for _, v := range vs {
-			b.WriteByte('&')
-			b.WriteString(url.QueryEscape(k))
-			b.WriteByte('=')
-			b.WriteString(url.QueryEscape(v))
-		}
+		b.WriteByte('&')
+		b.WriteString(url.QueryEscape(k))
+		b.WriteByte('=')
+		b.WriteString(url.QueryEscape(q.Get(k)))
 	}
 	return b.String()
 }

@@ -301,15 +301,15 @@ func (s *Server) requestOptions(r *http.Request) (opts, canon cuisines.Options, 
 	}
 	if v := q.Get("scale"); v != "" {
 		scale, err := strconv.ParseFloat(v, 64)
-		if err != nil || scale <= 0 || scale > MaxScale {
+		if err != nil || !(scale > 0 && scale <= MaxScale) {
 			return opts, canon, fmt.Errorf("scale must be in (0, %g]", float64(MaxScale))
 		}
 		opts.Scale = scale
 	}
 	if v := q.Get("support"); v != "" {
 		sup, err := strconv.ParseFloat(v, 64)
-		if err != nil || sup <= 0 || sup > 1 {
-			return opts, canon, fmt.Errorf("bad support %q", v)
+		if err != nil || !(sup >= MinQuerySupport && sup <= 1) {
+			return opts, canon, fmt.Errorf("support must be in [%g, 1]", MinQuerySupport)
 		}
 		opts.MinSupport = sup
 	}
@@ -326,6 +326,13 @@ func (s *Server) requestOptions(r *http.Request) (opts, canon cuisines.Options, 
 // MaxScale bounds the per-request scale override: an unauthenticated
 // query must not be able to demand an arbitrarily large corpus.
 const MaxScale = 4
+
+// MinQuerySupport floors the per-request support override for the same
+// reason: the pattern count grows steeply as support falls (at scale
+// 0.02, 12k patterns at 0.1 but 340k at 0.05), so an unauthenticated
+// query must not be able to demand an unbounded mine. The daemon's own
+// -support flag is not floored.
+const MinQuerySupport = 0.1
 
 // analysisHandler is an endpoint handler that already has its analysis
 // resolved (carried in the resource, alongside the render-cache owner

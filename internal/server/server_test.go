@@ -240,25 +240,37 @@ func checkError(t *testing.T, body []byte) {
 
 // TestBadFigureSkipsPipeline pins the validation order: an invalid
 // {figure} must 404 before the cache resolves the analysis, even when
-// the query names a cold cache key.
+// the query names a cold cache key. So must analysis parameters the
+// query may not ask for be a 400: a NaN support would mine every
+// itemset, a NaN scale would make a cache key that never equals
+// itself, and a support under MinQuerySupport an unbounded mine.
 func TestBadFigureSkipsPipeline(t *testing.T) {
 	s := New(Config{
 		Base: cuisines.Options{Scale: testScale},
 		Runner: func(context.Context, cuisines.Options) (*cuisines.Analysis, error) {
-			t.Error("pipeline run triggered for an invalid figure")
+			t.Error("pipeline run triggered for a rejected request")
 			return nil, nil
 		},
 	})
-	for _, path := range []string{
-		"/v1/newick/bogus?support=0.9",
-		"/v1/dendrogram/fig9",
-		"/v1/clusters/nope?k=3",
-		"/v1/closest/fig7?region=UK",
+	for _, tc := range []struct {
+		path   string
+		status int
+	}{
+		{"/v1/newick/bogus?support=0.9", 404},
+		{"/v1/dendrogram/fig9", 404},
+		{"/v1/clusters/nope?k=3", 404},
+		{"/v1/closest/fig7?region=UK", 404},
+		{"/v1/stats?support=NaN", 400},
+		{"/v1/table?support=nan", 400},
+		{"/v1/table?scale=NaN", 400},
+		{"/v1/table?scale=Inf", 400},
+		{"/v1/table?support=0.05", 400},
 	} {
-		status, body, _ := get(t, s, path)
-		if status != 404 {
-			t.Fatalf("GET %s = %d, want 404\nbody: %s", path, status, body)
+		status, body, _ := get(t, s, tc.path)
+		if status != tc.status {
+			t.Fatalf("GET %s = %d, want %d\nbody: %s", tc.path, status, tc.status, body)
 		}
+		checkError(t, body)
 	}
 }
 

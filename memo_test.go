@@ -1,6 +1,7 @@
 package cuisines
 
 import (
+	"math"
 	"reflect"
 	"sync"
 	"testing"
@@ -162,5 +163,22 @@ func TestOptionsCanonical(t *testing.T) {
 	}
 	if _, err := (Options{Linkage: "centroid"}).Canonical(); err == nil {
 		t.Fatal("unknown linkage accepted")
+	}
+}
+
+// TestOptionsCanonicalRejectsNonFinite pins that a NaN or infinite scale
+// or support is an error rather than a value passed through: a NaN key
+// never equals itself, so a cache could neither hit nor evict it.
+func TestOptionsCanonicalRejectsNonFinite(t *testing.T) {
+	for _, o := range []Options{
+		{Scale: math.NaN()},
+		{Scale: math.Inf(1)},
+		{Scale: math.Inf(-1)},
+		{MinSupport: math.NaN()},
+		{MinSupport: math.Inf(1)},
+	} {
+		if canon, err := o.Canonical(); err == nil {
+			t.Errorf("Canonical(scale %v, support %v) accepted: %+v", o.Scale, o.MinSupport, canon)
+		}
 	}
 }
