@@ -186,15 +186,21 @@ type ClusterPeer struct {
 // store misses) and the serve side (peers asking this node).
 // FetchRejects counts responses that failed frame verification —
 // nonzero means a peer is corrupt or incompatible, never that the
-// cache took bad bytes.
+// cache took bad bytes. ServeDisk and ServeMemory split the GET serves
+// by source (the verified disk frame as stored, or a re-encode of the
+// memory value); ServeDiskRejects counts local disk frames that failed
+// verification on a serve.
 type ClusterExchangeStats struct {
-	FetchAttempts uint64 `json:"fetch_attempts"`
-	FetchHits     uint64 `json:"fetch_hits"`
-	FetchMisses   uint64 `json:"fetch_misses"`
-	FetchErrors   uint64 `json:"fetch_errors"`
-	FetchRejects  uint64 `json:"fetch_rejects"`
-	ServeHits     uint64 `json:"serve_hits"`
-	ServeMisses   uint64 `json:"serve_misses"`
+	FetchAttempts    uint64 `json:"fetch_attempts"`
+	FetchHits        uint64 `json:"fetch_hits"`
+	FetchMisses      uint64 `json:"fetch_misses"`
+	FetchErrors      uint64 `json:"fetch_errors"`
+	FetchRejects     uint64 `json:"fetch_rejects"`
+	ServeHits        uint64 `json:"serve_hits"`
+	ServeMisses      uint64 `json:"serve_misses"`
+	ServeDisk        uint64 `json:"serve_disk"`
+	ServeMemory      uint64 `json:"serve_memory"`
+	ServeDiskRejects uint64 `json:"serve_disk_rejects"`
 }
 
 // ClusterResponse is the /v1/cluster body. Enabled false (the whole

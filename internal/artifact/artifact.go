@@ -19,7 +19,9 @@
 // an artifact before recomputing it (internal/cluster, DESIGN.md §13).
 // Fetched frames pass the same verification as disk reads — magic,
 // format and codec versions, kind, checksum — so a misbehaving peer can
-// never poison the cache.
+// never poison the cache. The serving side of that exchange (Encoded)
+// sends the disk tier's verified frame as-is and re-encodes the memory
+// value only when no good file exists.
 //
 // Disk artifacts are best-effort by design: a missing, truncated,
 // corrupted or version-mismatched file is treated as a cache miss and
@@ -42,6 +44,7 @@ import (
 	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 )
 
@@ -166,6 +169,8 @@ type Store struct {
 
 	diskMu    sync.Mutex // guards diskTotal and GC scans
 	diskTotal int64      // running estimate of disk-tier bytes; -1 = unknown
+
+	diskServeRejects atomic.Uint64 // disk frames Encoded refused
 
 	mu      sync.Mutex
 	entries map[string]*entry
@@ -520,11 +525,16 @@ func (s *Store) loadDisk(key string, codec Codec) (any, bool) {
 	if err != nil {
 		return nil, false
 	}
-	// Re-stamp the mtime so gcDisk's mtime ordering is LRU, not
-	// write-order: artifacts still being served survive the cap.
-	now := time.Now()
-	_ = os.Chtimes(s.path(key, codec), now, now)
+	touch(s.path(key, codec))
 	return v, true
+}
+
+// touch re-stamps a disk artifact's mtime on every read (loads and
+// peer serves), so gcDiskLocked's mtime ordering is LRU, not write
+// order: artifacts still being read survive the cap.
+func touch(path string) {
+	now := time.Now()
+	_ = os.Chtimes(path, now, now)
 }
 
 // saveDisk writes an artifact to the disk tier, best effort: encoding
@@ -576,40 +586,62 @@ func (s *Store) writeFrame(key string, codec Codec, frame []byte) {
 	}
 }
 
+// ServeSource names which tier answered an Encoded call.
+type ServeSource int
+
+const (
+	ServeMiss   ServeSource = iota // neither tier held a servable frame
+	ServeDisk                      // the verified disk file, as stored
+	ServeMemory                    // a re-encode of the memory-tier value
+)
+
 // Encoded returns the framed encoding of the artifact under key — the
-// peer-serving read path. A finished memory-tier value is re-encoded
-// (and counts as a hit for LRU purposes); otherwise the disk tier's
-// file, which already is a frame, is returned after verification so a
-// locally-corrupted file is never propagated to a peer. A key that
-// fails validKey (the peer route's key comes off the wire) is a miss.
-func (s *Store) Encoded(key string, codec Codec) ([]byte, bool) {
+// peer-serving read path — and the tier that produced it. The disk
+// tier's file already is the frame, so it is served as-is once it
+// passes VerifyFrame (a locally corrupted file is never propagated to
+// a peer), and its mtime is re-stamped as on a disk hit. Only when
+// there is no disk tier, no file, or the file fails verification is a
+// finished memory-tier value re-encoded; determinism makes both
+// answers the same bytes. A memory entry counts as used for LRU
+// purposes either way. A file that fails verification is counted
+// (DiskServeRejects). A key that fails validKey (the peer route's key
+// comes off the wire) is a miss.
+func (s *Store) Encoded(key string, codec Codec) ([]byte, ServeSource) {
 	if !validKey(key) {
-		return nil, false
+		return nil, ServeMiss
 	}
+	var v any
+	held := false
 	s.mu.Lock()
 	if e, ok := s.entries[key]; ok && e.done && e.err == nil && e.kind == codec.Kind() {
-		v := e.v
+		v, held = e.v, true
 		s.lru.MoveToFront(e.elem)
-		s.mu.Unlock()
-		frame, err := EncodeFrame(codec, v)
-		if err != nil {
-			return nil, false
-		}
-		return frame, true
 	}
 	s.mu.Unlock()
-	if s.dir == "" {
-		return nil, false
+	if s.dir != "" {
+		path := s.path(key, codec)
+		if data, err := os.ReadFile(path); err == nil {
+			if VerifyFrame(data, codec) == nil {
+				touch(path)
+				return data, ServeDisk
+			}
+			s.diskServeRejects.Add(1)
+		}
 	}
-	data, err := os.ReadFile(s.path(key, codec))
+	if !held {
+		return nil, ServeMiss
+	}
+	frame, err := EncodeFrame(codec, v)
 	if err != nil {
-		return nil, false
+		return nil, ServeMiss
 	}
-	if err := VerifyFrame(data, codec); err != nil {
-		return nil, false
-	}
-	return data, true
+	return frame, ServeMemory
 }
+
+// DiskServeRejects counts disk files Encoded read but refused because
+// they failed frame verification: local corruption that the serve
+// path survives (by re-encoding or missing) but should not hide.
+func (s *Store) DiskServeRejects() uint64 { return s.diskServeRejects.Load() }
 
 // Has reports whether Encoded would likely succeed, without reading
 // payload bytes — the peer HEAD have-check. It is advisory: a stat-able
@@ -651,8 +683,9 @@ func (s *Store) noteDiskWrite(n int64) {
 }
 
 // gcDiskLocked bounds the disk tier: while the artifact files exceed
-// MaxDiskBytes, the least recently touched (loadDisk re-stamps mtimes
-// on hits, making mtime order LRU order) are deleted. Best effort.
+// MaxDiskBytes, the least recently touched (disk loads and peer serves
+// re-stamp mtimes, making mtime order LRU order) are deleted. Best
+// effort.
 // Caller holds diskMu.
 func (s *Store) gcDiskLocked() {
 	dents, err := os.ReadDir(s.dir)

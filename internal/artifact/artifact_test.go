@@ -330,7 +330,7 @@ func TestStoreRefusesMalformedKeys(t *testing.T) {
 		if s.Has(key, c) {
 			t.Errorf("Has(%q) = true", key)
 		}
-		if _, ok := s.Encoded(key, c); ok {
+		if _, src := s.Encoded(key, c); src != ServeMiss {
 			t.Errorf("Encoded(%q) served bytes", key)
 		}
 	}

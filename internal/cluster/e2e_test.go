@@ -205,6 +205,24 @@ func TestClusterWarmServing(t *testing.T) {
 	if m := nodes[0].node.Metrics(); m.ServeHits == 0 {
 		t.Fatalf("node A exchange metrics show no serve hits: %+v", m)
 	}
+	// Every one of them was A's verified disk frame, sent as stored: A
+	// has a cache dir and had written each artifact before answering.
+	if m := nodes[0].node.Metrics(); m.ServeDisk != m.ServeHits || m.ServeMemory != 0 || m.ServeDiskRejects != 0 {
+		t.Fatalf("node A serves by source: %+v; want all from disk", m)
+	}
+	code, metricsA := getNode(t, nodes[0].url, "/metrics", true)
+	if code != 200 {
+		t.Fatalf("GET node A /metrics = %d", code)
+	}
+	for _, re := range []string{
+		`cuisined_peer_serve_source_total\{source="disk"\} [1-9]`,
+		`cuisined_peer_serve_source_total\{source="memory"\} 0\n`,
+		`cuisined_peer_serve_disk_rejects_total 0\n`,
+	} {
+		if !regexp.MustCompile(re).Match(metricsA) {
+			t.Fatalf("node A /metrics missing %s:\n%s", re, metricsA)
+		}
+	}
 
 	// The counters are on /metrics for the CI grep and operators.
 	code, metricsBody := getNode(t, nodes[1].url, "/metrics", true)
@@ -234,6 +252,15 @@ func TestClusterWarmServing(t *testing.T) {
 	}
 	if cr.Exchange.FetchHits == 0 {
 		t.Fatalf("/v1/cluster exchange counters empty: %+v", cr.Exchange)
+	}
+	// Node A's fleet view carries its serve sources.
+	code, body = getNode(t, nodes[0].url, "/v1/cluster", true)
+	var crA cuisines.ClusterResponse
+	if err := json.Unmarshal(body, &crA); code != 200 || err != nil {
+		t.Fatalf("GET node A /v1/cluster = %d, %v", code, err)
+	}
+	if m := nodes[0].node.Metrics(); crA.Exchange.ServeDisk != m.ServeDisk || crA.Exchange.ServeMemory != 0 {
+		t.Fatalf("node A /v1/cluster exchange %+v, want serve_disk %d and serve_memory 0", crA.Exchange, m.ServeDisk)
 	}
 }
 

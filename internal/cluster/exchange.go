@@ -38,9 +38,15 @@ type Metrics struct {
 	FetchMisses   uint64 `json:"fetch_misses"`   // peer answered 404
 	FetchErrors   uint64 `json:"fetch_errors"`   // transport/status errors
 	FetchRejects  uint64 `json:"fetch_rejects"`  // responses failing frame verification
-	// Serve side (peers asking this node).
-	ServeHits   uint64 `json:"serve_hits"`
-	ServeMisses uint64 `json:"serve_misses"`
+	// Serve side (peers asking this node). Every GET hit is answered
+	// by one source: the verified disk frame as stored, or a re-encode
+	// of the memory value. ServeDiskRejects counts local disk frames
+	// that failed verification on a serve.
+	ServeHits        uint64 `json:"serve_hits"`
+	ServeMisses      uint64 `json:"serve_misses"`
+	ServeDisk        uint64 `json:"serve_disk"`
+	ServeMemory      uint64 `json:"serve_memory"`
+	ServeDiskRejects uint64 `json:"serve_disk_rejects"`
 }
 
 // exchange implements both halves of the peer artifact protocol.
@@ -60,17 +66,22 @@ type exchange struct {
 	fetchRejects  atomic.Uint64
 	serveHits     atomic.Uint64
 	serveMisses   atomic.Uint64
+	serveDisk     atomic.Uint64
+	serveMemory   atomic.Uint64
 }
 
 func (e *exchange) metrics() Metrics {
 	return Metrics{
-		FetchAttempts: e.fetchAttempts.Load(),
-		FetchHits:     e.fetchHits.Load(),
-		FetchMisses:   e.fetchMisses.Load(),
-		FetchErrors:   e.fetchErrors.Load(),
-		FetchRejects:  e.fetchRejects.Load(),
-		ServeHits:     e.serveHits.Load(),
-		ServeMisses:   e.serveMisses.Load(),
+		FetchAttempts:    e.fetchAttempts.Load(),
+		FetchHits:        e.fetchHits.Load(),
+		FetchMisses:      e.fetchMisses.Load(),
+		FetchErrors:      e.fetchErrors.Load(),
+		FetchRejects:     e.fetchRejects.Load(),
+		ServeHits:        e.serveHits.Load(),
+		ServeMisses:      e.serveMisses.Load(),
+		ServeDisk:        e.serveDisk.Load(),
+		ServeMemory:      e.serveMemory.Load(),
+		ServeDiskRejects: e.store.DiskServeRejects(),
 	}
 }
 
@@ -184,11 +195,16 @@ func (e *exchange) serveArtifact(w http.ResponseWriter, r *http.Request) {
 		}
 		return
 	}
-	frame, ok := e.store.Encoded(key, codec)
-	if !ok {
+	frame, src := e.store.Encoded(key, codec)
+	switch src {
+	case artifact.ServeMiss:
 		e.serveMisses.Add(1)
 		http.Error(w, "artifact not held", http.StatusNotFound)
 		return
+	case artifact.ServeDisk:
+		e.serveDisk.Add(1)
+	case artifact.ServeMemory:
+		e.serveMemory.Add(1)
 	}
 	e.serveHits.Add(1)
 	w.Header().Set("Content-Type", "application/octet-stream")

@@ -159,7 +159,7 @@ func (v *Validation) Render(w io.Writer) error {
 	for _, f := range v.TreeFit {
 		fmt.Fprintf(tw, "%s\t%.3f\t%.3f\t%.3f\t%.3f\t%.3f\n",
 			f.Name, f.Report.Cophenetic, f.Report.BakersGamma, f.Report.RobinsonFoulds,
-			f.Report.FowlkesMallows[4], f.Report.FowlkesMallows[8])
+			f.Report.Bk(4), f.Report.Bk(8))
 	}
 	if err := tw.Flush(); err != nil {
 		return err

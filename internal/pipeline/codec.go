@@ -69,7 +69,11 @@ type PatternFeatures struct {
 // once instead of misreading them. Keys are unchanged — the flat
 // encoding is a representation change, not a semantic one. The corpus
 // followed to version 2 (interned names, one ID/Name blob), since its
-// gob decode had come to dominate warm restarts.
+// gob decode had come to dominate warm restarts. Validate went to
+// version 3 when treecmp.Report's B_k scores became a slice: gob had
+// walked the old map in random order, so one validation had many
+// encodings, and a peer serving its stored frame must send the same
+// bytes a re-encode would.
 var (
 	corpusCodec   = flatCodec{kind: "corpus", version: 2, appendFn: appendCorpus, decodeFn: decodeCorpus}
 	mineCodec     = flatCodec{kind: "mine", version: 3, appendFn: appendMine, decodeFn: decodeMine}
@@ -79,7 +83,7 @@ var (
 	geodistCodec  = flatCodec{kind: "geodist", version: 2, appendFn: appendCondensed, decodeFn: decodeCondensed}
 	treeCodec     = gobCodec[*core.CuisineTree]{kind: "tree", version: 2}
 	elbowCodec    = gobCodec[*kmeans.ElbowCurve]{kind: "elbow", version: 2}
-	validateCodec = gobCodec[*core.Validation]{kind: "validate", version: 2}
+	validateCodec = gobCodec[*core.Validation]{kind: "validate", version: 3}
 )
 
 // stage resolves one typed stage through the store: memory tier, disk

@@ -2,10 +2,12 @@ package pipeline
 
 import (
 	"bytes"
+	"context"
 	"encoding/gob"
 	"sync"
 	"testing"
 
+	"cuisines/internal/artifact"
 	"cuisines/internal/core"
 	"cuisines/internal/corpus"
 	"cuisines/internal/distance"
@@ -156,4 +158,44 @@ func (gobCorpusBench) decodeFrom(data []byte) (any, error) {
 		return nil, err
 	}
 	return recipedb.New(recipes)
+}
+
+// BenchmarkPeerServe measures the peer-serving read path,
+// artifact.Store.Encoded, on the corpus artifact at the restart-peer
+// benchmark workload's scale (0.25). A disk store answers with its
+// stored frame after a read and a checksum; a memory-only store has no
+// frame to send and re-encodes the value on every serve.
+func BenchmarkPeerServe(b *testing.B) {
+	db, err := corpus.Generate(corpus.Config{Seed: corpus.DefaultSeed, Scale: 0.25})
+	if err != nil {
+		b.Fatal(err)
+	}
+	key := artifact.Key("corpus", "peer-serve")
+	for _, c := range []struct {
+		name string
+		opts artifact.Options
+		want artifact.ServeSource
+	}{
+		{"disk", artifact.Options{Dir: b.TempDir()}, artifact.ServeDisk},
+		{"memory", artifact.Options{}, artifact.ServeMemory},
+	} {
+		s := artifact.NewStore(c.opts)
+		if _, err := s.GetOrCompute(context.Background(), key, corpusCodec, func() (any, error) { return db, nil }); err != nil {
+			b.Fatal(err)
+		}
+		b.Run(c.name, func(b *testing.B) {
+			frame, src := s.Encoded(key, corpusCodec)
+			if src != c.want {
+				b.Fatalf("served from source %d, want %d", src, c.want)
+			}
+			b.ReportAllocs()
+			b.SetBytes(int64(len(frame)))
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, src := s.Encoded(key, corpusCodec); src != c.want {
+					b.Fatalf("served from source %d, want %d", src, c.want)
+				}
+			}
+		})
+	}
 }

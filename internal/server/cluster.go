@@ -129,13 +129,16 @@ func (s *Server) clusterResponse() cuisines.ClusterResponse {
 		Members:  n.Ring().Members(),
 		Replicas: n.Ring().Replicas(),
 		Exchange: cuisines.ClusterExchangeStats{
-			FetchAttempts: m.FetchAttempts,
-			FetchHits:     m.FetchHits,
-			FetchMisses:   m.FetchMisses,
-			FetchErrors:   m.FetchErrors,
-			FetchRejects:  m.FetchRejects,
-			ServeHits:     m.ServeHits,
-			ServeMisses:   m.ServeMisses,
+			FetchAttempts:    m.FetchAttempts,
+			FetchHits:        m.FetchHits,
+			FetchMisses:      m.FetchMisses,
+			FetchErrors:      m.FetchErrors,
+			FetchRejects:     m.FetchRejects,
+			ServeHits:        m.ServeHits,
+			ServeMisses:      m.ServeMisses,
+			ServeDisk:        m.ServeDisk,
+			ServeMemory:      m.ServeMemory,
+			ServeDiskRejects: m.ServeDiskRejects,
 		},
 		Proxied:        s.proxy.proxied.Load(),
 		ProxyFallbacks: s.proxy.fallbacks.Load(),
@@ -169,6 +172,13 @@ func (s *Server) renderClusterMetrics(w io.Writer) {
 	fmt.Fprintf(w, "# TYPE cuisined_peer_serve_total counter\n")
 	fmt.Fprintf(w, "cuisined_peer_serve_total{result=\"hit\"} %d\n", m.ServeHits)
 	fmt.Fprintf(w, "cuisined_peer_serve_total{result=\"miss\"} %d\n", m.ServeMisses)
+	fmt.Fprintf(w, "# HELP cuisined_peer_serve_source_total Peer artifact GETs answered by this node, by the tier that produced the frame.\n")
+	fmt.Fprintf(w, "# TYPE cuisined_peer_serve_source_total counter\n")
+	fmt.Fprintf(w, "cuisined_peer_serve_source_total{source=\"disk\"} %d\n", m.ServeDisk)
+	fmt.Fprintf(w, "cuisined_peer_serve_source_total{source=\"memory\"} %d\n", m.ServeMemory)
+	fmt.Fprintf(w, "# HELP cuisined_peer_serve_disk_rejects_total Local disk frames that failed verification while serving a peer.\n")
+	fmt.Fprintf(w, "# TYPE cuisined_peer_serve_disk_rejects_total counter\n")
+	fmt.Fprintf(w, "cuisined_peer_serve_disk_rejects_total %d\n", m.ServeDiskRejects)
 	fmt.Fprintf(w, "# HELP cuisined_proxied_requests_total Requests forwarded to their ring owner.\n")
 	fmt.Fprintf(w, "# TYPE cuisined_proxied_requests_total counter\n")
 	fmt.Fprintf(w, "cuisined_proxied_requests_total %d\n", s.proxy.proxied.Load())

@@ -140,6 +140,28 @@ func TestAcceptsGzip(t *testing.T) {
 		"*;q=0, gzip":           true,
 		"deflate, *;q=0.5":      true,
 		"br;q=1, gzip;q=0, *;q": false,
+		"gzip;q=0.":             false,
+		"gzip;q=1.":             true,
+		"gzip;q=0.5, gzip;q=0":  true,
+		"gzip;\tq=0\t, *":       false,
+		// Weights outside RFC 9110's qvalue grammar (0[.ddd] or
+		// 1[.000]) count as 1, and an explicit gzip member with one
+		// still decides over *.
+		"gzip;q=NaN":        true,
+		"gzip;q=nan, *;q=0": true,
+		"gzip;q=-1, *":      true,
+		"gzip;q=-1, *;q=0":  true,
+		"gzip;q=-0":         true,
+		"gzip;q=Inf":        true,
+		"gzip;q=0x1p-2":     true,
+		"gzip;q=2":          true,
+		"gzip;q=1.0001":     true,
+		"gzip;q=0.0000":     true,
+		"gzip;q=0e0":        true,
+		"gz\u0130p;q=1":     false, // İ lowercases to i, but codings fold ASCII only
+		"*;q=NaN":           true,
+		"deflate, *;q=-1":   true,
+		"x-gzip;q=0.000, *": false,
 	} {
 		r := httptest.NewRequest(http.MethodGet, "/v1/table", nil)
 		if header != "" {

@@ -163,60 +163,99 @@ func canonicalQuery(q url.Values) string {
 	return b.String()
 }
 
-// etagMatch implements If-None-Match per RFC 7232 §3.2: weak
-// comparison (a W/ prefix on either side is ignored), a comma-joined
-// candidate list, and "*" matching any current representation.
+// etagMatch implements If-None-Match (RFC 9110 §13.1.2): "*" alone
+// matches any current representation; otherwise the field is a
+// comma-separated list of entity-tags ([W/]"etagc*", empty elements
+// allowed), compared weakly — a W/ prefix on either side is ignored. A
+// field that does not parse matches nothing: a malformed validator
+// costs a 200, never a wrong 304.
 func etagMatch(header, etag string) bool {
-	if header == "" || etag == "" {
+	etag = strings.TrimPrefix(etag, "W/")
+	if etag == "" {
 		return false
 	}
-	for _, tok := range strings.Split(header, ",") {
-		tok = strings.TrimSpace(tok)
-		if tok == "*" || strings.TrimPrefix(tok, "W/") == etag {
-			return true
+	if trimOWS(header) == "*" {
+		return true
+	}
+	matched := false
+	for list := header; ; {
+		list = strings.TrimLeft(list, " \t,")
+		if list == "" {
+			return matched
+		}
+		tag, rest, ok := cutEntityTag(list)
+		if !ok {
+			return false
+		}
+		matched = matched || tag == etag
+		list = strings.TrimLeft(rest, " \t")
+		if list != "" && list[0] != ',' {
+			return false
 		}
 	}
-	return false
+}
+
+// cutEntityTag splits one entity-tag off the front of s and returns
+// its opaque-tag (quotes kept, W/ dropped) and the remainder.
+func cutEntityTag(s string) (tag, rest string, ok bool) {
+	s = strings.TrimPrefix(s, "W/")
+	if s == "" || s[0] != '"' {
+		return "", "", false
+	}
+	for i := 1; i < len(s); i++ {
+		switch c := s[i]; {
+		case c == '"':
+			return s[:i+1], s[i+1:], true
+		case c <= ' ' || c == 0x7f: // not etagc
+			return "", "", false
+		}
+	}
+	return "", "", false
 }
 
 // acceptsGzip reports whether the request negotiates gzip (RFC 9110
 // §12.5.3): a gzip (or x-gzip) member of Accept-Encoding decides by its
-// q-value; only when gzip is not listed does a * member decide. A
-// q-value of zero means "not acceptable"; codings and parameter names
-// are case-insensitive.
+// weight; only when gzip is not listed does a * member decide. A zero
+// weight means "not acceptable"; codings and parameter names are
+// case-insensitive.
 func acceptsGzip(r *http.Request) bool {
-	gzipQ, anyQ := -1.0, -1.0 // -1: not listed
+	gzipListed, gzipOK, anyOK := false, false, false
 	for _, part := range strings.Split(r.Header.Get("Accept-Encoding"), ",") {
 		coding, params, _ := strings.Cut(part, ";")
-		switch strings.ToLower(strings.TrimSpace(coding)) {
-		case "gzip", "x-gzip":
-			gzipQ = max(gzipQ, qValue(params))
-		case "*":
-			anyQ = max(anyQ, qValue(params))
+		switch coding = trimOWS(coding); {
+		case strings.EqualFold(coding, "gzip"), strings.EqualFold(coding, "x-gzip"):
+			gzipListed = true
+			gzipOK = gzipOK || !zeroWeight(params)
+		case coding == "*":
+			anyOK = anyOK || !zeroWeight(params)
 		}
 	}
-	if gzipQ >= 0 {
-		return gzipQ > 0
+	if gzipListed {
+		return gzipOK
 	}
-	return anyQ > 0
+	return anyOK
 }
 
-// qValue returns the weight in an Accept-Encoding member's parameters
-// ("q=0.5", "Q=0"). A missing or unparsable weight counts as 1.
-func qValue(params string) float64 {
+// zeroWeight reports whether an Accept-Encoding member's parameters
+// carry a zero weight ("q=0", "Q=0.000"). Weights follow RFC 9110
+// §12.4.2's qvalue grammar, 0[.ddd] or 1[.000], whose only zero
+// spellings are 0, 0., 0.0, 0.00 and 0.000. Only zero versus nonzero
+// matters here, so any other weight — well-formed, missing, or outside
+// the grammar (NaN, -1, 2, 0x1p-2), which counts as 1 — is not zero.
+func zeroWeight(params string) bool {
 	for _, p := range strings.Split(params, ";") {
 		name, v, ok := strings.Cut(p, "=")
-		if !ok || !strings.EqualFold(strings.TrimSpace(name), "q") {
+		if !ok || !strings.EqualFold(trimOWS(name), "q") {
 			continue
 		}
-		q, err := strconv.ParseFloat(strings.TrimSpace(v), 64)
-		if err != nil {
-			return 1
-		}
-		return q
+		v = trimOWS(v)
+		return v == "0" || len(v) <= len("0.000") && strings.HasPrefix(v, "0.") && strings.Trim(v[2:], "0") == ""
 	}
-	return 1
+	return false
 }
+
+// trimOWS strips HTTP optional whitespace (spaces and tabs).
+func trimOWS(s string) string { return strings.Trim(s, " \t") }
 
 // isPretty reports the ?pretty=1 opt-in.
 func isPretty(r *http.Request) bool {

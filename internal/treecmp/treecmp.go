@@ -223,8 +223,26 @@ type Report struct {
 	Cophenetic     float64
 	BakersGamma    float64
 	RobinsonFoulds float64
-	// FowlkesMallows holds B_k for the ks requested.
-	FowlkesMallows map[int]float64
+	// FowlkesMallows holds B_k for the ks requested, in request order.
+	// It is a slice, not a map, because gob walks maps in random order:
+	// the artifact store needs one Report to have one encoding.
+	FowlkesMallows []BkScore
+}
+
+// BkScore is one Fowlkes-Mallows score: B_k of the trees cut into K clusters.
+type BkScore struct {
+	K int
+	B float64
+}
+
+// Bk returns B_k for k, or NaN if k was not requested.
+func (r *Report) Bk(k int) float64 {
+	for _, b := range r.FowlkesMallows {
+		if b.K == k {
+			return b.B
+		}
+	}
+	return math.NaN()
 }
 
 // Compare runs every statistic between candidate and reference trees.
@@ -247,14 +265,14 @@ func Compare(candidate, reference *hac.Tree, bks []int) (*Report, error) {
 		Cophenetic:     coph,
 		BakersGamma:    gamma,
 		RobinsonFoulds: rf,
-		FowlkesMallows: make(map[int]float64, len(bks)),
+		FowlkesMallows: make([]BkScore, len(bks)),
 	}
-	for _, k := range bks {
+	for i, k := range bks {
 		bk, err := FowlkesMallows(candidate, reference, k)
 		if err != nil {
 			return nil, err
 		}
-		rep.FowlkesMallows[k] = bk
+		rep.FowlkesMallows[i] = BkScore{K: k, B: bk}
 	}
 	return rep, nil
 }

@@ -172,8 +172,16 @@ func TestCompareAggregates(t *testing.T) {
 	if rep.Cophenetic <= 0.8 {
 		t.Fatalf("cophenetic = %v for near-identical trees", rep.Cophenetic)
 	}
-	if len(rep.FowlkesMallows) != 2 {
-		t.Fatalf("B_k map = %v", rep.FowlkesMallows)
+	if len(rep.FowlkesMallows) != 2 || rep.FowlkesMallows[0].K != 2 || rep.FowlkesMallows[1].K != 3 {
+		t.Fatalf("B_k list = %v", rep.FowlkesMallows)
+	}
+	for _, b := range rep.FowlkesMallows {
+		if got := rep.Bk(b.K); got != b.B {
+			t.Fatalf("Bk(%d) = %v, want %v", b.K, got, b.B)
+		}
+	}
+	if !math.IsNaN(rep.Bk(4)) {
+		t.Fatalf("Bk(4) = %v for an unrequested k, want NaN", rep.Bk(4))
 	}
 	if rep.RobinsonFoulds != 0 {
 		t.Fatalf("RF = %v for same topology", rep.RobinsonFoulds)
