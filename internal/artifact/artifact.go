@@ -31,7 +31,6 @@
 package artifact
 
 import (
-	"bytes"
 	"container/list"
 	"context"
 	"crypto/sha256"
@@ -48,30 +47,18 @@ import (
 	"time"
 )
 
-// Codec encodes and decodes one kind of artifact for the disk tier.
-// Kind names the stage ("corpus", "mine", ...) and Version is bumped on
-// any change to the encoded format; both are part of the on-disk header
-// and the file name, so a format change simply orphans old files.
+// Codec encodes and decodes one kind of artifact for the disk tier and
+// the peer wire. Kind names the stage ("corpus", "mine", ...) and
+// Version is bumped on any change to the encoded format; both are part
+// of the on-disk header and the file name, so a format change simply
+// orphans old files. AppendEncode appends v's encoding to dst (which
+// may be nil) and returns the extended slice. DecodeBytes is handed the
+// checksummed payload subslice of a frame; it must not retain or modify
+// data beyond values it deliberately aliases into the decoded artifact.
 type Codec interface {
 	Kind() string
 	Version() int
-	Encode(w io.Writer, v any) error
-	Decode(r io.Reader) (any, error)
-}
-
-// AppendEncoder is an optional fast path for Codec: a codec that can
-// append its encoding to a byte slice skips the bytes.Buffer staging in
-// saveDisk. dst may be nil; the extended slice is returned.
-type AppendEncoder interface {
 	AppendEncode(dst []byte, v any) ([]byte, error)
-}
-
-// BytesDecoder is an optional fast path for Codec: a codec that can
-// decode straight from a byte slice is handed the checksummed payload
-// subslice of the file read in loadDisk, skipping the io.Reader
-// adapter. The codec must not retain or modify data beyond values it
-// deliberately aliases into the decoded artifact.
-type BytesDecoder interface {
 	DecodeBytes(data []byte) (any, error)
 }
 
@@ -293,7 +280,7 @@ func (s *Store) GetOrCompute(ctx context.Context, key string, codec Codec, compu
 			// kind, checksum): the fetcher's word is never trusted.
 			if v, err := DecodeFrame(frame, codec); err == nil {
 				s.finish(e, kind, v, nil, srcPeer)
-				s.saveFrame(key, codec, frame)
+				s.writeFrame(key, codec, frame)
 				return v, nil
 			}
 		}
@@ -307,8 +294,12 @@ func (s *Store) GetOrCompute(ctx context.Context, key string, codec Codec, compu
 	}
 	v, err := compute()
 	s.finish(e, kind, v, err, srcCompute)
-	if err == nil {
-		s.saveDisk(key, codec, v)
+	// The disk write is best effort: an encoding or I/O failure leaves
+	// the cache cold but never fails the pipeline.
+	if err == nil && s.dir != "" {
+		if frame, err := EncodeFrame(codec, v); err == nil {
+			s.writeFrame(key, codec, frame)
+		}
 	}
 	return v, err
 }
@@ -395,23 +386,13 @@ const (
 )
 
 // EncodeFrame encodes v with codec and wraps the encoding in the
-// store's verified frame: the exact bytes saveDisk writes and peers
-// exchange. The payload exists twice transiently (encoding + frame);
+// store's verified frame: the exact bytes the disk tier writes and
+// peers exchange. The payload exists twice transiently (encoding + frame);
 // acceptable even for the tens-of-MB matrix artifacts.
 func EncodeFrame(codec Codec, v any) ([]byte, error) {
-	var payload []byte
-	if ae, ok := codec.(AppendEncoder); ok {
-		p, err := ae.AppendEncode(nil, v)
-		if err != nil {
-			return nil, err
-		}
-		payload = p
-	} else {
-		var buf bytes.Buffer
-		if err := codec.Encode(&buf, v); err != nil {
-			return nil, err
-		}
-		payload = buf.Bytes()
+	payload, err := codec.AppendEncode(nil, v)
+	if err != nil {
+		return nil, err
 	}
 	kind := codec.Kind()
 	sum := sha256.Sum256(payload)
@@ -477,17 +458,14 @@ func VerifyFrame(data []byte, codec Codec) error {
 }
 
 // DecodeFrame verifies a frame end to end and decodes its payload with
-// codec. The decoded value may alias data (BytesDecoder codecs subslice
-// it), so callers must not reuse data's backing array afterwards.
+// codec. The decoded value may alias data (a codec may subslice it), so
+// callers must not reuse data's backing array afterwards.
 func DecodeFrame(data []byte, codec Codec) (any, error) {
 	payload, err := framePayload(data, codec)
 	if err != nil {
 		return nil, err
 	}
-	if bd, ok := codec.(BytesDecoder); ok {
-		return bd.DecodeBytes(payload)
-	}
-	return codec.Decode(bytes.NewReader(payload))
+	return codec.DecodeBytes(payload)
 }
 
 // path returns the disk file for a key. Kind and codec version are in
@@ -537,33 +515,13 @@ func touch(path string) {
 	_ = os.Chtimes(path, now, now)
 }
 
-// saveDisk writes an artifact to the disk tier, best effort: encoding
-// or I/O failures leave the cache cold but never fail the pipeline.
-func (s *Store) saveDisk(key string, codec Codec, v any) {
-	if s.dir == "" {
-		return
-	}
-	frame, err := EncodeFrame(codec, v)
-	if err != nil {
-		return
-	}
-	s.writeFrame(key, codec, frame)
-}
-
-// saveFrame persists an already-verified peer frame as-is, so a node
-// that warmed from the cluster stays warm across its own restarts.
-func (s *Store) saveFrame(key string, codec Codec, frame []byte) {
-	if s.dir == "" {
-		return
-	}
-	s.writeFrame(key, codec, frame)
-}
-
 // writeFrame is the shared disk-tier write path: temp file + rename so
 // a crash mid-write cannot leave a torn artifact under the final name.
-// An invalid key is never written.
+// It also persists verified peer frames as-is, so a node that warmed
+// from the cluster stays warm across its own restarts. Without a disk
+// tier, or for an invalid key, it writes nothing.
 func (s *Store) writeFrame(key string, codec Codec, frame []byte) {
-	if !validKey(key) {
+	if s.dir == "" || !validKey(key) {
 		return
 	}
 	if err := os.MkdirAll(s.dir, 0o755); err != nil {

@@ -2,9 +2,8 @@ package artifact
 
 import (
 	"context"
-	"encoding/gob"
+	"encoding/binary"
 	"fmt"
-	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -22,13 +21,14 @@ type intCodec struct {
 
 func (c intCodec) Kind() string { return c.kind }
 func (c intCodec) Version() int { return c.version }
-func (c intCodec) Encode(w io.Writer, v any) error {
-	return gob.NewEncoder(w).Encode(v.(int))
+func (c intCodec) AppendEncode(dst []byte, v any) ([]byte, error) {
+	return binary.LittleEndian.AppendUint64(dst, uint64(v.(int))), nil
 }
-func (c intCodec) Decode(r io.Reader) (any, error) {
-	var v int
-	err := gob.NewDecoder(r).Decode(&v)
-	return v, err
+func (c intCodec) DecodeBytes(data []byte) (any, error) {
+	if len(data) != 8 {
+		return nil, fmt.Errorf("int payload is %d bytes, want 8", len(data))
+	}
+	return int(binary.LittleEndian.Uint64(data)), nil
 }
 
 func TestKeyStability(t *testing.T) {

@@ -269,11 +269,10 @@ type blobCodec struct{}
 
 func (blobCodec) Kind() string { return "blob" }
 func (blobCodec) Version() int { return 1 }
-func (blobCodec) Encode(w io.Writer, v any) error {
-	_, err := w.Write(v.([]byte))
-	return err
+func (blobCodec) AppendEncode(dst []byte, v any) ([]byte, error) {
+	return append(dst, v.([]byte)...), nil
 }
-func (blobCodec) Decode(r io.Reader) (any, error) { return io.ReadAll(r) }
+func (blobCodec) DecodeBytes(data []byte) (any, error) { return bytes.Clone(data), nil }
 
 // fakePeer serves a fixed body (or 404) on the artifact wire route and
 // answers health pings, standing in for a cuisined peer.

@@ -133,16 +133,6 @@ func bestFit(fits []TreeFit) string {
 	return best
 }
 
-func maxGamma(fits []TreeFit) float64 {
-	out := -2.0
-	for _, f := range fits {
-		if f.Report.BakersGamma > out {
-			out = f.Report.BakersGamma
-		}
-	}
-	return out
-}
-
 func fitDetail(fits []TreeFit) string {
 	parts := make([]string, len(fits))
 	for i, f := range fits {

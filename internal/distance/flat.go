@@ -6,16 +6,13 @@ import (
 	"math"
 )
 
-// Flat codec: the artifact store's replacement for gob on Condensed
-// (DESIGN.md §10). Layout, little-endian:
+// Flat codec of Condensed for the artifact store (DESIGN.md §10).
+// Layout, little-endian:
 //
 //	u64 n | n*(n-1)/2 × f64 (IEEE 754 bits, condensed row-major)
 //
 // Decoding validates the triangular length and fills one []float64
 // allocation; values round-trip bit-exactly.
-
-// FlatSize returns the exact AppendFlat encoding size in bytes.
-func (c *Condensed) FlatSize() int { return 8 + 8*len(c.d) }
 
 // AppendFlat appends the flat encoding of c to dst and returns the
 // extended slice.

@@ -140,6 +140,49 @@ func TestBuildTreeStructure(t *testing.T) {
 	}
 }
 
+// TestTreeMergesRoundTrip pins the form the tree artifact stores: the
+// merges a tree reports, rebuilt through BuildTree, give back the
+// linkage's merges and a tree that renders, serializes and measures
+// identically.
+func TestTreeMergesRoundTrip(t *testing.T) {
+	lk, err := Cluster(cond(5, 1, 4, 9, 2, 8, 3, 7, 5, 6, 10), Average)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tree, err := BuildTree(lk, []string{"a", "b", "c", "d", "e"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ms, err := tree.Merges()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, m := range ms {
+		if m != lk.Merges[i] {
+			t.Errorf("merge %d: got %+v, want %+v", i, m, lk.Merges[i])
+		}
+	}
+	got, err := BuildTree(&Linkage{N: tree.N(), Merges: ms}, tree.Labels)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.N() != tree.N() || got.Newick() != tree.Newick() || got.Render() != tree.Render() {
+		t.Errorf("rebuilt tree differs:\n got %s\nwant %s", got.Newick(), tree.Newick())
+	}
+	// The cophenetic matrix exercises heights and the full topology.
+	co, cn := tree.Cophenetic(), got.Cophenetic()
+	for i := 0; i < 5; i++ {
+		for j := i + 1; j < 5; j++ {
+			if co.At(i, j) != cn.At(i, j) {
+				t.Errorf("cophenetic (%d,%d): got %v, want %v", i, j, cn.At(i, j), co.At(i, j))
+			}
+		}
+	}
+	if _, err := (&Tree{Root: tree.Root.Left, n: tree.N()}).Merges(); err == nil {
+		t.Error("a subtree with missing merges reported a full merge list")
+	}
+}
+
 func TestBuildTreeLabelMismatch(t *testing.T) {
 	lk, _ := Cluster(lineExample(), Average)
 	if _, err := BuildTree(lk, []string{"a"}); err == nil {

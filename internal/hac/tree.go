@@ -70,6 +70,39 @@ func BuildTree(lk *Linkage, labels []string) (*Tree, error) {
 	return &Tree{Root: root, Labels: labels, n: lk.N}, nil
 }
 
+// Merges reconstructs the linkage merge list from the node graph, in
+// scipy order: internal node n+i is the i-th merge. BuildTree is
+// deterministic in this list, so BuildTree of the merges and labels
+// renders, cuts and serializes (Newick) byte-identically to t; the
+// pipeline's tree artifact stores a tree in this form.
+func (t *Tree) Merges() ([]Merge, error) {
+	out := make([]Merge, t.n-1)
+	seen := 0
+	var walk func(n *Node) error
+	walk = func(n *Node) error {
+		if n == nil || n.IsLeaf() {
+			return nil
+		}
+		i := n.ID - t.n
+		if i < 0 || i >= len(out) {
+			return fmt.Errorf("hac: internal node id %d out of merge range for n=%d", n.ID, t.n)
+		}
+		out[i] = Merge{A: n.Left.ID, B: n.Right.ID, Height: n.Height, Size: n.Count}
+		seen++
+		if err := walk(n.Left); err != nil {
+			return err
+		}
+		return walk(n.Right)
+	}
+	if err := walk(t.Root); err != nil {
+		return nil, err
+	}
+	if seen != len(out) {
+		return nil, fmt.Errorf("hac: tree has %d merges, want %d", seen, len(out))
+	}
+	return out, nil
+}
+
 // N returns the number of observations.
 func (t *Tree) N() int { return t.n }
 

@@ -45,6 +45,9 @@ func (k Kind) String() string {
 	}
 }
 
+// Valid reports whether k is one of Kinds.
+func (k Kind) Valid() bool { return k < numKinds }
+
 // ParseKind parses a kind name as produced by Kind.String. It accepts any
 // case and the common plural forms used in CSV headers.
 func ParseKind(s string) (Kind, error) {

@@ -54,29 +54,29 @@ func Elbow(x *matrix.Dense, kMax int, opts Options) (*ElbowCurve, error) {
 	if err != nil {
 		return nil, err
 	}
-	curve := &ElbowCurve{Points: points}
-	curve.analyze()
-	return curve, nil
+	return NewElbowCurve(points), nil
 }
 
-func (c *ElbowCurve) analyze() {
-	n := len(c.Points)
+// NewElbowCurve assembles a curve from its points and derives the
+// elbow diagnostic from them, as Elbow does; the elbow artifact's
+// decoder rebuilds a stored curve through it.
+func NewElbowCurve(points []ElbowPoint) *ElbowCurve {
+	c := &ElbowCurve{Points: points}
+	n := len(points)
 	if n < 3 {
-		return
+		return c
 	}
-	total := c.Points[0].WCSS - c.Points[n-1].WCSS
+	total := points[0].WCSS - points[n-1].WCSS
 	if total <= 0 {
-		return
+		return c
 	}
-	best, bestCurv := 0, 0.0
 	for i := 1; i < n-1; i++ {
-		curv := (c.Points[i-1].WCSS - 2*c.Points[i].WCSS + c.Points[i+1].WCSS) / total
-		if curv > bestCurv {
-			best, bestCurv = c.Points[i].K, curv
+		curv := (points[i-1].WCSS - 2*points[i].WCSS + points[i+1].WCSS) / total
+		if curv > c.ElbowStrength {
+			c.ElbowK, c.ElbowStrength = points[i].K, curv
 		}
 	}
-	c.ElbowK = best
-	c.ElbowStrength = bestCurv
+	return c
 }
 
 // Sharp reports whether the curve has a pronounced elbow. The paper's

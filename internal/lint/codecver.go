@@ -15,8 +15,8 @@ import (
 // (or, eventually, a peer fleet) readable:
 //
 //   - every codec composite literal (a struct with `kind` and
-//     `version` fields, i.e. pipeline's gobCodec/flatCodec) declares a
-//     unique kind per package and a version >= 1;
+//     `version` fields, i.e. pipeline's flatCodec) declares a unique
+//     kind per package and a version >= 1;
 //   - flat codecs set appendFn and decodeFn together, and the pair
 //     follows the append<X>/decode<X> naming so an encoder can never
 //     be registered against another shape's decoder;

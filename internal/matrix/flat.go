@@ -6,20 +6,16 @@ import (
 	"math"
 )
 
-// Flat codec: the artifact store's replacement for gob on Dense
-// (DESIGN.md §10). The layout is little-endian and position-defined —
+// Flat codec of Dense for the artifact store (DESIGN.md §10). The
+// layout is little-endian and position-defined —
 //
 //	u64 rows | u64 cols | rows*cols × f64 (IEEE 754 bits, row-major)
 //
 // — so decoding is a bounds check plus one []float64 allocation filled
-// by a straight scan, instead of gob's reflection walk over a temporary
-// wire struct. Float values round-trip bit-exactly (encoded via
-// math.Float64bits), which warm-disk pipeline replays depend on.
+// by a straight scan. Float values round-trip bit-exactly, which
+// warm-disk pipeline replays depend on.
 
 const flatHeaderSize = 16
-
-// FlatSize returns the exact AppendFlat encoding size in bytes.
-func (m *Dense) FlatSize() int { return flatHeaderSize + 8*len(m.data) }
 
 // AppendFlat appends the flat encoding of m to dst and returns the
 // extended slice.

@@ -2,52 +2,18 @@ package pipeline
 
 import (
 	"context"
-	"encoding/gob"
-	"fmt"
-	"io"
 
 	"cuisines/internal/artifact"
-	"cuisines/internal/authenticity"
 	"cuisines/internal/core"
 	"cuisines/internal/encode"
-	"cuisines/internal/kmeans"
 )
 
-// Stage artifacts are serialized either by the flat codecs of flat.go
-// (corpus, mine, matrices, pdist, geodist) or with gob (auth, tree,
-// elbow, validate). Every gob-coded type that hides state behind
-// unexported fields (itemset.Set, matrix.Dense, distance.Condensed,
-// hac.Tree) implements GobEncoder/GobDecoder, so the artifacts below
-// round-trip faithfully — float64 values bit-exact, slices in order —
-// which is what keeps warm-disk replays byte-identical to cold runs.
-// Codec versions are part of both the disk header and the file name;
-// bump a version whenever its encoded shape changes and old files are
-// simply ignored.
-
-// gobCodec is an artifact.Codec over one concrete Go type.
-type gobCodec[T any] struct {
-	kind    string
-	version int
-}
-
-func (c gobCodec[T]) Kind() string { return c.kind }
-func (c gobCodec[T]) Version() int { return c.version }
-
-func (c gobCodec[T]) Encode(w io.Writer, v any) error {
-	t, ok := v.(T)
-	if !ok {
-		return fmt.Errorf("pipeline: %s artifact is %T, want %T", c.kind, v, t)
-	}
-	return gob.NewEncoder(w).Encode(t)
-}
-
-func (c gobCodec[T]) Decode(r io.Reader) (any, error) {
-	var t T
-	if err := gob.NewDecoder(r).Decode(&t); err != nil {
-		return nil, err
-	}
-	return t, nil
-}
+// Every stage artifact is serialized by a flat codec of flat.go, whose
+// decoder accepts only the bytes its encoder writes for a value the
+// pipeline can build, so no peer or disk file can plant a value the
+// serving code would trip over. Codec versions are part of both the
+// disk header and the file name; bump a version whenever its encoded
+// shape changes and old files are simply ignored.
 
 // PatternFeatures is the matrices-stage artifact: Table I and the
 // pattern feature matrix, both derived from one mining run.
@@ -62,28 +28,29 @@ type PatternFeatures struct {
 // Version history. Everything downstream of mine went to version 2 when
 // the miner-backend layer tightened SortPatterns' tie-break (same-name
 // items of different kinds are now ordered by the kind-aware set key).
-// The large numeric artifacts — mine, matrices, pdist, geodist — then
-// moved from gob to the flat codecs of flat.go (mine and matrices to
-// version 3, pdist to 3, geodist to 2): a new encoded shape, so the
-// bump orphans old gob files and a warm-disk restart recomputes them
-// once instead of misreading them. Keys are unchanged — the flat
-// encoding is a representation change, not a semantic one. The corpus
-// followed to version 2 (interned names, one ID/Name blob), since its
-// gob decode had come to dominate warm restarts. Validate went to
-// version 3 when treecmp.Report's B_k scores became a slice: gob had
+// The artifacts were gob-coded at first. The large numeric ones — mine,
+// matrices, pdist, geodist — then moved to flat codecs (mine and
+// matrices to version 3, pdist to 3, geodist to 2): a new encoded
+// shape, so the bump orphans old gob files and a warm-disk restart
+// recomputes them once instead of misreading them. Keys are unchanged
+// — the flat encoding is a representation change, not a semantic one.
+// The corpus followed to version 2 (interned names, one ID/Name blob),
+// since its gob decode had come to dominate warm restarts. Validate went
+// to version 3 when treecmp.Report's B_k scores became a slice: gob had
 // walked the old map in random order, so one validation had many
 // encodings, and a peer serving its stored frame must send the same
-// bytes a re-encode would.
+// bytes a re-encode would. The last gob codecs then went flat, with
+// keys again unchanged: auth to version 2, tree 3, elbow 3, validate 4.
 var (
 	corpusCodec   = flatCodec{kind: "corpus", version: 2, appendFn: appendCorpus, decodeFn: decodeCorpus}
 	mineCodec     = flatCodec{kind: "mine", version: 3, appendFn: appendMine, decodeFn: decodeMine}
 	matricesCodec = flatCodec{kind: "matrices", version: 3, appendFn: appendMatrices, decodeFn: decodeMatrices}
-	authCodec     = gobCodec[*authenticity.Matrix]{kind: "auth", version: 1}
+	authCodec     = flatCodec{kind: "auth", version: 2, appendFn: appendAuth, decodeFn: decodeAuth}
 	pdistCodec    = flatCodec{kind: "pdist", version: 3, appendFn: appendCondensed, decodeFn: decodeCondensed}
 	geodistCodec  = flatCodec{kind: "geodist", version: 2, appendFn: appendCondensed, decodeFn: decodeCondensed}
-	treeCodec     = gobCodec[*core.CuisineTree]{kind: "tree", version: 2}
-	elbowCodec    = gobCodec[*kmeans.ElbowCurve]{kind: "elbow", version: 2}
-	validateCodec = gobCodec[*core.Validation]{kind: "validate", version: 3}
+	treeCodec     = flatCodec{kind: "tree", version: 3, appendFn: appendTree, decodeFn: decodeTree}
+	elbowCodec    = flatCodec{kind: "elbow", version: 3, appendFn: appendElbow, decodeFn: decodeElbow}
+	validateCodec = flatCodec{kind: "validate", version: 4, appendFn: appendValidate, decodeFn: decodeValidate}
 )
 
 // stage resolves one typed stage through the store: memory tier, disk

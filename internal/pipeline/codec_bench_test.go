@@ -8,27 +8,34 @@ import (
 	"testing"
 
 	"cuisines/internal/artifact"
+	"cuisines/internal/authenticity"
 	"cuisines/internal/core"
 	"cuisines/internal/corpus"
 	"cuisines/internal/distance"
+	"cuisines/internal/hac"
+	"cuisines/internal/kmeans"
 	"cuisines/internal/recipedb"
 )
 
-// P7 (DESIGN.md §10): the artifact codec benchmark. For each flat
-// artifact codec it measures the retired gob path against the flat
-// codec, encode and decode separately, with -benchmem — the gob
-// sub-benchmarks are the committed "before" evidence in BENCH_6.json,
-// and the decode allocs/op columns are the headline: flat decodes in
-// O(1) large allocations where gob allocates per element.
+// P7 (DESIGN.md §10): the artifact codec benchmark. For each stage
+// kind it measures the flat codec, encode and decode separately, with
+// -benchmem; the corpus case also runs the retired gob path (gob over
+// []recipedb.Recipe, then recipedb.New) for comparison. The committed
+// "before" evidence for the other kinds' gob paths is BENCH_6.json:
+// their types no longer carry gob encoders.
 
-// codecFixture holds one artifact of each flat-coded kind, built once
-// at the pipeline tests' scale.
+// codecFixture holds one artifact of each stage kind, taken from one
+// pipeline run at the pipeline tests' scale.
 type codecFixture struct {
-	db    *recipedb.DB
-	mined []core.RegionPatterns
-	feats *PatternFeatures
-	pdist *distance.Condensed
-	err   error
+	db       *recipedb.DB
+	mined    []core.RegionPatterns
+	feats    *PatternFeatures
+	pdist    *distance.Condensed
+	auth     *authenticity.Matrix
+	tree     *core.CuisineTree
+	elbow    *kmeans.ElbowCurve
+	validate *core.Validation
+	err      error
 }
 
 var codecFixOnce sync.Once
@@ -36,25 +43,22 @@ var codecFix codecFixture
 
 func codecFixtures(tb testing.TB) codecFixture {
 	codecFixOnce.Do(func() {
-		db, err := corpus.Generate(corpus.Config{Seed: corpus.DefaultSeed, Scale: testScale})
+		res, err := New(nil).Run(context.Background(), testParams(hac.Average, 0))
 		if err != nil {
 			codecFix.err = err
 			return
 		}
-		mined, err := core.MineRegions(db, core.DefaultMinSupport)
-		if err != nil {
-			codecFix.err = err
-			return
+		figs := res.Figures
+		codecFix = codecFixture{
+			db:       res.DB,
+			mined:    figs.Mined,
+			feats:    &PatternFeatures{Table1: figs.Table1, Matrix: figs.Patterns},
+			pdist:    figs.Euclidean.Distances,
+			auth:     figs.AuthMat,
+			tree:     figs.Euclidean,
+			elbow:    figs.Elbow,
+			validate: res.Validation,
 		}
-		t1, pm, err := core.BuildPatternFeatures(mined, core.DefaultMinSupport)
-		if err != nil {
-			codecFix.err = err
-			return
-		}
-		codecFix.db = db
-		codecFix.mined = mined
-		codecFix.feats = &PatternFeatures{Table1: t1, Matrix: pm}
-		codecFix.pdist = distance.PdistWorkers(pm.X, distance.Euclidean, 0)
 	})
 	if codecFix.err != nil {
 		tb.Fatal(codecFix.err)
@@ -62,102 +66,83 @@ func codecFixtures(tb testing.TB) codecFixture {
 	return codecFix
 }
 
+// codecCases pairs every stage codec with its fixture value.
+func (fx codecFixture) codecCases() []struct {
+	codec flatCodec
+	v     any
+} {
+	return []struct {
+		codec flatCodec
+		v     any
+	}{
+		{corpusCodec, fx.db},
+		{mineCodec, fx.mined},
+		{matricesCodec, fx.feats},
+		{pdistCodec, fx.pdist},
+		{authCodec, fx.auth},
+		{treeCodec, fx.tree},
+		{elbowCodec, fx.elbow},
+		{validateCodec, fx.validate},
+	}
+}
+
 func BenchmarkArtifactCodecs(b *testing.B) {
 	fx := codecFixtures(b)
-	cases := []struct {
-		name string
-		gob  interface {
-			encodeTo(*bytes.Buffer, any) error
-			decodeFrom([]byte) (any, error)
-		}
-		flat flatCodec
-		v    any
-	}{
-		{"corpus", gobCorpusBench{}, corpusCodec, fx.db},
-		{"mine", gobBench[[]core.RegionPatterns]{}, mineCodec, fx.mined},
-		{"matrices", gobBench[*PatternFeatures]{}, matricesCodec, fx.feats},
-		{"pdist", gobBench[*distance.Condensed]{}, pdistCodec, fx.pdist},
+	var gobBytes bytes.Buffer
+	if err := gob.NewEncoder(&gobBytes).Encode(fx.db.Recipes()); err != nil {
+		b.Fatal(err)
 	}
-	for _, c := range cases {
-		var gobBytes bytes.Buffer
-		if err := c.gob.encodeTo(&gobBytes, c.v); err != nil {
-			b.Fatal(err)
+	b.Run("corpus/gob-encode", func(b *testing.B) {
+		b.ReportAllocs()
+		b.SetBytes(int64(gobBytes.Len()))
+		var buf bytes.Buffer
+		for i := 0; i < b.N; i++ {
+			buf.Reset()
+			if err := gob.NewEncoder(&buf).Encode(fx.db.Recipes()); err != nil {
+				b.Fatal(err)
+			}
 		}
-		flatBytes, err := c.flat.AppendEncode(nil, c.v)
+	})
+	b.Run("corpus/gob-decode", func(b *testing.B) {
+		b.ReportAllocs()
+		b.SetBytes(int64(gobBytes.Len()))
+		for i := 0; i < b.N; i++ {
+			var recipes []recipedb.Recipe
+			if err := gob.NewDecoder(bytes.NewReader(gobBytes.Bytes())).Decode(&recipes); err != nil {
+				b.Fatal(err)
+			}
+			if _, err := recipedb.New(recipes); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	for _, c := range fx.codecCases() {
+		flatBytes, err := c.codec.AppendEncode(nil, c.v)
 		if err != nil {
 			b.Fatal(err)
 		}
-
-		b.Run(c.name+"/gob-encode", func(b *testing.B) {
-			b.ReportAllocs()
-			b.SetBytes(int64(gobBytes.Len()))
-			var buf bytes.Buffer
-			for i := 0; i < b.N; i++ {
-				buf.Reset()
-				if err := c.gob.encodeTo(&buf, c.v); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-		b.Run(c.name+"/gob-decode", func(b *testing.B) {
-			b.ReportAllocs()
-			b.SetBytes(int64(gobBytes.Len()))
-			for i := 0; i < b.N; i++ {
-				if _, err := c.gob.decodeFrom(gobBytes.Bytes()); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-		b.Run(c.name+"/flat-encode", func(b *testing.B) {
+		b.Run(c.codec.kind+"/flat-encode", func(b *testing.B) {
 			b.ReportAllocs()
 			b.SetBytes(int64(len(flatBytes)))
 			var dst []byte
 			for i := 0; i < b.N; i++ {
 				var err error
-				dst, err = c.flat.AppendEncode(dst[:0], c.v)
+				dst, err = c.codec.AppendEncode(dst[:0], c.v)
 				if err != nil {
 					b.Fatal(err)
 				}
 			}
 		})
-		b.Run(c.name+"/flat-decode", func(b *testing.B) {
+		b.Run(c.codec.kind+"/flat-decode", func(b *testing.B) {
 			b.ReportAllocs()
 			b.SetBytes(int64(len(flatBytes)))
 			for i := 0; i < b.N; i++ {
-				if _, err := c.flat.DecodeBytes(flatBytes); err != nil {
+				if _, err := c.codec.DecodeBytes(flatBytes); err != nil {
 					b.Fatal(err)
 				}
 			}
 		})
 	}
-}
-
-// gobBench adapts the retired gob path (what mineCodec & co. were
-// before the flat codecs) for benchmarking against them.
-type gobBench[T any] struct{}
-
-func (gobBench[T]) encodeTo(buf *bytes.Buffer, v any) error {
-	return gobCodec[T]{kind: "bench", version: 0}.Encode(buf, v)
-}
-
-func (gobBench[T]) decodeFrom(data []byte) (any, error) {
-	return gobCodec[T]{kind: "bench", version: 0}.Decode(bytes.NewReader(data))
-}
-
-// gobCorpusBench is the retired corpus codec: recipedb.DB's gob pair
-// coded the recipe slice and rebuilt the DB through recipedb.New.
-type gobCorpusBench struct{}
-
-func (gobCorpusBench) encodeTo(buf *bytes.Buffer, v any) error {
-	return gob.NewEncoder(buf).Encode(v.(*recipedb.DB).Recipes())
-}
-
-func (gobCorpusBench) decodeFrom(data []byte) (any, error) {
-	var recipes []recipedb.Recipe
-	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&recipes); err != nil {
-		return nil, err
-	}
-	return recipedb.New(recipes)
 }
 
 // BenchmarkPeerServe measures the peer-serving read path,

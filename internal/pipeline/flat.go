@@ -2,39 +2,42 @@ package pipeline
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"hash/crc32"
-	"io"
 	"math"
 	"slices"
 
+	"cuisines/internal/authenticity"
 	"cuisines/internal/core"
 	"cuisines/internal/distance"
 	"cuisines/internal/encode"
+	"cuisines/internal/hac"
 	"cuisines/internal/itemset"
+	"cuisines/internal/kmeans"
 	"cuisines/internal/matrix"
 	"cuisines/internal/recipedb"
+	"cuisines/internal/treecmp"
 )
 
-// Flat artifact codecs (DESIGN.md §10). The large artifacts — the
-// recipe corpus, mined pattern sets, the pattern feature matrix,
-// condensed distance matrices — used to round-trip through gob, whose
-// reflective decode allocates per element (every recipe, every Set,
-// every []float64 row fragment, every string). The codecs here write a
-// position-defined layout instead, so a warm-disk read decodes in O(1)
-// large allocations: one backing arena per homogeneous section (one
-// string for all interned names, one []Item arena, one []Pattern arena,
-// one []float64), with every element subsliced out of it.
+// Flat artifact codecs (DESIGN.md §10), one per stage kind. The
+// artifacts used to round-trip through gob, whose reflective decode
+// allocates per element (every recipe, every Set, every []float64 row
+// fragment, every string) and accepts any value of the right Go type.
+// The codecs here write a position-defined layout instead, so a
+// warm-disk read decodes in O(1) large allocations: one backing arena
+// per homogeneous section (one string for all interned names, one
+// []Item arena, one []Pattern arena, one []float64), with every element
+// subsliced out of it.
 //
 // Each payload is framed as
 //
 //	"CFL1" | u32 crc32c(body) | body
 //
-// giving the codec its own integrity check independent of the artifact
-// store's sha256 envelope, so a flat payload is self-validating even
-// when written or read outside the store. Any framing, checksum, length
-// or order violation is a decode error, which the store treats as a
-// cache miss and recomputes — never a crash.
+// giving the codec its own integrity check under the artifact store's
+// sha256 envelope. Any framing, checksum, length or order violation is
+// a decode error, which the store treats as a cache miss and recomputes
+// — never a crash.
 //
 // Checksums prove only that the bytes arrived as sent, not that the
 // sender is honest: a peer can recompute both the store's sha256 and
@@ -45,15 +48,12 @@ import (
 // its input, whatever the header claims.
 
 var (
-	flatMagic    = [4]byte{'C', 'F', 'L', '1'}
-	crc32cTable  = crc32.MakeTable(crc32.Castagnoli)
-	errFlatFrame = fmt.Errorf("pipeline: flat artifact framing invalid")
+	flatMagic   = [4]byte{'C', 'F', 'L', '1'}
+	crc32cTable = crc32.MakeTable(crc32.Castagnoli)
 )
 
-// flatCodec is an artifact.Codec whose encode appends to a byte slice
-// and whose decode reads from one. It implements the store's optional
-// AppendEncoder/BytesDecoder fast paths; the io.Writer/io.Reader forms
-// delegate to them for callers outside the store.
+// flatCodec is an artifact.Codec over one body layout: appendFn writes
+// the body and decodeFn reads it back.
 type flatCodec struct {
 	kind     string
 	version  int
@@ -81,30 +81,13 @@ func (c flatCodec) AppendEncode(dst []byte, v any) ([]byte, error) {
 // DecodeBytes verifies the frame and hands the body to the decoder.
 func (c flatCodec) DecodeBytes(data []byte) (any, error) {
 	if len(data) < 8 || [4]byte(data[:4]) != flatMagic {
-		return nil, errFlatFrame
+		return nil, fmt.Errorf("pipeline: flat artifact framing invalid")
 	}
 	body := data[8:]
 	if crc32.Checksum(body, crc32cTable) != binary.LittleEndian.Uint32(data[4:]) {
 		return nil, fmt.Errorf("pipeline: flat artifact crc mismatch")
 	}
 	return c.decodeFn(body)
-}
-
-func (c flatCodec) Encode(w io.Writer, v any) error {
-	b, err := c.AppendEncode(nil, v)
-	if err != nil {
-		return err
-	}
-	_, err = w.Write(b)
-	return err
-}
-
-func (c flatCodec) Decode(r io.Reader) (any, error) {
-	data, err := io.ReadAll(r)
-	if err != nil {
-		return nil, err
-	}
-	return c.DecodeBytes(data)
 }
 
 // flatReader is a bounds-checked cursor over a decode body. The first
@@ -334,10 +317,31 @@ func appendPatternTail(dst []byte, p itemset.Pattern, names *internTable) []byte
 	dst = binary.LittleEndian.AppendUint64(dst, uint64(p.Count))
 	dst = binary.LittleEndian.AppendUint32(dst, uint32(p.Items.Len()))
 	for _, it := range p.Items.Items() {
-		dst = binary.LittleEndian.AppendUint32(dst, names.id(it.Name))
-		dst = append(dst, byte(it.Kind))
+		dst = appendItem(dst, it, names)
 	}
 	return dst
+}
+
+// appendItem writes one item as u32 nameID | u8 kind.
+func appendItem(dst []byte, it itemset.Item, names *internTable) []byte {
+	dst = binary.LittleEndian.AppendUint32(dst, names.id(it.Name))
+	return append(dst, byte(it.Kind))
+}
+
+// item reverses appendItem, rejecting an unknown kind or a name id out
+// of first-seen order.
+func (r *flatReader) item(names *nameTable) (itemset.Item, error) {
+	nameID := r.u32("item name id")
+	kindB := r.bytes(1, "item kind")
+	if r.err != nil {
+		return itemset.Item{}, r.err
+	}
+	kind := itemset.Kind(kindB[0])
+	if !kind.Valid() {
+		return itemset.Item{}, fmt.Errorf("pipeline: flat artifact item kind %d invalid", kindB[0])
+	}
+	name, err := names.resolve(uint64(nameID))
+	return itemset.Item{Name: name, Kind: kind}, err
 }
 
 // readPatternTail reverses appendPatternTail, carving the pattern's
@@ -357,16 +361,11 @@ func (r *flatReader) readPatternTail(names *nameTable, itemArena []itemset.Item,
 	items := itemArena[*itemUsed : *itemUsed+ni : *itemUsed+ni]
 	*itemUsed += ni
 	for k := range items {
-		nameID := r.u32("item name id")
-		kindB := r.bytes(1, "item kind")
-		if r.err != nil {
-			return itemset.Pattern{}, r.err
-		}
-		name, err := names.resolve(uint64(nameID))
+		it, err := r.item(names)
 		if err != nil {
 			return itemset.Pattern{}, err
 		}
-		items[k] = itemset.Item{Name: name, Kind: itemset.Kind(kindB[0])}
+		items[k] = it
 	}
 	set, err := itemset.SetFromSorted(items)
 	if err != nil {
@@ -786,4 +785,264 @@ func appendCondensed(dst []byte, v any) ([]byte, error) {
 
 func decodeCondensed(body []byte) (any, error) {
 	return distance.DecodeFlat(body)
+}
+
+// --- auth: *authenticity.Matrix ----------------------------------------
+//
+// Body layout:
+//
+//	intern table of regions | intern table of item names (first-seen order)
+//	u32 numItems | numItems × item (u32 nameID, u8 kind)
+//	flat Dense prevalence (trailing, self-sized)
+//
+// Relative is not stored: decode rebuilds it with the Clone and
+// CenterColumns calls authenticity.Build makes, so its bits are a cold
+// build's. Decode accepts only what Build produces: strictly ascending
+// regions, items strictly ascending by Item.Less with valid kinds, and
+// a len(Regions) × len(Items) prevalence matrix of fractions in [0, 1].
+
+func appendAuth(dst []byte, v any) ([]byte, error) {
+	m, ok := v.(*authenticity.Matrix)
+	if !ok || m.Prevalence == nil {
+		return nil, fmt.Errorf("pipeline: auth artifact is %T with no prevalence, want *authenticity.Matrix", v)
+	}
+	names := newInternTable()
+	for _, it := range m.Items {
+		names.id(it.Name)
+	}
+	dst = appendInterned(appendInterned(dst, m.Regions), names.list)
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(m.Items)))
+	for _, it := range m.Items {
+		dst = appendItem(dst, it, names)
+	}
+	return m.Prevalence.AppendFlat(dst), nil
+}
+
+func decodeAuth(body []byte) (any, error) {
+	r := &flatReader{data: body}
+	regions := r.readInterned("regions")
+	names, err := newNameTable(r.readInterned("item names"))
+	items := make([]itemset.Item, r.bound(uint64(r.u32("item count")), minItemBytes, "item count"))
+	if r.err != nil || err != nil {
+		return nil, errors.Join(r.err, err)
+	}
+	for i := range items {
+		if items[i], err = r.item(names); err != nil {
+			return nil, err
+		}
+		if i > 0 && !items[i-1].Less(items[i]) {
+			return nil, fmt.Errorf("pipeline: auth artifact items out of order at %d", i)
+		}
+	}
+	prev, err := matrix.DecodeFlat(r.rest())
+	if err != nil {
+		return nil, err
+	}
+	if !names.allSeen() || prev.Rows() != len(regions) || prev.Cols() != len(items) {
+		return nil, fmt.Errorf("pipeline: auth artifact has unused item names or a %dx%d prevalence for %d regions and %d items",
+			prev.Rows(), prev.Cols(), len(regions), len(items))
+	}
+	for i := range regions {
+		if i > 0 && regions[i-1] >= regions[i] {
+			return nil, fmt.Errorf("pipeline: auth artifact regions out of order at %d", i)
+		}
+		for _, p := range prev.Row(i) {
+			if !(p >= 0 && p <= 1) {
+				return nil, fmt.Errorf("pipeline: auth artifact prevalence %v outside [0, 1]", p)
+			}
+		}
+	}
+	rel := prev.Clone()
+	rel.CenterColumns()
+	return &authenticity.Matrix{Regions: regions, Items: items, Prevalence: prev, Relative: rel}, nil
+}
+
+// --- tree: *core.CuisineTree --------------------------------------------
+//
+// Body layout:
+//
+//	string name | u8 metric | u8 linkage | intern table of the n labels
+//	(n-1) × merge (u32 a, u32 b, f64 height), in scipy order
+//	flat Condensed distances (trailing, self-sized)
+//
+// The tree travels in linkage form (hac.Tree.Merges); decode rebuilds
+// its nodes through hac.BuildTree, which rejects merges that reference
+// unknown clusters or leave more than one root. Decode also requires
+// what linkTree builds: a known metric and linkage method, and
+// len(Labels) == n == Distances.N().
+
+const minMergeBytes = 4 + 4 + 8 // a, b, height
+
+func appendTree(dst []byte, v any) ([]byte, error) {
+	ct, ok := v.(*core.CuisineTree)
+	if !ok || ct.Tree == nil || ct.Distances == nil {
+		return nil, fmt.Errorf("pipeline: tree artifact is %T with nil sections, want *core.CuisineTree", v)
+	}
+	merges, err := ct.Tree.Merges()
+	if err != nil {
+		return nil, err
+	}
+	dst = append(appendString(dst, ct.Name), byte(ct.Metric), byte(ct.Linkage))
+	dst = appendInterned(dst, ct.Tree.Labels)
+	for _, m := range merges {
+		dst = binary.LittleEndian.AppendUint32(dst, uint32(m.A))
+		dst = binary.LittleEndian.AppendUint32(dst, uint32(m.B))
+		dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(m.Height))
+	}
+	return ct.Distances.AppendFlat(dst), nil
+}
+
+func decodeTree(body []byte) (any, error) {
+	r := &flatReader{data: body}
+	name := r.string("tree name")
+	enums := r.bytes(2, "metric and linkage")
+	labels := r.readInterned("labels")
+	merges := make([]hac.Merge, r.bound(uint64(max(len(labels), 1)-1), minMergeBytes, "merge count"))
+	for i := range merges {
+		merges[i].A = int(r.u32("merge a"))
+		merges[i].B = int(r.u32("merge b"))
+		merges[i].Height = r.f64("merge height")
+	}
+	if r.err != nil {
+		return nil, r.err
+	}
+	// An unknown metric or method parses to an error and zero, which is
+	// a known one, so it never round-trips through its name.
+	metric, method := distance.Metric(enums[0]), hac.Method(enums[1])
+	m, _ := distance.ParseMetric(metric.String())
+	l, _ := hac.ParseMethod(method.String())
+	if m != metric || l != method || len(labels) == 0 {
+		return nil, fmt.Errorf("pipeline: tree artifact has metric %d, linkage %d and %d leaves", enums[0], enums[1], len(labels))
+	}
+	d, err := distance.DecodeFlat(r.rest())
+	if err != nil {
+		return nil, err
+	}
+	if d.N() != len(labels) {
+		return nil, fmt.Errorf("pipeline: tree artifact has distances over %d leaves for %d labels", d.N(), len(labels))
+	}
+	tree, err := hac.BuildTree(&hac.Linkage{N: len(labels), Method: method, Merges: merges}, labels)
+	if err != nil {
+		return nil, err
+	}
+	return &core.CuisineTree{Name: name, Tree: tree, Distances: d, Metric: metric, Linkage: method}, nil
+}
+
+// --- elbow: *kmeans.ElbowCurve ------------------------------------------
+//
+// Body layout:
+//
+//	u32 numPoints | numPoints × f64 WCSS
+//
+// Point i is k = i+1, as kmeans.Elbow sweeps it, and
+// kmeans.NewElbowCurve derives the elbow diagnostic from the points
+// again, so only the WCSS values are stored. Decode requires at least
+// one point and every WCSS finite and >= 0: a sum of squares can be
+// nothing else, and Render sizes its bars from it.
+
+func appendElbow(dst []byte, v any) ([]byte, error) {
+	c, ok := v.(*kmeans.ElbowCurve)
+	if !ok {
+		return nil, fmt.Errorf("pipeline: elbow artifact is %T, want *kmeans.ElbowCurve", v)
+	}
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(c.Points)))
+	for _, p := range c.Points {
+		dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(p.WCSS))
+	}
+	return dst, nil
+}
+
+func decodeElbow(body []byte) (any, error) {
+	r := &flatReader{data: body}
+	points := make([]kmeans.ElbowPoint, r.bound(uint64(r.u32("point count")), 8, "point count"))
+	for i := range points {
+		points[i] = kmeans.ElbowPoint{K: i + 1, WCSS: r.f64("wcss")}
+		if w := points[i].WCSS; !(w >= 0 && w <= math.MaxFloat64) {
+			return nil, fmt.Errorf("pipeline: elbow artifact WCSS %v at k=%d", w, i+1)
+		}
+	}
+	if r.err != nil || len(points) == 0 || r.off != len(body) {
+		return nil, fmt.Errorf("pipeline: elbow artifact truncated, empty or trailing data (%v)", r.err)
+	}
+	return kmeans.NewElbowCurve(points), nil
+}
+
+// --- validate: *core.Validation -----------------------------------------
+//
+// Body layout:
+//
+//	u32 numFits | per fit: string name | f64 cophenetic | f64 bakersGamma |
+//	  f64 robinsonFoulds | u32 numBk | numBk × (u64 k, f64 b)
+//	u32 numClaims | per claim: string name | string tree | string detail |
+//	  u8 holds (0 or 1)
+//
+// Every fit carries its report, so every decoded TreeFit has a non-nil
+// Report.
+
+// Smallest encodings of the validation elements, for bound.
+const (
+	minFitBytes   = 4 + 3*8 + 4 // name, three statistics, numBk
+	minBkBytes    = 8 + 8
+	minClaimBytes = 3*4 + 1 // three strings, holds
+)
+
+func appendValidate(dst []byte, v any) ([]byte, error) {
+	val, ok := v.(*core.Validation)
+	if !ok {
+		return nil, fmt.Errorf("pipeline: validate artifact is %T, want *core.Validation", v)
+	}
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(val.TreeFit)))
+	for _, f := range val.TreeFit {
+		dst = appendString(dst, f.Name)
+		for _, x := range []float64{f.Report.Cophenetic, f.Report.BakersGamma, f.Report.RobinsonFoulds} {
+			dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(x))
+		}
+		dst = binary.LittleEndian.AppendUint32(dst, uint32(len(f.Report.FowlkesMallows)))
+		for _, b := range f.Report.FowlkesMallows {
+			dst = binary.LittleEndian.AppendUint64(dst, uint64(b.K))
+			dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(b.B))
+		}
+	}
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(val.Claims)))
+	for _, c := range val.Claims {
+		dst = appendString(appendString(appendString(dst, c.Name), c.Tree), c.Detail)
+		if c.Holds {
+			dst = append(dst, 1)
+		} else {
+			dst = append(dst, 0)
+		}
+	}
+	return dst, nil
+}
+
+func decodeValidate(body []byte) (any, error) {
+	r := &flatReader{data: body}
+	val := &core.Validation{TreeFit: make([]core.TreeFit, r.bound(uint64(r.u32("fit count")), minFitBytes, "fit count"))}
+	for i := range val.TreeFit {
+		f := &val.TreeFit[i]
+		f.Name = r.string("fit name")
+		f.Report = &treecmp.Report{
+			Cophenetic:     r.f64("cophenetic"),
+			BakersGamma:    r.f64("bakers gamma"),
+			RobinsonFoulds: r.f64("robinson-foulds"),
+		}
+		f.Report.FowlkesMallows = make([]treecmp.BkScore, r.bound(uint64(r.u32("bk count")), minBkBytes, "bk count"))
+		for j := range f.Report.FowlkesMallows {
+			f.Report.FowlkesMallows[j] = treecmp.BkScore{K: int(r.u64("bk k")), B: r.f64("bk score")}
+		}
+	}
+	val.Claims = make([]core.Claim, r.bound(uint64(r.u32("claim count")), minClaimBytes, "claim count"))
+	for i := range val.Claims {
+		c := &val.Claims[i]
+		c.Name, c.Tree, c.Detail = r.string("claim name"), r.string("claim tree"), r.string("claim detail")
+		holds := r.bytes(1, "claim holds")
+		if r.err != nil || holds[0] > 1 {
+			return nil, fmt.Errorf("pipeline: validate artifact claim %d truncated or holds byte invalid (%v)", i, r.err)
+		}
+		c.Holds = holds[0] == 1
+	}
+	if r.err != nil || r.off != len(body) {
+		return nil, fmt.Errorf("pipeline: validate artifact truncated or trailing data (%v)", r.err)
+	}
+	return val, nil
 }

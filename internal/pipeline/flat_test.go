@@ -4,17 +4,19 @@ import (
 	"bytes"
 	"context"
 	"encoding/binary"
+	"encoding/gob"
+	"fmt"
 	"math"
 	"os"
 	"path/filepath"
 	"reflect"
 	"runtime"
-	"strings"
 	"testing"
 
 	"cuisines/internal/artifact"
 	"cuisines/internal/core"
 	"cuisines/internal/distance"
+	"cuisines/internal/hac"
 	"cuisines/internal/itemset"
 	"cuisines/internal/matrix"
 	"cuisines/internal/recipedb"
@@ -34,10 +36,11 @@ func roundTrip(t *testing.T, c flatCodec, v any) any {
 	return got
 }
 
-// TestFlatRoundTripIdentity locks the flat codecs to the gob semantics
-// they replaced: a flat round-trip must reproduce the artifact exactly
-// — every recipe, pattern, count and bit-exact float — and agree with
-// what a gob round-trip of the same value produces.
+// TestFlatRoundTripIdentity locks every stage codec to an exact round
+// trip: decoding an encoded artifact must reproduce it — every recipe,
+// pattern, count, label, merge and bit-exact float — and re-encode to
+// the same bytes. The corpus must also agree with what the retired gob
+// path produced.
 func TestFlatRoundTripIdentity(t *testing.T) {
 	fx := codecFixtures(t)
 
@@ -50,11 +53,15 @@ func TestFlatRoundTripIdentity(t *testing.T) {
 		if !reflect.DeepEqual(got.Recipes(), fx.db.Recipes()) {
 			t.Error("corpus: recipes differ after flat round-trip")
 		}
-		gobGot, err := gobCorpusBench{}.decodeFrom(mustGobCorpus(t, fx.db))
-		if err != nil {
+		var buf bytes.Buffer
+		if err := gob.NewEncoder(&buf).Encode(fx.db.Recipes()); err != nil {
 			t.Fatal(err)
 		}
-		if !reflect.DeepEqual(got.Recipes(), gobGot.(*recipedb.DB).Recipes()) {
+		var gobGot []recipedb.Recipe
+		if err := gob.NewDecoder(&buf).Decode(&gobGot); err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got.Recipes(), gobGot) {
 			t.Error("corpus: flat round-trip differs from gob round-trip")
 		}
 		if !reflect.DeepEqual(got.Regions(), fx.db.Regions()) {
@@ -68,19 +75,7 @@ func TestFlatRoundTripIdentity(t *testing.T) {
 		}
 	})
 
-	mined, feats, pd := fx.mined, fx.feats, fx.pdist
-	got := roundTrip(t, mineCodec, mined).([]core.RegionPatterns)
-	if !reflect.DeepEqual(got, mined) {
-		t.Error("mine: flat round-trip differs from original")
-	}
-	gobGot, err := gobBench[[]core.RegionPatterns]{}.decodeFrom(mustGob(t, mined))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got, gobGot) {
-		t.Error("mine: flat round-trip differs from gob round-trip")
-	}
-
+	feats := fx.feats
 	gotF := roundTrip(t, matricesCodec, feats).(*PatternFeatures)
 	if gotF.Table1.String() != feats.Table1.String() {
 		t.Error("matrices: Table1 differs after flat round-trip")
@@ -93,28 +88,30 @@ func TestFlatRoundTripIdentity(t *testing.T) {
 		t.Error("matrices: feature matrix differs after flat round-trip")
 	}
 
-	gotD := roundTrip(t, pdistCodec, pd).(*distance.Condensed)
-	if !reflect.DeepEqual(gotD, pd) {
-		t.Error("pdist: flat round-trip differs from original")
+	for _, c := range []struct {
+		codec flatCodec
+		v     any
+	}{
+		{mineCodec, fx.mined},
+		{pdistCodec, fx.pdist},
+		{authCodec, fx.auth},
+		{treeCodec, fx.tree},
+		{elbowCodec, fx.elbow},
+		{validateCodec, fx.validate},
+	} {
+		if got := roundTrip(t, c.codec, c.v); !reflect.DeepEqual(got, c.v) {
+			t.Errorf("%s: flat round-trip differs from original", c.codec.kind)
+		}
 	}
-}
-
-func mustGobCorpus(t *testing.T, db *recipedb.DB) []byte {
-	t.Helper()
-	var buf bytes.Buffer
-	if err := (gobCorpusBench{}).encodeTo(&buf, db); err != nil {
-		t.Fatal(err)
+	for _, c := range fx.codecCases() {
+		data, err := c.codec.AppendEncode(nil, c.v)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if again, err := c.codec.AppendEncode(nil, roundTrip(t, c.codec, c.v)); err != nil || !bytes.Equal(again, data) {
+			t.Errorf("%s: decoded artifact re-encodes to different bytes (%v)", c.codec.kind, err)
+		}
 	}
-	return buf.Bytes()
-}
-
-func mustGob(t *testing.T, v any) []byte {
-	t.Helper()
-	var buf strings.Builder
-	if err := (gobCodec[[]core.RegionPatterns]{kind: "bench"}).Encode(&buf, v.([]core.RegionPatterns)); err != nil {
-		t.Fatal(err)
-	}
-	return []byte(buf.String())
 }
 
 // TestFlatDecodeRejectsDamage feeds the decoder every damage class the
@@ -124,20 +121,12 @@ func mustGob(t *testing.T, v any) []byte {
 // silent wrong answer would poison everything downstream).
 func TestFlatDecodeRejectsDamage(t *testing.T) {
 	fx := codecFixtures(t)
-	for _, tc := range []struct {
-		name  string
-		codec flatCodec
-		v     any
-	}{
-		{"corpus", corpusCodec, fx.db},
-		{"mine", mineCodec, fx.mined},
-		{"matrices", matricesCodec, fx.feats},
-		{"pdist", pdistCodec, fx.pdist},
-	} {
+	for _, tc := range fx.codecCases() {
 		data, err := tc.codec.AppendEncode(nil, tc.v)
 		if err != nil {
 			t.Fatal(err)
 		}
+		name := tc.codec.kind
 		// Truncation at every prefix length would be slow for MB
 		// payloads; probe the structural boundaries and a spread.
 		cuts := []int{0, 3, 4, 7, 8, 9, len(data) / 4, len(data) / 2, len(data) - 1}
@@ -146,18 +135,18 @@ func TestFlatDecodeRejectsDamage(t *testing.T) {
 				continue
 			}
 			if _, err := tc.codec.DecodeBytes(data[:n]); err == nil {
-				t.Errorf("%s: truncation to %d bytes decoded without error", tc.name, n)
+				t.Errorf("%s: truncation to %d bytes decoded without error", name, n)
 			}
 		}
 		for _, flip := range []int{0, 5, 8 + (len(data)-8)/2, len(data) - 1} {
 			bad := append([]byte(nil), data...)
 			bad[flip] ^= 0x40
 			if _, err := tc.codec.DecodeBytes(bad); err == nil {
-				t.Errorf("%s: flipped byte %d decoded without error", tc.name, flip)
+				t.Errorf("%s: flipped byte %d decoded without error", name, flip)
 			}
 		}
 		if _, err := tc.codec.DecodeBytes(append(append([]byte(nil), data...), 0xEE)); err == nil {
-			t.Errorf("%s: trailing garbage decoded without error", tc.name)
+			t.Errorf("%s: trailing garbage decoded without error", name)
 		}
 	}
 }
@@ -211,6 +200,29 @@ func TestFlatCorruptDiskArtifactRecomputes(t *testing.T) {
 	}
 }
 
+// oldGobCodec is the "old binary" of a version-bump test: it writes a
+// gob payload under a kind's previous codec version, as the gob-era
+// codecs did.
+type oldGobCodec struct {
+	kind    string
+	version int
+}
+
+func (c oldGobCodec) Kind() string { return c.kind }
+func (c oldGobCodec) Version() int { return c.version }
+
+func (c oldGobCodec) AppendEncode(dst []byte, v any) ([]byte, error) {
+	var buf bytes.Buffer
+	if err := gob.NewEncoder(&buf).Encode(v); err != nil {
+		return nil, err
+	}
+	return append(dst, buf.Bytes()...), nil
+}
+
+func (c oldGobCodec) DecodeBytes([]byte) (any, error) {
+	return nil, fmt.Errorf("the old binary never reads in this test")
+}
+
 // TestFlatVersionBumpWarmRestart locks the upgrade path every move
 // onto a flat codec takes: a store directory holding only old-version
 // artifacts (the gob era) must be treated as cold by the bumped flat
@@ -218,23 +230,34 @@ func TestFlatCorruptDiskArtifactRecomputes(t *testing.T) {
 func TestFlatVersionBumpWarmRestart(t *testing.T) {
 	fx := codecFixtures(t)
 	for _, tc := range []struct {
-		name string
-		// old is the "old binary": same kind, previous version, gob
-		// encoding; oldV is the value it stored.
-		old   artifact.Codec
+		// oldV is what the old binary stored. Where the type still
+		// gob-encodes (the corpus's recipes, the elbow curve, the
+		// validation) it is the artifact itself; mine, auth and tree
+		// hold types whose gob encoders left with the gob path, so
+		// their old files carry a part of the artifact instead. The
+		// version check refuses a file before its payload is read.
 		oldV  any
 		codec flatCodec
 		v     any
 	}{
-		{"corpus", gobCodec[[]recipedb.Recipe]{kind: "corpus", version: corpusCodec.version - 1}, fx.db.Recipes(), corpusCodec, fx.db},
-		{"mine", gobCodec[[]core.RegionPatterns]{kind: "mine", version: mineCodec.version - 1}, fx.mined, mineCodec, fx.mined},
+		{fx.db.Recipes(), corpusCodec, fx.db},
+		{fx.feats.Matrix.Regions, mineCodec, fx.mined},
+		{fx.auth.Items, authCodec, fx.auth},
+		{fx.tree.Tree.Labels, treeCodec, fx.tree},
+		{fx.elbow, elbowCodec, fx.elbow},
+		{fx.validate, validateCodec, fx.validate},
 	} {
-		t.Run(tc.name, func(t *testing.T) {
+		name := tc.codec.kind
+		t.Run(name, func(t *testing.T) {
 			dir := t.TempDir()
-			key := artifact.Key(tc.name, "flat-version-test")
+			key := artifact.Key(name, "flat-version-test")
 			s := artifact.NewStore(artifact.Options{Dir: dir})
-			if _, err := s.GetOrCompute(context.Background(), key, tc.old, func() (any, error) { return tc.oldV, nil }); err != nil {
+			old := oldGobCodec{kind: name, version: tc.codec.version - 1}
+			if _, err := s.GetOrCompute(context.Background(), key, old, func() (any, error) { return tc.oldV, nil }); err != nil {
 				t.Fatal(err)
+			}
+			if files, _ := filepath.Glob(filepath.Join(dir, fmt.Sprintf("%s-v%d-*.art", name, old.version))); len(files) != 1 {
+				t.Fatalf("old binary left %d %s files, want 1", len(files), name)
 			}
 
 			// The "new binary" restarts over the same directory.
@@ -264,10 +287,67 @@ func TestFlatVersionBumpWarmRestart(t *testing.T) {
 			if !reflect.DeepEqual(v, tc.v) {
 				t.Error("flat warm-disk artifact differs from original")
 			}
-			if st := s3.Stats()[tc.name]; st.DiskHits != 1 {
+			if st := s3.Stats()[name]; st.DiskHits != 1 {
 				t.Errorf("flat warm-disk load not counted as disk hit: %+v", st)
 			}
 		})
+	}
+}
+
+// TestPoisonedValidateFrameRecomputes is the regression test for a
+// poisoned analysis cache. A peer answers every artifact of a warm
+// node correctly except the validation, for which it sends a frame
+// that passes the store's checks: the current validate kind and
+// version, a valid sha256, and as payload the gob encoding of a
+// Validation whose fit has no Report — what a gob-coded validate stage
+// would decode and serve until a nil dereference. The frame must be
+// refused: the stage recomputes, every fit has a Report, and the run
+// renders exactly as a cold run.
+func TestPoisonedValidateFrameRecomputes(t *testing.T) {
+	ctx := context.Background()
+	pr := testParams(hac.Average, 0)
+	warm := New(nil)
+	cold, err := warm.Run(ctx, pr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	poison, err := artifact.EncodeFrame(oldGobCodec{kind: "validate", version: validateCodec.version},
+		&core.Validation{TreeFit: []core.TreeFit{{Name: "x"}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := artifact.VerifyFrame(poison, validateCodec); err != nil {
+		t.Fatalf("poisoned frame fails the store's checks, so this test proves nothing: %v", err)
+	}
+
+	s := artifact.NewStore(artifact.Options{})
+	s.SetFetcher(func(_ context.Context, key string, c artifact.Codec) ([]byte, bool) {
+		if c.Kind() == "validate" {
+			return poison, true
+		}
+		frame, src := warm.Store().Encoded(key, c)
+		return frame, src != artifact.ServeMiss
+	})
+	got, err := New(s).Run(ctx, pr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for kind, st := range s.Stats() {
+		want := uint64(0)
+		if kind == "validate" {
+			want = 1
+		}
+		if st.Computed != want {
+			t.Errorf("%s computed %d times, want %d (%+v)", kind, st.Computed, want, st)
+		}
+	}
+	for _, f := range got.Validation.TreeFit {
+		if f.Report == nil {
+			t.Fatalf("fit %q has no report", f.Name)
+		}
+	}
+	if snapshot(t, got) != snapshot(t, cold) {
+		t.Error("run over a poisoned peer renders differently from a cold run")
 	}
 }
 
@@ -331,6 +411,113 @@ func TestFlatDecodeRejectsInvalidCorpus(t *testing.T) {
 	}
 }
 
+// TestFlatDecodeRejectsInvalidArtifacts feeds the tree, auth, elbow
+// and validate decoders bodies that pass both checksums but hold a
+// value the pipeline cannot build. Each must fail to decode; the valid
+// body of each table must decode and re-encode to itself.
+func TestFlatDecodeRejectsInvalidArtifacts(t *testing.T) {
+	u32 := binary.LittleEndian.AppendUint32
+	u64 := binary.LittleEndian.AppendUint64
+	euc, avg := byte(distance.Euclidean), byte(hac.Average)
+	// tree writes a tree body over labels whose distances cover n
+	// leaves.
+	tree := func(metric, linkage byte, labels []string, merges []hac.Merge, n int) []byte {
+		body := append(appendString(nil, "t"), metric, linkage)
+		body = appendInterned(body, labels)
+		for _, m := range merges {
+			body = u64(u32(u32(body, uint32(m.A)), uint32(m.B)), math.Float64bits(m.Height))
+		}
+		return distance.NewCondensed(n).AppendFlat(body)
+	}
+	abc := []string{"a", "b", "c"}
+	merges := []hac.Merge{{A: 0, B: 1, Height: 1}, {A: 2, B: 3, Height: 2}}
+	// auth writes an auth body whose prevalence matrix is rows × cols
+	// of p.
+	auth := func(regions []string, items []itemset.Item, rows, cols int, p float64) []byte {
+		names := newInternTable()
+		for _, it := range items {
+			names.id(it.Name)
+		}
+		body := appendInterned(appendInterned(nil, regions), names.list)
+		body = u32(body, uint32(len(items)))
+		for _, it := range items {
+			body = appendItem(body, it, names)
+		}
+		prev := matrix.NewDense(rows, cols)
+		for i := 0; i < rows; i++ {
+			for j := 0; j < cols; j++ {
+				prev.Set(i, j, p)
+			}
+		}
+		return prev.AppendFlat(body)
+	}
+	salt, soy := itemset.Item{Name: "salt"}, itemset.Item{Name: "soy"}
+	saltP := itemset.Item{Name: "salt", Kind: itemset.Process}
+	// elbow writes an elbow body of the given WCSS values.
+	elbow := func(wcss ...float64) []byte {
+		body := u32(nil, uint32(len(wcss)))
+		for _, w := range wcss {
+			body = u64(body, math.Float64bits(w))
+		}
+		return body
+	}
+	claim := func(holds byte) []byte {
+		body := appendString(appendString(appendString(u32(u32(nil, 0), 1), "c"), "t"), "d")
+		return append(body, holds)
+	}
+	for _, tc := range []struct {
+		name  string
+		codec flatCodec
+		body  []byte
+		ok    bool
+	}{
+		{"tree/valid", treeCodec, tree(euc, avg, abc, merges, 3), true},
+		{"tree/distances-disagree", treeCodec, tree(euc, avg, abc, merges, 4), false},
+		{"tree/missing-merge", treeCodec, tree(euc, avg, abc, merges[:1], 3), false},
+		{"tree/extra-merge", treeCodec, tree(euc, avg, abc[:2], merges, 2), false},
+		{"tree/unknown-cluster", treeCodec, tree(euc, avg, abc, []hac.Merge{merges[0], {A: 2, B: 9, Height: 2}}, 3), false},
+		{"tree/merged-twice", treeCodec, tree(euc, avg, abc, []hac.Merge{merges[0], {A: 0, B: 3, Height: 2}}, 3), false},
+		{"tree/no-leaves", treeCodec, tree(euc, avg, nil, nil, 0), false},
+		{"tree/unknown-metric", treeCodec, tree(99, avg, abc, merges, 3), false},
+		{"tree/unknown-linkage", treeCodec, tree(euc, 99, abc, merges, 3), false},
+		{"auth/valid", authCodec, auth([]string{"A", "B"}, []itemset.Item{salt, saltP, soy}, 2, 3, 0.5), true},
+		{"auth/items-out-of-order", authCodec, auth([]string{"A", "B"}, []itemset.Item{soy, salt}, 2, 2, 0.5), false},
+		{"auth/kinds-out-of-order", authCodec, auth([]string{"A", "B"}, []itemset.Item{saltP, salt}, 2, 2, 0.5), false},
+		{"auth/repeated-item", authCodec, auth([]string{"A", "B"}, []itemset.Item{salt, salt}, 2, 2, 0.5), false},
+		{"auth/unknown-kind", authCodec, auth([]string{"A", "B"}, []itemset.Item{{Name: "salt", Kind: 7}}, 2, 1, 0.5), false},
+		{"auth/regions-out-of-order", authCodec, auth([]string{"B", "A"}, []itemset.Item{salt}, 2, 1, 0.5), false},
+		{"auth/too-few-rows", authCodec, auth([]string{"A", "B"}, []itemset.Item{salt}, 1, 1, 0.5), false},
+		{"auth/too-many-cols", authCodec, auth([]string{"A", "B"}, []itemset.Item{salt}, 2, 2, 0.5), false},
+		{"auth/prevalence-above-one", authCodec, auth([]string{"A", "B"}, []itemset.Item{salt}, 2, 1, 1.5), false},
+		{"auth/prevalence-nan", authCodec, auth([]string{"A", "B"}, []itemset.Item{salt}, 2, 1, math.NaN()), false},
+		{"elbow/valid", elbowCodec, elbow(9, 4, 2.5, 0), true},
+		{"elbow/negative-wcss", elbowCodec, elbow(9, -4, 2.5), false},
+		{"elbow/nan-wcss", elbowCodec, elbow(9, math.NaN(), 2.5), false},
+		{"elbow/infinite-wcss", elbowCodec, elbow(math.Inf(1), 4), false},
+		{"elbow/no-points", elbowCodec, elbow(), false},
+		{"elbow/trailing-byte", elbowCodec, append(elbow(9, 4), 0), false},
+		{"validate/valid", validateCodec, claim(1), true},
+		{"validate/holds-byte", validateCodec, claim(2), false},
+		{"validate/trailing-byte", validateCodec, append(claim(0), 0), false},
+	} {
+		frame := hostileFrame(t, tc.codec, tc.body)
+		v, err := artifact.DecodeFrame(frame, tc.codec)
+		if !tc.ok {
+			if err == nil {
+				t.Errorf("%s: decoded without error", tc.name)
+			}
+			continue
+		}
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		again, err := artifact.EncodeFrame(tc.codec, v)
+		if err != nil || !bytes.Equal(again, frame) {
+			t.Errorf("%s: valid body does not re-encode to itself (%v)", tc.name, err)
+		}
+	}
+}
+
 // TestFlatDecodeBoundsAllocations sends each decoder a short body whose
 // header counts claim far more elements than the body could hold. An
 // arena sized from such a count would allocate tens of MiB; the decoder
@@ -360,6 +547,13 @@ func TestFlatDecodeBoundsAllocations(t *testing.T) {
 		{"corpus/entries", corpusCodec, cat(uv(nil, 0), uv(nil, huge), noNames, uv(nil, 0))},
 		{"corpus/names", corpusCodec, cat(uv(nil, 0), uv(nil, 0), u32(nil, huge), u32(nil, 0), uv(nil, 0))},
 		{"corpus/blob", corpusCodec, cat(uv(nil, 0), uv(nil, 0), noNames, uv(nil, huge))},
+		{"auth/items", authCodec, cat(noNames, noNames, u32(nil, huge))},
+		{"tree/labels", treeCodec, cat(appendString(nil, "t"), []byte{0, 0}, u32(nil, huge), u32(nil, 0))},
+		{"tree/merges", treeCodec, cat(appendString(nil, "t"), []byte{0, 0}, appendInterned(nil, make([]string, 1<<12)))},
+		{"elbow/points", elbowCodec, u32(nil, huge)},
+		{"validate/fits", validateCodec, u32(nil, huge)},
+		{"validate/bks", validateCodec, cat(u32(nil, 1), appendString(nil, "f"), u64(nil, 0), u64(nil, 0), u64(nil, 0), u32(nil, huge))},
+		{"validate/claims", validateCodec, cat(u32(nil, 0), u32(nil, huge))},
 	} {
 		frame := hostileFrame(t, tc.codec, tc.body)
 		var before, after runtime.MemStats

@@ -5,8 +5,14 @@ import (
 	"testing"
 
 	"cuisines/internal/artifact"
+	"cuisines/internal/authenticity"
 	"cuisines/internal/core"
 	"cuisines/internal/distance"
+	"cuisines/internal/geo"
+	"cuisines/internal/hac"
+	"cuisines/internal/itemset"
+	"cuisines/internal/kmeans"
+	"cuisines/internal/matrix"
 	"cuisines/internal/recipedb"
 )
 
@@ -104,4 +110,59 @@ func FuzzDecodeMatrices(f *testing.F) {
 func FuzzDecodeCondensed(f *testing.F) {
 	_, feats := fuzzFeatures(f)
 	fuzzCodec(f, pdistCodec, distance.Pdist(feats.Matrix.X, distance.Cosine))
+}
+
+// FuzzDecodeAuth seeds from fuzzDB's prevalence matrix over every item
+// kind.
+func FuzzDecodeAuth(f *testing.F) {
+	am, err := authenticity.Build(fuzzDB(f), authenticity.Options{Kinds: itemset.Kinds()})
+	if err != nil {
+		f.Fatal(err)
+	}
+	fuzzCodec(f, authCodec, am)
+}
+
+// fuzzGeoTree links the geographic tree over every region. The tree,
+// elbow and validate targets seed from it and from the region
+// coordinates rather than from a pipeline run, which under the fuzzer's
+// coverage instrumentation would spend most of a short fuzz budget.
+func fuzzGeoTree(f *testing.F) *core.CuisineTree {
+	names := geo.RegionNames()
+	d, err := geo.DistanceMatrix(names)
+	if err != nil {
+		f.Fatal(err)
+	}
+	ct, err := linkTree("geographic", d, names, distance.Euclidean, hac.Average)
+	if err != nil {
+		f.Fatal(err)
+	}
+	return ct
+}
+
+func FuzzDecodeTree(f *testing.F) {
+	fuzzCodec(f, treeCodec, fuzzGeoTree(f))
+}
+
+// FuzzDecodeElbow seeds from the elbow curve of the region coordinates.
+func FuzzDecodeElbow(f *testing.F) {
+	var rows [][]float64
+	for _, r := range geo.Regions() {
+		rows = append(rows, []float64{r.Lat, r.Lon})
+	}
+	curve, err := kmeans.Elbow(matrix.FromRows(rows), core.ElbowKMax, kmeans.Options{Seed: core.ElbowSeed})
+	if err != nil {
+		f.Fatal(err)
+	}
+	fuzzCodec(f, elbowCodec, curve)
+}
+
+// FuzzDecodeValidate seeds from a full validation whose five trees are
+// all the geographic one.
+func FuzzDecodeValidate(f *testing.F) {
+	ct := fuzzGeoTree(f)
+	v, err := core.Validate(&core.Figures{Euclidean: ct, Cosine: ct, Jaccard: ct, Auth: ct, Geo: ct})
+	if err != nil {
+		f.Fatal(err)
+	}
+	fuzzCodec(f, validateCodec, v)
 }

@@ -1,11 +1,18 @@
 package server
 
 import (
+	"bytes"
 	"context"
+	"encoding/gob"
 	"fmt"
+	"os"
+	"path/filepath"
 	"testing"
 
 	"cuisines"
+	"cuisines/internal/artifact"
+	"cuisines/internal/core"
+	"cuisines/internal/pipeline"
 )
 
 // stubAnalysis produces a tiny real analysis for cache-stats tests.
@@ -114,6 +121,71 @@ func TestWarmRestartServesFromDisk(t *testing.T) {
 	}
 	if len(st.Stages) == 0 {
 		t.Error("no stage stats on warm restart")
+	}
+}
+
+// gobValidateCodec frames a gob payload under the current validate
+// kind and version: the frame a gob-coded validate stage would accept.
+type gobValidateCodec struct{}
+
+func (gobValidateCodec) Kind() string { return "validate" }
+func (gobValidateCodec) Version() int { return pipeline.CodecVersions()["validate"] }
+
+func (gobValidateCodec) AppendEncode(dst []byte, v any) ([]byte, error) {
+	var buf bytes.Buffer
+	err := gob.NewEncoder(&buf).Encode(v)
+	return append(dst, buf.Bytes()...), err
+}
+
+func (gobValidateCodec) DecodeBytes([]byte) (any, error) {
+	return nil, fmt.Errorf("gobValidateCodec only encodes")
+}
+
+// TestPoisonedValidateFileRecomputes is the daemon-level regression
+// test for a poisoned analysis cache: a disk file answers the
+// validation's key with a frame that passes VerifyFrame but holds the
+// gob encoding of a Validation whose fit has no Report. A restarted
+// server must refuse it, recompute the validate stage alone, and serve
+// /v1/claims byte-identical to the cold run.
+func TestPoisonedValidateFileRecomputes(t *testing.T) {
+	dir := t.TempDir()
+	opts := cuisines.Options{Scale: testScale}
+	s1 := New(Config{Base: opts, Engine: cuisines.NewEngine(cuisines.EngineConfig{CacheDir: dir})})
+	code, cold, _ := get(t, s1, "/v1/claims")
+	if code != 200 {
+		t.Fatalf("cold claims: %d %s", code, cold)
+	}
+
+	files, err := filepath.Glob(filepath.Join(dir, "validate-*.art"))
+	if err != nil || len(files) != 1 {
+		t.Fatalf("validate files on disk: %v (err %v)", files, err)
+	}
+	poison, err := artifact.EncodeFrame(gobValidateCodec{}, &core.Validation{TreeFit: []core.TreeFit{{Name: "x"}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := artifact.VerifyFrame(poison, pipeline.Codecs()["validate"]); err != nil {
+		t.Fatalf("poisoned frame fails VerifyFrame, so this test proves nothing: %v", err)
+	}
+	if err := os.WriteFile(files[0], poison, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	s2 := New(Config{Base: opts, Engine: cuisines.NewEngine(cuisines.EngineConfig{CacheDir: dir})})
+	code, warm, _ := get(t, s2, "/v1/claims")
+	if code != 200 || string(warm) != string(cold) {
+		t.Fatalf("claims over the poisoned file: %d\n%s\nwant\n%s", code, warm, cold)
+	}
+	_, statsBody, _ := get(t, s2, "/v1/cachestats")
+	st := decode[cuisines.CacheStatsResponse](t, statsBody)
+	for kind, sc := range st.Stages {
+		want := uint64(0)
+		if kind == "validate" {
+			want = 1
+		}
+		if sc.Computed != want {
+			t.Errorf("stage %s computed %d times, want %d (stats: %+v)", kind, sc.Computed, want, sc)
+		}
 	}
 }
 

@@ -224,8 +224,7 @@ type Report struct {
 	BakersGamma    float64
 	RobinsonFoulds float64
 	// FowlkesMallows holds B_k for the ks requested, in request order.
-	// It is a slice, not a map, because gob walks maps in random order:
-	// the artifact store needs one Report to have one encoding.
+	// It is a slice, not a map, so one Report has one encoding.
 	FowlkesMallows []BkScore
 }
 
