@@ -10,6 +10,7 @@ package authenticity
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"cuisines/internal/itemset"
@@ -42,7 +43,9 @@ type Options struct {
 	MinRegionPrevalence float64
 }
 
-// Build computes the prevalence matrices for a database.
+// Build computes the prevalence matrices for a database. The recipe
+// counts behind eq. 1 are tallied over the DB vocabulary's id lists,
+// indexed by region row and item id.
 func Build(db *recipedb.DB, opts Options) (*Matrix, error) {
 	if db.Len() == 0 {
 		return nil, fmt.Errorf("authenticity: empty database")
@@ -51,63 +54,44 @@ func Build(db *recipedb.DB, opts Options) (*Matrix, error) {
 	if len(kinds) == 0 {
 		kinds = []itemset.Kind{itemset.Ingredient}
 	}
-	wantKind := make(map[itemset.Kind]bool, len(kinds))
-	for _, k := range kinds {
-		wantKind[k] = true
-	}
-
 	regions := db.Regions()
-	rowOf := make(map[string]int, len(regions))
-	for i, r := range regions {
-		rowOf[r] = i
+	sizes := make([]float64, len(regions))
+	for row, r := range regions {
+		sizes[row] = float64(db.RegionSize(r))
 	}
-
-	// First pass: per-region item counts.
-	counts := make(map[itemset.Item][]int)
-	for i := 0; i < db.Len(); i++ {
-		rec := db.Recipe(i)
-		row := rowOf[rec.Region]
-		for _, it := range rec.Items().Items() {
-			if !wantKind[it.Kind] {
-				continue
+	v := db.Vocab()
+	n := len(v.Items())
+	counts := make([]int32, len(regions)*n) // [row*n+id]: recipes of the region holding id
+	for row := range regions {
+		for _, rec := range v.Region(row) {
+			for _, id := range rec {
+				counts[row*n+int(id)]++
 			}
-			c := counts[it]
-			if c == nil {
-				c = make([]int, len(regions))
-				counts[it] = c
-			}
-			c[row]++
 		}
 	}
 
-	// Column selection and ordering.
+	// Columns: the vocabulary's items of the wanted kinds, already in
+	// canonical order, that reach MinRegionPrevalence somewhere.
 	var items []itemset.Item
-	for it, c := range counts {
-		if opts.MinRegionPrevalence > 0 {
-			keep := false
-			for row, n := range c {
-				size := db.RegionSize(regions[row])
-				if size > 0 && float64(n)/float64(size) >= opts.MinRegionPrevalence {
-					keep = true
-					break
-				}
-			}
-			if !keep {
-				continue
-			}
+	var cols []int
+	for id, it := range v.Items() {
+		if !slices.Contains(kinds, it.Kind) {
+			continue
 		}
-		items = append(items, it)
+		keep := opts.MinRegionPrevalence <= 0
+		for row := 0; row < len(regions) && !keep; row++ {
+			keep = float64(counts[row*n+id])/sizes[row] >= opts.MinRegionPrevalence
+		}
+		if keep {
+			items = append(items, it)
+			cols = append(cols, id)
+		}
 	}
-	sort.Slice(items, func(i, j int) bool { return items[i].Less(items[j]) })
 
 	prev := matrix.NewDense(len(regions), len(items))
-	for col, it := range items {
-		c := counts[it]
+	for col, id := range cols {
 		for row := range regions {
-			size := db.RegionSize(regions[row])
-			if size > 0 {
-				prev.Set(row, col, float64(c[row])/float64(size))
-			}
+			prev.Set(row, col, float64(counts[row*n+id])/sizes[row])
 		}
 	}
 	rel := prev.Clone()

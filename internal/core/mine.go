@@ -39,9 +39,10 @@ func MineRegions(db *recipedb.DB, minSupport float64) ([]RegionPatterns, error) 
 
 // MineRegionsWorkers is MineRegions with an explicit worker count (<= 0
 // means GOMAXPROCS, 1 forces the sequential path). The per-cuisine runs
-// are independent — each indexes its region once, reads the immutable
-// DB and returns its own result slot in canonical report order — so the
-// output is identical to the sequential path for any worker count.
+// are independent — each indexes its region once from the DB's shared
+// vocabulary and returns its own result slot in canonical report order
+// — so the output is identical to the sequential path for any worker
+// count.
 func MineRegionsWorkers(db *recipedb.DB, minSupport float64, workers int) ([]RegionPatterns, error) {
 	if db.Len() == 0 {
 		return nil, fmt.Errorf("core: empty database")
@@ -50,12 +51,13 @@ func MineRegionsWorkers(db *recipedb.DB, minSupport float64, workers int) ([]Reg
 		return nil, fmt.Errorf("core: min support %v out of (0, 1]", minSupport)
 	}
 	regions := db.Regions()
+	v := db.Vocab()
 	out := parallel.Map(len(regions), workers, func(i int) RegionPatterns {
-		ds := db.RegionDataset(regions[i])
+		txns := v.Region(i)
 		return RegionPatterns{
 			Region:   regions[i],
-			Recipes:  ds.Len(),
-			Patterns: eclat.MineIndex(itemset.NewIndex(ds), minSupport),
+			Recipes:  len(txns),
+			Patterns: eclat.MineIndex(itemset.NewIndex(v.Items(), txns), minSupport),
 		}
 	})
 	return out, nil

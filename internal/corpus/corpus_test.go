@@ -64,7 +64,7 @@ func TestGenerateDeterministic(t *testing.T) {
 	}
 	for i := 0; i < a.Len(); i++ {
 		ra, rb := a.Recipe(i), b.Recipe(i)
-		if ra.ID != rb.ID || !ra.Items().Equal(rb.Items()) {
+		if ra.ID != rb.ID || !recipeItems(ra).Equal(recipeItems(rb)) {
 			t.Fatalf("recipe %d differs between runs", i)
 		}
 	}
@@ -87,7 +87,7 @@ func TestGenerateRegionIndependence(t *testing.T) {
 		t.Fatalf("region sizes differ: %d vs %d", len(soloThai), len(bothThai))
 	}
 	for i := range soloThai {
-		if soloThai[i].ID != bothThai[i].ID || !soloThai[i].Items().Equal(bothThai[i].Items()) {
+		if soloThai[i].ID != bothThai[i].ID || !recipeItems(soloThai[i]).Equal(recipeItems(bothThai[i])) {
 			t.Fatalf("Thai recipe %d differs with/without Greek present", i)
 		}
 	}
@@ -141,6 +141,27 @@ func TestGenerateMinimumRegionSize(t *testing.T) {
 // mediumDB caches a moderately sized corpus shared by the statistical
 // tests below.
 var mediumDB *recipedb.DB
+
+// recipeItems is a recipe's canonical itemset, built from its raw
+// names.
+func recipeItems(r *recipedb.Recipe) itemset.Set {
+	var items []itemset.Item
+	for k, names := range [][]string{r.Ingredients, r.Processes, r.Utensils} {
+		for _, name := range names {
+			items = append(items, itemset.NewItem(name, itemset.Kind(k)))
+		}
+	}
+	return itemset.NewSet(items...)
+}
+
+// regionDataset is one region's recipes as a brute-force Dataset.
+func regionDataset(db *recipedb.DB, region string) *itemset.Dataset {
+	var txns []itemset.Transaction
+	for _, r := range db.RegionRecipes(region) {
+		txns = append(txns, itemset.Transaction{ID: r.ID, Items: recipeItems(r)})
+	}
+	return itemset.NewDataset(txns)
+}
 
 func getMediumDB(t *testing.T) *recipedb.DB {
 	t.Helper()
@@ -203,7 +224,7 @@ func TestHeadlinePatternSupports(t *testing.T) {
 	// scorer.)
 	db := getMediumDB(t)
 	for _, p := range Profiles() {
-		ds := db.RegionDataset(p.Region)
+		ds := regionDataset(db, p.Region)
 		items := parseStringPattern(p.IntendedTop[0])
 		got := ds.Support(items)
 		// Tolerance: calibration slack plus 3 binomial sigmas for the
@@ -244,8 +265,9 @@ func TestPatternCountShape(t *testing.T) {
 	// fewest.
 	db := getMediumDB(t)
 	counts := make(map[string]int)
-	for _, region := range db.Regions() {
-		counts[region] = len(eclat.Mine(db.RegionDataset(region), 0.2))
+	v := db.Vocab()
+	for row, region := range db.Regions() {
+		counts[region] = len(eclat.MineIndex(itemset.NewIndex(v.Items(), v.Region(row)), 0.2))
 	}
 	rich := []string{"Northern Africa", "Indian Subcontinent"}
 	sparse := []string{"Australian", "Canadian", "Caribbean", "Mexican"}
@@ -271,7 +293,7 @@ func TestSharedSignatureItems(t *testing.T) {
 	// Signature sharing that the clustering experiments depend on.
 	db := getMediumDB(t)
 	support := func(region, name string) float64 {
-		return db.RegionDataset(region).Support(itemset.FromNames(itemset.Ingredient, name))
+		return regionDataset(db, region).Support(itemset.FromNames(itemset.Ingredient, name))
 	}
 	// Soy sauce across East Asia, absent from Europe.
 	for _, r := range []string{"Chinese and Mongolian", "Japanese", "Korean"} {
@@ -356,7 +378,7 @@ func TestSubThresholdPoolsStayBelowBand(t *testing.T) {
 	db := getMediumDB(t)
 	// "star anise" is bundled in Chinese; in Japanese it comes only from
 	// the eastasia pool.
-	sup := db.RegionDataset("Japanese").Support(itemset.FromNames(itemset.Ingredient, "star anise"))
+	sup := regionDataset(db, "Japanese").Support(itemset.FromNames(itemset.Ingredient, "star anise"))
 	if sup >= 0.2 {
 		t.Fatalf("pool item reached mining band: %.3f", sup)
 	}

@@ -25,18 +25,9 @@ type Options struct {
 	MaxLen int
 }
 
-// Mine returns all itemsets with relative support >= minSupport (fraction
-// in (0,1], or absolute count if > 1), in canonical report order.
-func Mine(d *itemset.Dataset, minSupport float64) []itemset.Pattern {
-	return MineIndex(itemset.NewIndex(d), minSupport)
-}
-
-// MineWithOptions is Mine with explicit options.
-func MineWithOptions(d *itemset.Dataset, minSupport float64, opts Options) []itemset.Pattern {
-	return MineIndexWithOptions(itemset.NewIndex(d), minSupport, opts)
-}
-
-// MineIndex mines a prebuilt bitmap index.
+// MineIndex returns all itemsets of the index with relative support >=
+// minSupport (fraction in (0,1], or absolute count if > 1), in canonical
+// report order.
 func MineIndex(ix *itemset.Index, minSupport float64) []itemset.Pattern {
 	return MineIndexWithOptions(ix, minSupport, Options{})
 }

@@ -16,6 +16,11 @@ func ds(txns ...itemset.Transaction) *itemset.Dataset {
 	return itemset.NewDataset(txns)
 }
 
+// mine mines a dataset through a fresh index of it.
+func mine(d *itemset.Dataset, minSupport float64) []itemset.Pattern {
+	return MineIndex(d.Index(), minSupport)
+}
+
 func patternMap(ps []itemset.Pattern) map[string]int {
 	m := make(map[string]int, len(ps))
 	for _, p := range ps {
@@ -34,7 +39,7 @@ func TestMineTextbookExample(t *testing.T) {
 		txn("b", "c", "k", "s", "p"),
 		txn("a", "f", "c", "e", "l", "p", "m", "n"),
 	)
-	got := patternMap(Mine(d, 0.6))
+	got := patternMap(mine(d, 0.6))
 	want := map[string]int{
 		"f": 4, "c": 4, "a": 3, "b": 3, "m": 3, "p": 3,
 		"a+c": 3, "a+f": 3, "c+f": 3, "c+m": 3, "a+m": 3, "f+m": 3, "c+p": 3,
@@ -51,32 +56,32 @@ func TestMineTextbookExample(t *testing.T) {
 }
 
 func TestEmpty(t *testing.T) {
-	if Mine(ds(), 0.5) != nil {
+	if mine(ds(), 0.5) != nil {
 		t.Fatal("empty dataset should mine nothing")
 	}
 }
 
 func TestMineEmptyDataset(t *testing.T) {
-	if got := Mine(ds(), 0.5); got != nil {
+	if got := mine(ds(), 0.5); got != nil {
 		t.Fatalf("empty dataset mined %v", got)
 	}
-	if got := MineIndex(itemset.NewIndex(ds(itemset.Transaction{}, itemset.Transaction{})), 0.5); got != nil {
+	if got := MineIndex(ds(itemset.Transaction{}, itemset.Transaction{}).Index(), 0.5); got != nil {
 		t.Fatalf("empty transactions mined %v", got)
 	}
 }
 
 func TestEmptyAndTrivial(t *testing.T) {
-	if Mine(ds(), 0.5) != nil {
+	if mine(ds(), 0.5) != nil {
 		t.Fatal("empty dataset should mine nothing")
 	}
-	m := patternMap(Mine(ds(txn("x")), 1.0))
+	m := patternMap(mine(ds(txn("x")), 1.0))
 	if len(m) != 1 || m["x"] != 1 {
 		t.Fatalf("trivial = %v", m)
 	}
 }
 
 func TestMineSingleTransaction(t *testing.T) {
-	m := patternMap(Mine(ds(txn("a", "b")), 1.0))
+	m := patternMap(mine(ds(txn("a", "b")), 1.0))
 	if len(m) != 3 || m["a"] != 1 || m["b"] != 1 || m["a+b"] != 1 {
 		t.Fatalf("single txn patterns = %v", m)
 	}
@@ -85,7 +90,7 @@ func TestMineSingleTransaction(t *testing.T) {
 func TestMineSupportBoundary(t *testing.T) {
 	// 4 txns; support 0.5 -> minCount 2 exactly.
 	d := ds(txn("a", "b"), txn("a"), txn("c"), txn("c"))
-	m := patternMap(Mine(d, 0.5))
+	m := patternMap(mine(d, 0.5))
 	if m["a"] != 2 || m["c"] != 2 {
 		t.Fatalf("boundary supports wrong: %v", m)
 	}
@@ -99,7 +104,7 @@ func TestMineSupportBoundary(t *testing.T) {
 
 func TestMineSupportValuesAreRelative(t *testing.T) {
 	d := ds(txn("a"), txn("a"), txn("a"), txn("b"))
-	for _, p := range Mine(d, 0.5) {
+	for _, p := range mine(d, 0.5) {
 		if p.StringPattern() == "a" && math.Abs(p.Support-0.75) > 1e-12 {
 			t.Fatalf("support of a = %v", p.Support)
 		}
@@ -108,7 +113,7 @@ func TestMineSupportValuesAreRelative(t *testing.T) {
 
 func TestMineAbsoluteThreshold(t *testing.T) {
 	d := ds(txn("a"), txn("a"), txn("a"), txn("b"), txn("b"))
-	m := patternMap(Mine(d, 3)) // absolute count 3
+	m := patternMap(mine(d, 3)) // absolute count 3
 	if _, ok := m["b"]; ok {
 		t.Fatal("b has count 2 < 3")
 	}
@@ -119,14 +124,14 @@ func TestMineAbsoluteThreshold(t *testing.T) {
 
 func TestMaxLen(t *testing.T) {
 	d := ds(txn("a", "b", "c"), txn("a", "b", "c"))
-	if ps := MineWithOptions(d, 1.0, Options{MaxLen: 1}); len(ps) != 3 {
+	if ps := MineIndexWithOptions(d.Index(), 1.0, Options{MaxLen: 1}); len(ps) != 3 {
 		t.Fatalf("MaxLen=1 gave %d patterns", len(ps))
 	}
 }
 
 func TestMaxLenOption(t *testing.T) {
 	d := ds(txn("a", "b", "c"), txn("a", "b", "c"))
-	ps := MineWithOptions(d, 0.5, Options{MaxLen: 2})
+	ps := MineIndexWithOptions(d.Index(), 0.5, Options{MaxLen: 2})
 	for _, p := range ps {
 		if p.Items.Len() > 2 {
 			t.Fatalf("pattern %v exceeds MaxLen", p)
@@ -140,7 +145,7 @@ func TestMaxLenOption(t *testing.T) {
 func TestSinglePathDeepCounts(t *testing.T) {
 	// Deeper extensions of the one frequent item are infrequent.
 	d := ds(txn("a"), txn("a"), txn("a"), txn("a", "b"))
-	m := patternMap(Mine(d, 0.5))
+	m := patternMap(mine(d, 0.5))
 	if len(m) != 1 || m["a"] != 4 {
 		t.Fatalf("patterns = %v", m)
 	}
@@ -152,7 +157,7 @@ func TestDuplicateItemsInTransaction(t *testing.T) {
 		itemset.NewItem("a", itemset.Ingredient),
 		itemset.NewItem("a", itemset.Ingredient),
 	)}
-	m := patternMap(Mine(ds(tr, tr), 1.0))
+	m := patternMap(mine(ds(tr, tr), 1.0))
 	if m["a"] != 2 || len(m) != 1 {
 		t.Fatalf("patterns = %v", m)
 	}
@@ -165,7 +170,7 @@ func TestMixedKindsMinedTogether(t *testing.T) {
 		itemset.NewItem("heat", itemset.Process),
 		itemset.NewItem("wok", itemset.Utensil),
 	)}
-	m := patternMap(Mine(ds(tr, tr), 1.0))
+	m := patternMap(mine(ds(tr, tr), 1.0))
 	if m["heat+soy sauce+wok"] != 2 {
 		t.Fatalf("mixed-kind pattern missing: %v", m)
 	}
@@ -220,7 +225,7 @@ func TestMineMatchesBruteForceProperty(t *testing.T) {
 	for trial := 0; trial < 60; trial++ {
 		d := randomDataset(r, 5+r.Intn(20), 6, 5)
 		sup := []float64{0.2, 0.3, 0.5}[r.Intn(3)]
-		got := patternMap(Mine(d, sup))
+		got := patternMap(mine(d, sup))
 		want := bruteForce(d, sup)
 		if len(got) != len(want) {
 			t.Fatalf("trial %d sup %v: %d patterns, oracle %d\ngot %v\nwant %v",
@@ -238,7 +243,7 @@ func TestMineAntiMonotoneProperty(t *testing.T) {
 	// Every subset of a mined pattern must also be mined, with >= count.
 	r := rand.New(rand.NewSource(9))
 	for trial := 0; trial < 30; trial++ {
-		ps := Mine(randomDataset(r, 20, 5, 6), 0.25)
+		ps := mine(randomDataset(r, 20, 5, 6), 0.25)
 		m := patternMap(ps)
 		for _, p := range ps {
 			items := p.Items.Items()
@@ -267,14 +272,14 @@ func TestMineAntiMonotoneProperty(t *testing.T) {
 
 func TestMineIndexReusesSharedIndex(t *testing.T) {
 	// The same prebuilt index mined twice (different thresholds) must
-	// match fresh Mine calls: the DFS scratch buffers never leak state
+	// match fresh mine calls: the DFS scratch buffers never leak state
 	// into the shared bitmaps.
 	d := ds(
 		txn("a", "b", "c"), txn("a", "b"), txn("a", "c"), txn("b", "c"), txn("a"),
 	)
-	ix := itemset.NewIndex(d)
+	ix := d.Index()
 	for _, sup := range []float64{0.4, 0.6} {
-		fresh := patternMap(Mine(d, sup))
+		fresh := patternMap(mine(d, sup))
 		shared := patternMap(MineIndex(ix, sup))
 		if len(fresh) != len(shared) {
 			t.Fatalf("sup=%g: fresh %d patterns, shared index %d", sup, len(fresh), len(shared))
@@ -306,7 +311,7 @@ func TestSteadyStateAllocations(t *testing.T) {
 		}
 		txns[i] = itemset.Transaction{Items: itemset.NewSet(items...)}
 	}
-	ix := itemset.NewIndex(itemset.NewDataset(txns))
+	ix := itemset.NewDataset(txns).Index()
 	patterns := MineIndex(ix, 0.1)
 	if len(patterns) == 0 {
 		t.Fatal("fixture mined no patterns")

@@ -312,7 +312,11 @@ func (t *Table) Compounds(name string) []CompoundID {
 
 // Shared returns the number of compounds two ingredients share.
 func (t *Table) Shared(a, b string) int {
-	x, y := t.Compounds(a), t.Compounds(b)
+	return shared(t.Compounds(a), t.Compounds(b))
+}
+
+// shared counts the common members of two ascending compound sets.
+func shared(x, y []CompoundID) int {
 	i, j, n := 0, 0, 0
 	for i < len(x) && j < len(y) {
 		switch {

@@ -1,10 +1,14 @@
 package flavor
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
+	"cuisines/internal/corpus"
+	"cuisines/internal/itemset"
 	"cuisines/internal/recipedb"
+	"cuisines/internal/rng"
 )
 
 func TestCategoryOf(t *testing.T) {
@@ -146,7 +150,7 @@ func idOf(prefix string, i int) string {
 func pick(i int, xs ...string) string { return xs[i%len(xs)] }
 
 func TestAnalyzeCuisineEmpty(t *testing.T) {
-	res := AnalyzeCuisine("X", nil, NewTable(nil), 1)
+	res := AnalyzeCuisine("X", nil, nil, 1)
 	if res.Pairs != 0 || res.DeltaNs != 0 {
 		t.Fatalf("empty cuisine result: %+v", res)
 	}
@@ -164,4 +168,67 @@ func TestCategoryString(t *testing.T) {
 	if CatSpice.String() != "spice" || CatOther.String() != "other" {
 		t.Fatal("category names wrong")
 	}
+}
+
+// TestAnalyzeDBMatchesNameReference pins the id-based statistic to the
+// name-based one it replaced: each recipe's distinct canonical
+// ingredient names in sorted order, compound sharing looked up by name
+// through Table.Shared. A corpus and a DB with case, spacing and
+// repeated-name variants must agree in every field, bit for bit.
+func TestAnalyzeDBMatchesNameReference(t *testing.T) {
+	gen, err := corpus.Generate(corpus.Config{Seed: 3, Scale: 0.02})
+	if err != nil {
+		t.Fatal(err)
+	}
+	variants := mustDB(t, []recipedb.Recipe{
+		{ID: "1", Region: "A", Ingredients: []string{"Butter", " butter ", "Cream", "flour"}},
+		{ID: "2", Region: "A", Ingredients: []string{"cream", "CUMIN", "onion"}, Processes: []string{"cream"}},
+		{ID: "3", Region: "B", Ingredients: []string{"cumin", "Coriander  Seed", "coriander seed"}},
+		{ID: "4", Region: "B", Ingredients: []string{"onion", "cumin"}, Utensils: []string{"onion"}},
+	})
+	for name, db := range map[string]*recipedb.DB{"corpus": gen, "variants": variants} {
+		if got, want := AnalyzeDB(db, 7), referencePairing(db, 7); !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: AnalyzeDB\n%+v\nreference\n%+v", name, got, want)
+		}
+	}
+}
+
+func referencePairing(db *recipedb.DB, seed uint64) []PairingResult {
+	t := NewTable(nil)
+	var out []PairingResult
+	for _, region := range db.Regions() {
+		res := PairingResult{Region: region}
+		var sumCo float64
+		var nCo int
+		var occ []string
+		for _, rec := range db.RegionRecipes(region) {
+			ings := itemset.FromNames(itemset.Ingredient, rec.Ingredients...).Names()
+			occ = append(occ, ings...)
+			pairs := 0
+			for i := 0; i < len(ings) && pairs < 60; i++ {
+				for j := i + 1; j < len(ings) && pairs < 60; j++ {
+					sumCo += float64(t.Shared(ings[i], ings[j]))
+					nCo++
+					pairs++
+				}
+			}
+		}
+		if nCo > 0 {
+			res.CoOccurring, res.Pairs = sumCo/float64(nCo), nCo
+			r := rng.New(seed ^ hash(region))
+			var sumRand float64
+			nRand := min(nCo, 200_000)
+			for k := 0; k < nRand; k++ {
+				a, b := occ[r.Intn(len(occ))], occ[r.Intn(len(occ))]
+				for b == a {
+					b = occ[r.Intn(len(occ))]
+				}
+				sumRand += float64(t.Shared(a, b))
+			}
+			res.Random = sumRand / float64(nRand)
+			res.DeltaNs = res.CoOccurring - res.Random
+		}
+		out = append(out, res)
+	}
+	return out
 }

@@ -27,8 +27,11 @@ type PairingResult struct {
 	Pairs int
 }
 
-// AnalyzeCuisine computes ΔN_s for one cuisine's recipes.
-func AnalyzeCuisine(region string, recipes []*recipedb.Recipe, t *Table, seed uint64) PairingResult {
+// AnalyzeCuisine computes ΔN_s for one cuisine. recipes are its
+// recipes' item id lists (recipedb.Vocab.Region), ascending, and
+// comps[id] is the compound set of the ingredient with that id, nil for
+// processes and utensils, which the statistic ignores.
+func AnalyzeCuisine(region string, recipes [][]int32, comps [][]CompoundID, seed uint64) PairingResult {
 	res := PairingResult{Region: region}
 	if len(recipes) == 0 {
 		return res
@@ -39,15 +42,20 @@ func AnalyzeCuisine(region string, recipes []*recipedb.Recipe, t *Table, seed ui
 	const maxPairsPerRecipe = 60
 	var sumCo float64
 	var nCo int
-	var occurrences []string // frequency-weighted pool for the null
+	var occurrences []int32 // frequency-weighted pool for the null
 	r := rng.New(seed ^ hash(region))
 	for _, rec := range recipes {
-		ings := rec.IngredientSet().Names()
-		occurrences = append(occurrences, ings...)
+		start := len(occurrences)
+		for _, id := range rec {
+			if comps[id] != nil {
+				occurrences = append(occurrences, id)
+			}
+		}
+		ings := occurrences[start:]
 		pairs := 0
 		for i := 0; i < len(ings) && pairs < maxPairsPerRecipe; i++ {
 			for j := i + 1; j < len(ings) && pairs < maxPairsPerRecipe; j++ {
-				sumCo += float64(t.Shared(ings[i], ings[j]))
+				sumCo += float64(shared(comps[ings[i]], comps[ings[j]]))
 				nCo++
 				pairs++
 			}
@@ -72,7 +80,7 @@ func AnalyzeCuisine(region string, recipes []*recipedb.Recipe, t *Table, seed ui
 		for b == a {
 			b = occurrences[r.Intn(len(occurrences))]
 		}
-		sumRand += float64(t.Shared(a, b))
+		sumRand += float64(shared(comps[a], comps[b]))
 	}
 	res.Random = sumRand / float64(nRand)
 	res.DeltaNs = res.CoOccurring - res.Random
@@ -80,24 +88,19 @@ func AnalyzeCuisine(region string, recipes []*recipedb.Recipe, t *Table, seed ui
 }
 
 // AnalyzeDB computes ΔN_s for every cuisine in the database, using a
-// table synthesized over the database's ingredient vocabulary.
+// table synthesized over the ingredients of the database's vocabulary.
 func AnalyzeDB(db *recipedb.DB, seed uint64) []PairingResult {
-	// Vocabulary: every canonical ingredient name.
-	seen := make(map[string]bool)
-	var vocab []string
-	for i := 0; i < db.Len(); i++ {
-		for _, n := range db.Recipe(i).Ingredients {
-			c := itemset.CanonicalName(n)
-			if !seen[c] {
-				seen[c] = true
-				vocab = append(vocab, c)
-			}
+	v := db.Vocab()
+	t := NewTable(nil)
+	comps := make([][]CompoundID, len(v.Items()))
+	for id, it := range v.Items() {
+		if it.Kind == itemset.Ingredient {
+			comps[id] = t.Compounds(it.Name)
 		}
 	}
-	t := NewTable(vocab)
 	out := make([]PairingResult, 0, db.NumRegions())
-	for _, region := range db.Regions() {
-		out = append(out, AnalyzeCuisine(region, db.RegionRecipes(region), t, seed))
+	for row, region := range db.Regions() {
+		out = append(out, AnalyzeCuisine(region, v.Region(row), comps, seed))
 	}
 	return out
 }

@@ -1,15 +1,12 @@
 package itemset
 
-import (
-	"math/bits"
-	"sort"
-)
+import "math/bits"
 
-// Index is a vertical bitset view of a Dataset: every distinct item maps
-// to a bitmap over transaction positions. It is what Eclat
-// (internal/eclat) mines — built once per region: the support of an
-// item is a cached popcount, and Eclat intersects the bitmaps directly
-// instead of merging tid lists.
+// Index is a vertical bitset view of one region's recipes, built once
+// per region from the corpus vocabulary (recipedb.Vocab): every item
+// the region holds maps to a bitmap over transaction positions. It is
+// what Eclat (internal/eclat) mines: the support of an item is a cached
+// popcount, and Eclat intersects the bitmaps directly.
 //
 // Every bitmap is a flat []uint64 over the whole transaction universe,
 // cut from one arena. One layout suffices: Eclat only intersects items
@@ -30,22 +27,24 @@ type Index struct {
 	words int        // words per bitmap
 }
 
-// NewIndex builds the vertical index of the dataset. Cost is one pass to
-// collect the vocabulary plus one pass to fill the bitmaps; the result
-// is self-contained and does not retain the Dataset.
-func NewIndex(d *Dataset) *Index {
-	n := d.Len()
+// NewIndex indexes txns, distinct ids into items (in Item.Less order).
+// It keeps only the items some transaction holds, renumbered densely in
+// the same order, and retains neither argument.
+func NewIndex(items []Item, txns [][]int32) *Index {
+	n := len(txns)
 	ix := &Index{n: n, words: (n + 63) / 64}
 
-	counts := d.ItemCounts()
-	ix.items = make([]Item, 0, len(counts))
-	for it := range counts {
-		ix.items = append(ix.items, it)
+	local := make([]int32, len(items)) // vocabulary id -> index id + 1; 0 if absent
+	for _, t := range txns {
+		for _, g := range t {
+			local[g] = 1
+		}
 	}
-	sort.Slice(ix.items, func(i, j int) bool { return ix.items[i].Less(ix.items[j]) })
-	idOf := make(map[Item]int32, len(ix.items))
-	for i, it := range ix.items {
-		idOf[it] = int32(i)
+	for g, held := range local {
+		if held != 0 {
+			ix.items = append(ix.items, items[g])
+			local[g] = int32(len(ix.items))
+		}
 	}
 
 	ix.count = make([]int, len(ix.items))
@@ -54,9 +53,9 @@ func NewIndex(d *Dataset) *Index {
 	for i := range ix.bms {
 		ix.bms[i] = arena[i*ix.words : (i+1)*ix.words : (i+1)*ix.words]
 	}
-	for tid, t := range d.Transactions() {
-		for _, it := range t.Items.Items() {
-			id := idOf[it]
+	for tid, t := range txns {
+		for _, g := range t {
+			id := local[g] - 1
 			ix.bms[id][tid>>6] |= 1 << (uint(tid) & 63)
 			ix.count[id]++
 		}

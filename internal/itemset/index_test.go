@@ -53,7 +53,7 @@ func TestIndexBasics(t *testing.T) {
 		ixTxn("b", "c"),
 		ixTxn("a", "b", "c"),
 	})
-	ix := NewIndex(d)
+	ix := d.Index()
 	if ix.NumTransactions() != 3 {
 		t.Fatalf("transactions = %d", ix.NumTransactions())
 	}
@@ -76,6 +76,23 @@ func TestIndexBasics(t *testing.T) {
 	}
 }
 
+// TestNewIndexKeepsHeldItems: an index over a vocabulary keeps only
+// the items its transactions hold, renumbered densely in vocabulary
+// order, so a region's index never carries another region's items.
+func TestNewIndexKeepsHeldItems(t *testing.T) {
+	vocab := []Item{NewItem("a", Ingredient), NewItem("b", Ingredient), NewItem("b", Process), NewItem("c", Utensil)}
+	ix := NewIndex(vocab, [][]int32{{1, 3}, {3}, nil})
+	if ix.NumTransactions() != 3 || ix.NumItems() != 2 {
+		t.Fatalf("transactions %d items %d, want 3 and 2", ix.NumTransactions(), ix.NumItems())
+	}
+	if ix.Item(0) != vocab[1] || ix.Item(1) != vocab[3] || ix.Count(0) != 1 || ix.Count(1) != 2 {
+		t.Fatalf("items %v %v counts %d %d", ix.Item(0), ix.Item(1), ix.Count(0), ix.Count(1))
+	}
+	if ix.ItemBitmap(1)[0] != 0b011 {
+		t.Fatalf("bitmap of c = %b, want transactions 0 and 1", ix.ItemBitmap(1)[0])
+	}
+}
+
 func TestIndexSupportCountMatchesDataset(t *testing.T) {
 	r := rand.New(rand.NewSource(3))
 	for trial := 0; trial < 30; trial++ {
@@ -90,7 +107,7 @@ func TestIndexSupportCountMatchesDataset(t *testing.T) {
 			txns[i] = Transaction{Items: NewSet(items...)}
 		}
 		d := NewDataset(txns)
-		ix := NewIndex(d)
+		ix := d.Index()
 		if ix.NumTransactions() != d.Len() {
 			t.Fatalf("trial %d: transactions %d != %d", trial, ix.NumTransactions(), d.Len())
 		}
@@ -129,7 +146,7 @@ func TestIndexSupportCountMatchesDataset(t *testing.T) {
 
 func TestIndexMinCountMatchesDataset(t *testing.T) {
 	d := NewDataset([]Transaction{ixTxn("a"), ixTxn("a"), ixTxn("b")})
-	ix := NewIndex(d)
+	ix := d.Index()
 	for _, sup := range []float64{0, 0.2, 0.34, 0.5, 1, 2, 5} {
 		if got, want := ix.MinCount(sup), d.MinCount(sup); got != want {
 			t.Errorf("MinCount(%g) = %d, dataset says %d", sup, got, want)
@@ -139,7 +156,7 @@ func TestIndexMinCountMatchesDataset(t *testing.T) {
 
 func TestIndexEmptyTransactionsCountTowardSupport(t *testing.T) {
 	d := NewDataset([]Transaction{ixTxn("a"), {}, {}, ixTxn("a")})
-	ix := NewIndex(d)
+	ix := d.Index()
 	if ix.NumTransactions() != 4 {
 		t.Fatalf("transactions = %d", ix.NumTransactions())
 	}

@@ -1,5 +1,7 @@
 package itemset
 
+import "sort"
+
 // Transaction is one mining input: a recipe reduced to its canonical set of
 // items plus an opaque identifier. Sec. V.A: "Ingredients, utensils and
 // processes were concatenated and the FP-Growth Algorithm was applied."
@@ -10,8 +12,9 @@ type Transaction struct {
 	Items Set
 }
 
-// Dataset is an ordered collection of transactions, the unit the miners
-// operate on (one Dataset per cuisine in the paper's pipeline).
+// Dataset is an ordered collection of transactions scanned item by
+// item: the brute-force reference that tests pin Index and Eclat to.
+// The pipeline never builds one; it indexes recipedb.Vocab directly.
 type Dataset struct {
 	transactions []Transaction
 }
@@ -29,14 +32,28 @@ func (d *Dataset) Len() int {
 	return len(d.transactions)
 }
 
-// At returns the i-th transaction.
-func (d *Dataset) At(i int) Transaction { return d.transactions[i] }
-
 // Transactions returns the underlying slice (not a copy).
 func (d *Dataset) Transactions() []Transaction { return d.transactions }
 
-// Append adds a transaction.
-func (d *Dataset) Append(t Transaction) { d.transactions = append(d.transactions, t) }
+// Index builds the bitmap index of the dataset over its own items.
+func (d *Dataset) Index() *Index {
+	var items []Item
+	for it := range d.ItemCounts() {
+		items = append(items, it)
+	}
+	sort.Slice(items, func(i, j int) bool { return items[i].Less(items[j]) })
+	idOf := make(map[Item]int32, len(items))
+	for id, it := range items {
+		idOf[it] = int32(id)
+	}
+	txns := make([][]int32, d.Len())
+	for t, tr := range d.transactions {
+		for _, it := range tr.Items.Items() {
+			txns[t] = append(txns[t], idOf[it])
+		}
+	}
+	return NewIndex(items, txns)
+}
 
 // ItemCounts returns the number of transactions containing each item.
 func (d *Dataset) ItemCounts() map[Item]int {

@@ -30,7 +30,7 @@ func TestEclatAgreesOnRandomDensityRegimes(t *testing.T) {
 	for ri, rg := range regimes {
 		d := densityDataset(r, rg.nTxn, rg.probs)
 		sup := sups[ri%len(sups)]
-		got := miner.Eclat.Mine(itemset.NewIndex(d), sup)
+		got := miner.Eclat.Mine(d.Index(), sup)
 		if want := referenceMine(d, sup); !reflect.DeepEqual(got, want) {
 			t.Errorf("regime %d sup %g: eclat mined %d patterns, reference %d, or they differ",
 				ri, sup, len(got), len(want))

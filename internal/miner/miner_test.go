@@ -81,7 +81,7 @@ func TestBackendsAgreeOnRandomDatasets(t *testing.T) {
 		nTxn, universe := 1+r.Intn(150), 2+r.Intn(12)
 		d := randomDataset(r, nTxn, universe, 0, 1+r.Intn(8))
 		sup := []float64{0.1, 0.2, 0.35, 0.5, 0.8}[r.Intn(5)]
-		got, want := miner.Eclat.Mine(itemset.NewIndex(d), sup), referenceMine(d, sup)
+		got, want := miner.Eclat.Mine(d.Index(), sup), referenceMine(d, sup)
 		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("trial %d (txns=%d universe=%d sup=%g): eclat disagrees with the reference\neclat:     %v\nreference: %v",
 				trial, nTxn, universe, sup, got, want)
@@ -91,27 +91,34 @@ func TestBackendsAgreeOnRandomDatasets(t *testing.T) {
 
 // TestEclatAgreesWithReferenceProperty is the small-dataset agreement
 // property: a few dozen short transactions over seven letters, where
-// supports near the thresholds collide most often.
+// supports near the thresholds collide most often. Each trial is also
+// mined the way the mine stage mines a region, through an index of the
+// recipe vocabulary, from recipes spelling the same items in varied
+// case and spacing with repeats.
 func TestEclatAgreesWithReferenceProperty(t *testing.T) {
 	r := rand.New(rand.NewSource(11))
 	for trial := 0; trial < 50; trial++ {
 		d := randomDataset(r, 5+r.Intn(25), 7, 1, 6)
 		sup := []float64{0.15, 0.25, 0.4}[r.Intn(3)]
-		if got, want := miner.Eclat.Mine(itemset.NewIndex(d), sup), referenceMine(d, sup); !reflect.DeepEqual(got, want) {
+		if got, want := miner.Eclat.Mine(d.Index(), sup), referenceMine(d, sup); !reflect.DeepEqual(got, want) {
 			t.Fatalf("trial %d sup %g: eclat %v\nreference %v", trial, sup, got, want)
+		}
+		ix, ref := vocabCase(t, rand.New(rand.NewSource(int64(trial))), d)
+		if got, want := miner.Eclat.Mine(ix, sup), referenceMine(ref, sup); !reflect.DeepEqual(got, want) {
+			t.Fatalf("trial %d sup %g, vocabulary index: eclat %v\nreference %v", trial, sup, got, want)
 		}
 	}
 }
 
 // TestLevelWiseAgreesWithEclatProperty is the level-wise against
 // depth-first agreement property on its own seed, entering Eclat
-// through eclat.Mine's Dataset entry point rather than a prebuilt index.
+// through eclat.MineIndex on a fresh index rather than the Miner value.
 func TestLevelWiseAgreesWithEclatProperty(t *testing.T) {
 	r := rand.New(rand.NewSource(10))
 	for trial := 0; trial < 50; trial++ {
 		d := randomDataset(r, 5+r.Intn(25), 7, 1, 6)
 		sup := []float64{0.15, 0.25, 0.4}[r.Intn(3)]
-		if got, want := eclat.Mine(d, sup), referenceMine(d, sup); !reflect.DeepEqual(got, want) {
+		if got, want := eclat.MineIndex(d.Index(), sup), referenceMine(d, sup); !reflect.DeepEqual(got, want) {
 			t.Fatalf("trial %d sup %g: eclat %v\nreference %v", trial, sup, got, want)
 		}
 	}
@@ -122,7 +129,7 @@ func TestLevelWiseAgreesWithEclatProperty(t *testing.T) {
 // reference's exact pattern slice.
 func TestEclatMineTextbookExample(t *testing.T) {
 	d := textbookDataset()
-	got := miner.Eclat.Mine(itemset.NewIndex(d), 0.6)
+	got := miner.Eclat.Mine(d.Index(), 0.6)
 	checkTextbook(t, got)
 	if want := referenceMine(d, 0.6); !reflect.DeepEqual(got, want) {
 		t.Fatalf("eclat %v\nreference %v", got, want)
@@ -139,7 +146,7 @@ func TestSharedIndexMinesLikeReference(t *testing.T) {
 	d := itemset.NewDataset([]itemset.Transaction{
 		txn("a", "b", "c"), txn("a", "b"), txn("a", "c"), txn("b", "c"), txn("a"),
 	})
-	ix := itemset.NewIndex(d)
+	ix := d.Index()
 	for _, sup := range []float64{0.4, 0.6, 0.2, 0.4, 1.0, 0.6} {
 		if got, want := miner.Eclat.Mine(ix, sup), referenceMine(d, sup); !reflect.DeepEqual(got, want) {
 			t.Fatalf("sup=%g: shared index mined %v\nreference %v", sup, got, want)
@@ -162,7 +169,7 @@ func TestEclatMaxLenAgreesWithReferenceProperty(t *testing.T) {
 				want = append(want, p)
 			}
 		}
-		got := eclat.MineIndexWithOptions(itemset.NewIndex(d), sup, eclat.Options{MaxLen: maxLen})
+		got := eclat.MineIndexWithOptions(d.Index(), sup, eclat.Options{MaxLen: maxLen})
 		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("trial %d sup %g MaxLen %d: eclat %v\nreference %v", trial, sup, maxLen, got, want)
 		}

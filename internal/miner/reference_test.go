@@ -1,7 +1,10 @@
 package miner_test
 
 import (
+	"fmt"
+	"math/rand"
 	"sort"
+	"strings"
 	"sync"
 	"testing"
 
@@ -71,6 +74,58 @@ func samePrefix(a, b itemset.Set, n int) bool {
 	return true
 }
 
+// regionDataset is one region's recipes as a brute-force Dataset, each
+// recipe's itemset built from its raw names through itemset.NewItem,
+// sharing no code with recipedb.Vocab.
+func regionDataset(db *recipedb.DB, region string) *itemset.Dataset {
+	var txns []itemset.Transaction
+	for _, r := range db.RegionRecipes(region) {
+		var items []itemset.Item
+		for k, names := range [][]string{r.Ingredients, r.Processes, r.Utensils} {
+			for _, name := range names {
+				items = append(items, itemset.NewItem(name, itemset.Kind(k)))
+			}
+		}
+		txns = append(txns, itemset.Transaction{ID: r.ID, Items: itemset.NewSet(items...)})
+	}
+	return itemset.NewDataset(txns)
+}
+
+// vocabCase turns a dataset into one region's recipes whose raw names
+// vary in case and spacing and repeat within a recipe; every recipe
+// also holds the ingredient "Staple", since a recipe needs one. It
+// returns the index the mine stage builds from the DB's vocabulary and
+// the brute-force Dataset of the same recipes.
+func vocabCase(t *testing.T, r *rand.Rand, d *itemset.Dataset) (*itemset.Index, *itemset.Dataset) {
+	t.Helper()
+	spell := func(name string) string {
+		switch r.Intn(3) {
+		case 0:
+			return strings.ToUpper(name)
+		case 1:
+			return "  " + name + " "
+		}
+		return name
+	}
+	var recipes []recipedb.Recipe
+	for i, tr := range d.Transactions() {
+		rec := recipedb.Recipe{ID: fmt.Sprint(i), Region: "X", Ingredients: []string{"Staple"}}
+		lists := [...]*[]string{&rec.Ingredients, &rec.Processes, &rec.Utensils}
+		for _, it := range tr.Items.Items() {
+			for n := 1 + r.Intn(2); n > 0; n-- {
+				*lists[it.Kind] = append(*lists[it.Kind], spell(it.Name))
+			}
+		}
+		recipes = append(recipes, rec)
+	}
+	db, err := recipedb.New(recipes)
+	if err != nil {
+		t.Fatal(err)
+	}
+	v := db.Vocab()
+	return itemset.NewIndex(v.Items(), v.Region(0)), regionDataset(db, "X")
+}
+
 // The Table I support thresholds the corpus agreement tests mine at.
 var corpusSupports = []float64{0.2, 0.35}
 
@@ -97,7 +152,7 @@ func corpusReference(t *testing.T) (*recipedb.DB, map[string]map[float64][]items
 		for _, region := range corpusDB.Regions() {
 			corpusRef[region] = map[float64][]itemset.Pattern{}
 			for _, sup := range corpusSupports {
-				corpusRef[region][sup] = referenceMine(corpusDB.RegionDataset(region), sup)
+				corpusRef[region][sup] = referenceMine(regionDataset(corpusDB, region), sup)
 			}
 		}
 	})

@@ -66,14 +66,14 @@ func fuzzCodec(f *testing.F, c flatCodec, v any) {
 
 // fuzzDB is a three-recipe corpus over two regions whose ingredient,
 // process and utensil lists exercise every corpus section.
-func fuzzDB(f *testing.F) *recipedb.DB {
+func fuzzDB(tb testing.TB) *recipedb.DB {
 	db, err := recipedb.New([]recipedb.Recipe{
 		{ID: "r1", Name: "Stew", Region: "French", Ingredients: []string{"beef", "wine"}, Processes: []string{"simmer"}, Utensils: []string{"pot"}},
 		{ID: "r2", Name: "Fry", Region: "Chinese", Ingredients: []string{"soy sauce", "wine"}, Processes: []string{"heat"}},
 		{ID: "r3", Name: "Salad", Region: "French", Ingredients: []string{"lettuce"}},
 	})
 	if err != nil {
-		f.Fatal(err)
+		tb.Fatal(err)
 	}
 	return db
 }

@@ -3,6 +3,8 @@ package recipedb
 import (
 	"strings"
 	"testing"
+
+	"cuisines/internal/itemset"
 )
 
 // The ingestion fuzz targets lock two properties over arbitrary input:
@@ -38,6 +40,7 @@ func FuzzReadCSV(f *testing.F) {
 	f.Add("id,name,region,ingredients,processes,utensils\nr1,Stew,French,,,\n")                    // no ingredients
 	f.Add("id,name,region,ingredients,processes,utensils\n\"r1,Stew\n")                            // unterminated quote
 	f.Add("id,name,region,ingredients,processes,utensils\nr1,Stew,French,beef,simmer\n")           // short row
+	f.Add("id,name,region,ingredients,processes,utensils\nr1,Stew,French,beef| |,\u00a0,\n")       // blank names
 	f.Add("bogus,header\n")
 	f.Add("id,name,region,ingredients,processes,utensils\nr1,S,French," + strings.Repeat("x|", 500) + "y,,\n")
 	f.Fuzz(func(t *testing.T, data string) {
@@ -48,20 +51,16 @@ func FuzzReadCSV(f *testing.F) {
 			}
 			return
 		}
-		// Accepted input must yield a structurally valid database.
-		for i := 0; i < db.Len(); i++ {
-			if verr := db.Recipe(i).Validate(); verr != nil {
-				t.Fatalf("accepted invalid recipe %d: %v", i, verr)
-			}
-		}
+		checkAccepted(t, db)
 	})
 }
 
 func FuzzReadJSONL(f *testing.F) {
 	f.Add(`{"id":"r1","name":"Stew","region":"French","ingredients":["beef","wine"]}` + "\n")
 	f.Add(`{"id":"r1","region":"French","ingredients":["beef"]}` + "\n" + `{"id":"r1","region":"French","ingredients":["beef"]}` + "\n")
-	f.Add(`{"id":"r1","region":"","ingredients":["beef"]}` + "\n") // empty region
-	f.Add(`{"id":"r1","region":"French"}` + "\n")                  // no ingredients
+	f.Add(`{"id":"r1","region":"","ingredients":["beef"]}` + "\n")                // empty region
+	f.Add(`{"id":"r1","region":"French"}` + "\n")                                 // no ingredients
+	f.Add(`{"id":"a","region":"X","ingredients":["  "],"processes":[""]}` + "\n") // blank names
 	f.Add("{not json}\n")
 	f.Add("\n\n" + `{"id":"r1","region":"French","ingredients":["beef"]}` + "\n\n")
 	f.Add(`{"id":"r1","region":"French","ingredients":["` + strings.Repeat("x", 2000) + `"]}` + "\n")
@@ -73,10 +72,26 @@ func FuzzReadJSONL(f *testing.F) {
 			}
 			return
 		}
-		for i := 0; i < db.Len(); i++ {
-			if verr := db.Recipe(i).Validate(); verr != nil {
-				t.Fatalf("accepted invalid recipe %d: %v", i, verr)
+		checkAccepted(t, db)
+	})
+}
+
+// checkAccepted holds an accepted database to structural validity, and
+// every item name in it to a non-blank canonical form, so no reader
+// lets an item named "" into the vocabulary.
+func checkAccepted(t *testing.T, db *DB) {
+	t.Helper()
+	for i := 0; i < db.Len(); i++ {
+		r := db.Recipe(i)
+		if verr := r.Validate(); verr != nil {
+			t.Fatalf("accepted invalid recipe %d: %v", i, verr)
+		}
+		for _, names := range [][]string{r.Ingredients, r.Processes, r.Utensils} {
+			for _, name := range names {
+				if itemset.CanonicalName(name) == "" {
+					t.Fatalf("accepted recipe %d with blank item name %q", i, name)
+				}
 			}
 		}
-	})
+	}
 }

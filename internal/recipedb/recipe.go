@@ -3,7 +3,8 @@
 // ("cuisine"), and unordered lists of ingredients, cooking processes and
 // utensils. The paper's copy held 118,071 recipes over 26 geo-cultural
 // cuisines with 20,280 unique ingredients, 268 processes and 69 utensils;
-// this package provides the model, region indexing, CSV/JSONL codecs,
+// this package provides the model, region indexing, the canonical item
+// vocabulary (Vocab), CSV/JSONL codecs,
 // validation, and the corpus statistics of Sec. III. The data itself is
 // produced by internal/corpus (the calibrated synthetic generator that
 // substitutes for the non-redistributable scrape).
@@ -12,6 +13,9 @@ package recipedb
 import (
 	"fmt"
 	"sort"
+	"strings"
+	"sync"
+	"unicode/utf8"
 
 	"cuisines/internal/itemset"
 )
@@ -26,44 +30,18 @@ type Recipe struct {
 	// the 26 regions of Table I for paper-scale corpora).
 	Region string
 	// Ingredients, Processes and Utensils are the raw item names. Order
-	// is irrelevant; duplicates are tolerated on input and removed when
-	// converting to transactions.
+	// is irrelevant; duplicates are tolerated on input and collapse into
+	// one item in the DB's Vocab.
 	Ingredients []string
 	Processes   []string
 	Utensils    []string
 }
 
-// Items flattens the recipe into a canonical itemset spanning all three
-// kinds (the paper concatenates them before mining, Sec. V.A).
-func (r *Recipe) Items() itemset.Set {
-	items := make([]itemset.Item, 0, len(r.Ingredients)+len(r.Processes)+len(r.Utensils))
-	for _, n := range r.Ingredients {
-		items = append(items, itemset.NewItem(n, itemset.Ingredient))
-	}
-	for _, n := range r.Processes {
-		items = append(items, itemset.NewItem(n, itemset.Process))
-	}
-	for _, n := range r.Utensils {
-		items = append(items, itemset.NewItem(n, itemset.Utensil))
-	}
-	return itemset.NewSet(items...)
-}
-
-// Transaction converts the recipe to a mining transaction.
-func (r *Recipe) Transaction() itemset.Transaction {
-	return itemset.Transaction{ID: r.ID, Items: r.Items()}
-}
-
-// IngredientSet returns the canonical set of ingredient items only (used
-// by the authenticity pipeline, which Fig. 5 bases "dominantly on
-// ingredients").
-func (r *Recipe) IngredientSet() itemset.Set {
-	return itemset.FromNames(itemset.Ingredient, r.Ingredients...)
-}
-
-// Validate reports structural problems: empty ID, empty region, or no
-// ingredients at all. Missing utensils are explicitly allowed (14,601
-// RecipeDB recipes have none).
+// Validate reports structural problems: empty ID, empty region, no
+// ingredients at all, or an item name that canonicalises to "" (one of
+// white space only, which would otherwise mine as an item named "").
+// Missing utensils are explicitly allowed (14,601 RecipeDB recipes have
+// none).
 func (r *Recipe) Validate() error {
 	if r.ID == "" {
 		return fmt.Errorf("recipedb: recipe with empty ID (name %q)", r.Name)
@@ -74,14 +52,27 @@ func (r *Recipe) Validate() error {
 	if len(r.Ingredients) == 0 {
 		return fmt.Errorf("recipedb: recipe %s has no ingredients", r.ID)
 	}
+	for k, names := range [...][]string{r.Ingredients, r.Processes, r.Utensils} {
+		for _, name := range names {
+			// Exactly when itemset.CanonicalName(name) == "", without
+			// allocating; a leading printable ASCII byte settles it inline.
+			if (name == "" || name[0] <= ' ' || name[0] >= utf8.RuneSelf) && strings.TrimSpace(name) == "" {
+				return fmt.Errorf("recipedb: recipe %s has a blank %s name", r.ID, itemset.Kind(k))
+			}
+		}
+	}
 	return nil
 }
 
-// DB is an in-memory RecipeDB: the recipes plus a region index.
+// DB is an in-memory RecipeDB: the recipes plus a region index, and
+// the item vocabulary built from them on first use.
 type DB struct {
 	recipes  []Recipe
 	byRegion map[string][]int // region -> indexes into recipes
 	regions  []string         // sorted region names
+
+	vocabOnce sync.Once
+	vocab     *Vocab
 }
 
 // New builds a DB from recipes, validating each. The slice is copied.
@@ -149,26 +140,6 @@ func (db *DB) RegionRecipes(region string) []*Recipe {
 		out[i] = &db.recipes[j]
 	}
 	return out
-}
-
-// RegionDataset converts one region's recipes to a mining dataset — the
-// per-cuisine mining input of Sec. V.A.
-func (db *DB) RegionDataset(region string) *itemset.Dataset {
-	idx := db.byRegion[region]
-	txns := make([]itemset.Transaction, 0, len(idx))
-	for _, j := range idx {
-		txns = append(txns, db.recipes[j].Transaction())
-	}
-	return itemset.NewDataset(txns)
-}
-
-// AllDataset converts the whole DB to one dataset.
-func (db *DB) AllDataset() *itemset.Dataset {
-	txns := make([]itemset.Transaction, 0, len(db.recipes))
-	for i := range db.recipes {
-		txns = append(txns, db.recipes[i].Transaction())
-	}
-	return itemset.NewDataset(txns)
 }
 
 // Filter returns a new DB with recipes satisfying keep. Errors cannot

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"reflect"
 	"strings"
+	"sync"
 	"testing"
 
 	"cuisines/internal/itemset"
@@ -75,29 +76,107 @@ func TestNewRejectsDuplicateIDs(t *testing.T) {
 
 func TestItemsSpanKinds(t *testing.T) {
 	db := mustDB(t, sampleRecipes())
-	s := db.Recipe(0).Items()
-	if s.OfKind(itemset.Ingredient).Len() != 3 ||
-		s.OfKind(itemset.Process).Len() != 2 ||
-		s.OfKind(itemset.Utensil).Len() != 1 {
-		t.Fatalf("items = %v", s)
+	v := db.Vocab()
+	kinds := map[itemset.Kind]int{}
+	for _, id := range v.Recipe(0) {
+		kinds[v.Items()[id].Kind]++
+	}
+	if kinds[itemset.Ingredient] != 3 || kinds[itemset.Process] != 2 || kinds[itemset.Utensil] != 1 {
+		t.Fatalf("recipe 0 items by kind = %v", kinds)
 	}
 }
 
-func TestRegionDataset(t *testing.T) {
+func TestVocabRegion(t *testing.T) {
 	db := mustDB(t, sampleRecipes())
-	d := db.RegionDataset("Japanese")
-	if d.Len() != 2 {
-		t.Fatalf("dataset len = %d", d.Len())
+	v := db.Vocab()
+	japanese := v.Region(0) // Regions()[0]
+	if len(japanese) != 2 {
+		t.Fatalf("Japanese region holds %d recipes", len(japanese))
 	}
-	boil := itemset.FromNames(itemset.Process, "boil")
-	if d.Support(boil) != 1.0 {
-		t.Fatalf("support(boil) = %v", d.Support(boil))
+	for row, want := range []int{2, 0} { // boil: both Japanese recipes, no Mexican one
+		n := 0
+		for _, rec := range v.Region(row) {
+			for _, id := range rec {
+				if v.Items()[id] == itemset.NewItem("boil", itemset.Process) {
+					n++
+				}
+			}
+		}
+		if n != want {
+			t.Errorf("%s: %d recipes hold boil, want %d", db.Regions()[row], n, want)
+		}
 	}
-	if db.AllDataset().Len() != 3 {
-		t.Fatal("AllDataset wrong size")
+}
+
+// TestNewLeavesVocabUnbuilt: building a DB — as the corpus decoder does
+// on every disk or peer load — must not build the vocabulary; only the
+// stages that read it (mine, auth, stats, pairing) pay for it, and a
+// restart that serves stored artifacts runs none of them.
+func TestNewLeavesVocabUnbuilt(t *testing.T) {
+	db := mustDB(t, sampleRecipes())
+	for name, d := range map[string]*DB{"New": db, "Filter": db.Filter(func(*Recipe) bool { return true }), "Sample": db.Sample(2)} {
+		if d.vocab != nil {
+			t.Errorf("%s built the vocabulary", name)
+		}
 	}
-	if db.RegionDataset("Atlantis").Len() != 0 {
-		t.Fatal("unknown region dataset not empty")
+	var buf bytes.Buffer
+	if err := WriteJSONL(&buf, db); err != nil {
+		t.Fatal(err)
+	}
+	back, err := ReadJSONL(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if back.vocab != nil {
+		t.Error("ReadJSONL built the vocabulary")
+	}
+	if db.Vocab() != db.Vocab() || db.vocab == nil {
+		t.Error("Vocab is not built once and kept")
+	}
+}
+
+// TestVocabConcurrentFirstUse: the mine and auth stages of one run may
+// reach an unbuilt vocabulary at once; they must share one build.
+func TestVocabConcurrentFirstUse(t *testing.T) {
+	db := mustDB(t, sampleRecipes())
+	got := make([]*Vocab, 8)
+	var wg sync.WaitGroup
+	for g := range got {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			got[g] = db.Vocab()
+		}()
+	}
+	wg.Wait()
+	for g, v := range got {
+		if v != got[0] || len(v.Items()) != 15 {
+			t.Fatalf("goroutine %d got vocabulary %p with %d items; goroutine 0 got %p", g, v, len(v.Items()), got[0])
+		}
+	}
+}
+
+// TestRejectsBlankItemNames: a name that canonicalises to "" is no
+// item. Both readers and New reject it, for every kind, instead of
+// mining an item named "".
+func TestRejectsBlankItemNames(t *testing.T) {
+	for _, r := range []Recipe{
+		{ID: "a", Region: "X", Ingredients: []string{"  "}},
+		{ID: "a", Region: "X", Ingredients: []string{"rice", "\t\n"}},
+		{ID: "a", Region: "X", Ingredients: []string{"rice"}, Processes: []string{""}},
+		{ID: "a", Region: "X", Ingredients: []string{"rice"}, Utensils: []string{"\u00a0"}},
+	} {
+		if _, err := New([]Recipe{r}); err == nil || !strings.Contains(err.Error(), "blank") {
+			t.Errorf("New(%q) error = %v, want a blank-name rejection", r.Ingredients, err)
+		}
+	}
+	jsonl := `{"id":"a","region":"X","ingredients":["  "],"processes":[""]}` + "\n"
+	if _, err := ReadJSONL(strings.NewReader(jsonl)); err == nil || !strings.Contains(err.Error(), "line 1") {
+		t.Errorf("ReadJSONL accepted blank names: %v", err)
+	}
+	csv := "id,name,region,ingredients,processes,utensils\na,,X,  ,,\n"
+	if _, err := ReadCSV(strings.NewReader(csv)); err == nil || !strings.Contains(err.Error(), "line 2") {
+		t.Errorf("ReadCSV accepted blank names: %v", err)
 	}
 }
 

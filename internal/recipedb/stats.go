@@ -2,10 +2,7 @@ package recipedb
 
 import (
 	"fmt"
-	"sort"
 	"strings"
-
-	"cuisines/internal/itemset"
 )
 
 // Stats summarizes a DB in the terms of Sec. III of the paper.
@@ -23,7 +20,8 @@ type Stats struct {
 	// RecipesWithoutUtensils counts the utensil-sparse recipes (paper:
 	// 14,601).
 	RecipesWithoutUtensils int `json:"recipes_without_utensils"`
-	// PerRegion holds recipe counts by region, sorted by region name.
+	// PerRegion holds recipe counts by region, in the DB's sorted
+	// region order.
 	PerRegion []RegionCount `json:"per_region"`
 }
 
@@ -33,26 +31,19 @@ type RegionCount struct {
 	Recipes int    `json:"recipes"`
 }
 
-// ComputeStats scans the DB once and returns its Sec. III summary.
+// ComputeStats returns the DB's Sec. III summary. Unique items are
+// counted canonically, off the vocabulary mining reads; the means count
+// raw list entries.
 func ComputeStats(db *DB) Stats {
 	st := Stats{Recipes: db.Len(), Regions: db.NumRegions()}
-	ing := make(map[string]bool)
-	proc := make(map[string]bool)
-	ute := make(map[string]bool)
+	var unique [3]int // by Kind: Ingredient, Process, Utensil
+	for _, it := range db.Vocab().Items() {
+		unique[it.Kind]++
+	}
+	st.UniqueIngredients, st.UniqueProcesses, st.UniqueUtensils = unique[0], unique[1], unique[2]
 	var sumI, sumP, sumU int
 	for i := 0; i < db.Len(); i++ {
 		r := db.Recipe(i)
-		// Unique names are counted canonically, matching how mining sees
-		// them.
-		for _, n := range r.Ingredients {
-			ing[itemset.CanonicalName(n)] = true
-		}
-		for _, n := range r.Processes {
-			proc[itemset.CanonicalName(n)] = true
-		}
-		for _, n := range r.Utensils {
-			ute[itemset.CanonicalName(n)] = true
-		}
 		sumI += len(r.Ingredients)
 		sumP += len(r.Processes)
 		sumU += len(r.Utensils)
@@ -60,9 +51,6 @@ func ComputeStats(db *DB) Stats {
 			st.RecipesWithoutUtensils++
 		}
 	}
-	st.UniqueIngredients = len(ing)
-	st.UniqueProcesses = len(proc)
-	st.UniqueUtensils = len(ute)
 	if db.Len() > 0 {
 		n := float64(db.Len())
 		st.MeanIngredients = float64(sumI) / n
@@ -72,7 +60,6 @@ func ComputeStats(db *DB) Stats {
 	for _, region := range db.Regions() {
 		st.PerRegion = append(st.PerRegion, RegionCount{region, db.RegionSize(region)})
 	}
-	sort.Slice(st.PerRegion, func(i, j int) bool { return st.PerRegion[i].Region < st.PerRegion[j].Region })
 	return st
 }
 
