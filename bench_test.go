@@ -20,8 +20,8 @@ package cuisines
 //	P5 BenchmarkStagedReuse            cold vs staged-warm vs disk load (§8)
 //
 // Benches run at a tenth of the full corpus so an iteration stays in the
-// tens-of-milliseconds range; EXPERIMENTS.md records the full-scale
-// numbers produced by the cmd tools.
+// tens-of-milliseconds range; EXPERIMENTS.md holds cmd/report's
+// full-scale output.
 
 import (
 	"fmt"
@@ -35,7 +35,9 @@ import (
 	"cuisines/internal/corpus"
 	"cuisines/internal/distance"
 	"cuisines/internal/encode"
+	"cuisines/internal/geo"
 	"cuisines/internal/hac"
+	"cuisines/internal/kmeans"
 	"cuisines/internal/matrix"
 	"cuisines/internal/recipedb"
 	"cuisines/internal/rng"
@@ -66,7 +68,7 @@ func getFixture(b *testing.B) *benchFixture {
 			fixErr = err
 			return
 		}
-		mined, err := core.MineRegions(db, core.DefaultMinSupport)
+		mined, err := core.MineRegionsWorkers(db, core.DefaultMinSupport, 0)
 		if err != nil {
 			fixErr = err
 			return
@@ -77,7 +79,7 @@ func getFixture(b *testing.B) *benchFixture {
 			fixErr = err
 			return
 		}
-		geoTree, err := core.GeographicTree(regions, core.DefaultLinkage)
+		geoTree, err := linkGeo(regions)
 		if err != nil {
 			fixErr = err
 			return
@@ -88,6 +90,21 @@ func getFixture(b *testing.B) *benchFixture {
 		b.Fatal(fixErr)
 	}
 	return fix
+}
+
+// linkPatterns links the Figs. 2-4 tree of a pattern feature matrix.
+func linkPatterns(pm *encode.PatternMatrix, metric distance.Metric, method hac.Method) (*core.CuisineTree, error) {
+	d := distance.PdistWorkers(pm.X, metric, 0)
+	return core.LinkTree("patterns-"+metric.String(), d, pm.Regions, metric, method)
+}
+
+// linkGeo links the Fig. 6 tree of the regions' great-circle distances.
+func linkGeo(regions []string) (*core.CuisineTree, error) {
+	d, err := geo.DistanceMatrix(regions)
+	if err != nil {
+		return nil, err
+	}
+	return core.LinkTree("geographic", d, regions, distance.Euclidean, core.DefaultLinkage)
 }
 
 // E9 — Sec. III corpus generation.
@@ -103,13 +120,18 @@ func BenchmarkCorpusGeneration(b *testing.B) {
 	b.ReportMetric(float64(recipes), "recipes")
 }
 
-// E1 — Table I: per-cuisine Eclat plus significance ranking.
+// E1 — Table I: per-cuisine Eclat, significance ranking and the pattern
+// feature matrix (the pipeline's mine and matrices stages).
 func BenchmarkTable1PatternMining(b *testing.B) {
 	f := getFixture(b)
 	b.ResetTimer()
 	var rows int
 	for i := 0; i < b.N; i++ {
-		t1, err := core.BuildTable1(f.db, core.DefaultMinSupport, 3)
+		mined, err := core.MineRegionsWorkers(f.db, core.DefaultMinSupport, 0)
+		if err != nil {
+			b.Fatal(err)
+		}
+		t1, _, err := core.BuildPatternFeatures(mined, core.DefaultMinSupport)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -124,7 +146,7 @@ func BenchmarkFig1ElbowKMeans(b *testing.B) {
 	b.ResetTimer()
 	var strength float64
 	for i := 0; i < b.N; i++ {
-		curve, err := core.ElbowAnalysis(f.pm, 15, 1)
+		curve, err := kmeans.Elbow(f.pm.X, core.ElbowKMax, kmeans.Options{Seed: core.ElbowSeed})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -138,7 +160,7 @@ func benchPatternTree(b *testing.B, metric distance.Metric, method hac.Method) {
 	b.ResetTimer()
 	var gamma float64
 	for i := 0; i < b.N; i++ {
-		tree, err := core.PatternTree(f.pm, metric, method)
+		tree, err := linkPatterns(f.pm, metric, method)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -173,11 +195,12 @@ func BenchmarkFig5AuthenticityTree(b *testing.B) {
 	b.ResetTimer()
 	var gamma float64
 	for i := 0; i < b.N; i++ {
-		am, err := authenticity.Build(f.db, authenticity.Options{MinRegionPrevalence: 0.03})
+		am, err := authenticity.Build(f.db, authenticity.Options{MinRegionPrevalence: core.AuthMinRegionPrevalence})
 		if err != nil {
 			b.Fatal(err)
 		}
-		tree, err := core.AuthenticityTree(am, distance.Euclidean, core.DefaultLinkage)
+		d := distance.PdistWorkers(am.FeatureMatrix(), distance.Euclidean, 0)
+		tree, err := core.LinkTree("authenticity-euclidean", d, am.Regions, distance.Euclidean, core.DefaultLinkage)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -195,7 +218,7 @@ func BenchmarkFig6GeographicTree(b *testing.B) {
 	f := getFixture(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := core.GeographicTree(f.regions, core.DefaultLinkage); err != nil {
+		if _, err := linkGeo(f.regions); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -207,7 +230,7 @@ func BenchmarkSec7TreeValidation(b *testing.B) {
 	b.ResetTimer()
 	var holds int
 	for i := 0; i < b.N; i++ {
-		figs, err := core.BuildFigures(f.db, core.DefaultMinSupport, core.DefaultLinkage)
+		figs, err := core.BuildFiguresWorkers(f.db, core.DefaultMinSupport, core.DefaultLinkage, 0)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -423,7 +446,7 @@ func BenchmarkFeatureAblation(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				tree, err := core.PatternTree(pm, distance.Cosine, core.DefaultLinkage)
+				tree, err := linkPatterns(pm, distance.Cosine, core.DefaultLinkage)
 				if err != nil {
 					b.Fatal(err)
 				}

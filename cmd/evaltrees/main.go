@@ -4,10 +4,12 @@
 // distance and Fowlkes-Mallows B_k, and the paper's qualitative claims
 // (Canada-France over Canada-US; India-North-Africa over India-Thai/SEA;
 // Euclidean fits geography best; authenticity at least as good) are
-// checked explicitly.
+// checked explicitly. The figures come from the same staged pipeline
+// (internal/pipeline) the daemon and the report build them with.
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"log"
@@ -17,6 +19,7 @@ import (
 	"cuisines/internal/corpus"
 	"cuisines/internal/flavor"
 	"cuisines/internal/hac"
+	"cuisines/internal/pipeline"
 	"cuisines/internal/treecmp"
 )
 
@@ -40,18 +43,13 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	db, err := corpus.Generate(corpus.Config{Seed: *seed, Scale: *scale, Workers: *workers})
+	res, err := pipeline.New(nil).Run(context.Background(), pipeline.Params{
+		Seed: *seed, Scale: *scale, MinSupport: *support, Method: method, Workers: *workers,
+	})
 	if err != nil {
 		log.Fatal(err)
 	}
-	figs, err := core.BuildFiguresWorkers(db, *support, method, *workers)
-	if err != nil {
-		log.Fatal(err)
-	}
-	v, err := core.Validate(figs)
-	if err != nil {
-		log.Fatal(err)
-	}
+	db, figs, v := res.DB, res.Figures, res.Validation
 	if err := v.Render(os.Stdout); err != nil {
 		log.Fatal(err)
 	}

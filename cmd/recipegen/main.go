@@ -1,18 +1,16 @@
 // Command recipegen generates the calibrated synthetic RecipeDB corpus
 // (the substitute for the paper's non-redistributable 118k-recipe scrape)
-// and exports it as CSV or JSON Lines, or prints the Sec. III corpus
-// statistics.
+// and exports it as CSV or JSON Lines. The Sec. III corpus statistics
+// are in cmd/report's output.
 //
 // Usage:
 //
-//	recipegen -stats                     # print Sec. III statistics
 //	recipegen -format csv -o recipes.csv
 //	recipegen -format jsonl -scale 0.1 -o sample.jsonl
 package main
 
 import (
 	"flag"
-	"fmt"
 	"io"
 	"log"
 	"os"
@@ -30,7 +28,6 @@ func main() {
 		seed    = flag.Uint64("seed", corpus.DefaultSeed, "generator seed")
 		format  = flag.String("format", "csv", "output format: csv or jsonl")
 		out     = flag.String("o", "-", "output file ('-' for stdout)")
-		stats   = flag.Bool("stats", false, "print Sec. III corpus statistics instead of exporting")
 		regions = flag.String("regions", "", "comma-separated region subset (default: all 26)")
 		workers = flag.Int("workers", 0, "worker pool size (0 = all cores, 1 = sequential; output is identical)")
 	)
@@ -45,11 +42,6 @@ func main() {
 	db, err := corpus.Generate(cfg)
 	if err != nil {
 		log.Fatal(err)
-	}
-
-	if *stats {
-		fmt.Print(recipedb.ComputeStats(db).String())
-		return
 	}
 
 	var w io.Writer = os.Stdout

@@ -1,11 +1,16 @@
 // Command report runs the complete evaluation pipeline and writes a
 // single self-contained Markdown report: Sec. III corpus statistics,
-// the Table I reproduction, the Fig. 1 elbow analysis, all five
-// dendrograms, and the quantified Sec. VII validation.
+// the Table I reproduction and its comparison with the published
+// values, the Fig. 1 elbow analysis, all five dendrograms with their
+// Newick serializations, and the quantified Sec. VII validation. The
+// figures come from the same staged pipeline the daemon serves.
 //
 // Usage:
 //
-//	report [-scale 1.0] [-o report.md]
+//	report [-scale 1.0] [-seed 0] [-o report.md]
+//
+// EXPERIMENTS.md is this command's output at full scale and the
+// default seed.
 package main
 
 import (
@@ -15,8 +20,11 @@ import (
 	"io"
 	"log"
 	"os"
+	"strings"
+	"text/tabwriter"
 
 	"cuisines"
+	"cuisines/internal/corpus"
 )
 
 func main() {
@@ -70,17 +78,24 @@ func write(w io.Writer, a *cuisines.Analysis, scale float64) error {
 
 	p("## Table I — significant patterns per cuisine\n\n```\n%s```\n\n", a.RenderTable())
 
+	var paper strings.Builder
+	if err := paperTable(&paper, a.Table()); err != nil {
+		return err
+	}
+	p("## Table I — measured vs published\n\n```\n%s```\n\n", paper.String())
+
 	p("## Fig. 1 — elbow analysis\n\n```\n%s```\n\n", a.ElbowReport())
 
-	for _, f := range []cuisines.Figure{
-		cuisines.FigureEuclidean, cuisines.FigureCosine, cuisines.FigureJaccard,
-		cuisines.FigureAuthenticity, cuisines.FigureGeographic,
-	} {
+	for _, f := range cuisines.AllFigures() {
 		s, err := a.Dendrogram(f)
 		if err != nil {
 			return err
 		}
-		p("## %s\n\n```\n%s```\n\n", f, s)
+		nw, err := a.Newick(f)
+		if err != nil {
+			return err
+		}
+		p("## %s\n\n```\n%s%s\n```\n\n", f, s, nw)
 	}
 
 	p("## Sec. VII — validation against geography\n\n```\n%s```\n\n", a.RenderValidation())
@@ -102,4 +117,26 @@ func write(w io.Writer, a *cuisines.Analysis, scale float64) error {
 	}
 	p("\n")
 	return nil
+}
+
+// paperTable writes each region's measured headline pattern, support
+// and pattern count next to the values the paper's Table I publishes.
+func paperTable(w io.Writer, rows []cuisines.TableRow) error {
+	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
+	fmt.Fprintf(tw, "Region\tRecipes\tMeasured top\tSupp\t#Pat\tPaper top\tSupp\t#Pat\n")
+	for _, row := range rows {
+		prof, err := corpus.ProfileFor(row.Region)
+		if err != nil {
+			return err
+		}
+		top, sup := "-", "-"
+		if len(row.Top) > 0 {
+			top = row.Top[0].Pattern
+			sup = fmt.Sprintf("%.2f", row.Top[0].Support)
+		}
+		fmt.Fprintf(tw, "%s\t%d\t%s\t%s\t%d\t%s\t%.2f\t%d\n",
+			row.Region, row.Recipes, top, sup, row.Patterns,
+			prof.IntendedTop[0], prof.PaperSupport, prof.PaperPatternCount)
+	}
+	return tw.Flush()
 }

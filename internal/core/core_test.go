@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math"
 	"strings"
 	"testing"
@@ -38,7 +39,7 @@ func smallDB(t *testing.T) *recipedb.DB {
 }
 
 func TestMineRegions(t *testing.T) {
-	rps, err := MineRegions(smallDB(t), 0.5)
+	rps, err := MineRegionsWorkers(smallDB(t), 0.5, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -63,22 +64,22 @@ func TestMineRegions(t *testing.T) {
 }
 
 func TestMineRegionsRejectsBadInput(t *testing.T) {
-	if _, err := MineRegions(&recipedb.DB{}, 0.5); err == nil {
+	if _, err := MineRegionsWorkers(&recipedb.DB{}, 0.5, 0); err == nil {
 		t.Fatal("empty db accepted")
 	}
-	if _, err := MineRegions(smallDB(t), 0); err == nil {
+	if _, err := MineRegionsWorkers(smallDB(t), 0, 0); err == nil {
 		t.Fatal("zero support accepted")
 	}
-	if _, err := MineRegions(smallDB(t), 1.5); err == nil {
+	if _, err := MineRegionsWorkers(smallDB(t), 1.5, 0); err == nil {
 		t.Fatal("support > 1 accepted")
 	}
-	if _, err := MineRegions(smallDB(t), math.NaN()); err == nil {
+	if _, err := MineRegionsWorkers(smallDB(t), math.NaN(), 0); err == nil {
 		t.Fatal("NaN support accepted")
 	}
 }
 
 func TestRankerUniversalDetection(t *testing.T) {
-	rps, err := MineRegions(smallDB(t), 0.5)
+	rps, err := MineRegionsWorkers(smallDB(t), 0.5, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,7 +95,7 @@ func TestRankerUniversalDetection(t *testing.T) {
 }
 
 func TestRankerScoreRules(t *testing.T) {
-	rps, _ := MineRegions(smallDB(t), 0.5)
+	rps, _ := MineRegionsWorkers(smallDB(t), 0.5, 0)
 	r := NewRanker(rps, 0.6)
 	// All-universal pattern excluded.
 	if s := r.Score(pat(0.9, ing("salt"), proc("add"))); s != -1 {
@@ -114,7 +115,7 @@ func TestRankerScoreRules(t *testing.T) {
 }
 
 func TestRankerRankOrderAndTies(t *testing.T) {
-	rps, _ := MineRegions(smallDB(t), 0.5)
+	rps, _ := MineRegionsWorkers(smallDB(t), 0.5, 0)
 	r := NewRanker(rps, 0.6)
 	ps := []itemset.Pattern{
 		pat(0.30, ing("soy")),
@@ -139,7 +140,11 @@ func TestRankerRankOrderAndTies(t *testing.T) {
 }
 
 func TestBuildTable1SmallDB(t *testing.T) {
-	table, err := BuildTable1(smallDB(t), 0.5, 2)
+	rps, err := MineRegionsWorkers(smallDB(t), 0.5, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	table, _, err := BuildPatternFeatures(rps, 0.5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -196,7 +201,7 @@ func getFigures(t *testing.T) *Figures {
 		if err != nil {
 			t.Fatal(err)
 		}
-		figs, err := BuildFigures(db, DefaultMinSupport, DefaultLinkage)
+		figs, err := BuildFiguresWorkers(db, DefaultMinSupport, DefaultLinkage, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -340,17 +345,13 @@ func TestEastAsiaClustersInPatternTrees(t *testing.T) {
 }
 
 func TestPatternTreeErrorsOnTinyInput(t *testing.T) {
-	rps, _ := MineRegions(smallDB(t), 0.5)
-	regions, sets := PatternSets(rps)
-	_ = regions
-	_ = sets
-	one := [][]itemset.Pattern{sets[0]}
-	pmOne, err := encodeOne(regions[:1], one)
-	if err != nil {
-		t.Fatal(err)
+	var japan []recipedb.Recipe
+	for i := 0; i < 3; i++ {
+		japan = append(japan, recipedb.Recipe{ID: fmt.Sprint("j", i), Region: "Japan", Ingredients: []string{"soy"}})
 	}
-	if _, err := PatternTree(pmOne, 0, DefaultLinkage); err == nil {
-		t.Fatal("single-region tree accepted")
+	_, err := BuildFiguresWorkers(mustDB(t, japan), 0.5, DefaultLinkage, 0)
+	if err == nil || !strings.Contains(err.Error(), "two cuisines") {
+		t.Fatalf("single-region trees: err = %v, want a two-cuisine rejection", err)
 	}
 }
 

@@ -40,90 +40,26 @@ type CuisineTree struct {
 	Linkage   hac.Method
 }
 
-// PatternTree builds one of the Figs. 2-4 dendrograms: binary pattern
-// feature matrix -> pdist(metric) -> linkage. The pdist stage uses every
-// available core; see PatternTreeWorkers for the knob.
-func PatternTree(pm *encode.PatternMatrix, metric distance.Metric, method hac.Method) (*CuisineTree, error) {
-	return PatternTreeWorkers(pm, metric, method, 0)
-}
-
-// PatternTreeWorkers is PatternTree with an explicit worker count for the
-// pdist stage (<= 0 means GOMAXPROCS, 1 forces the sequential path).
-func PatternTreeWorkers(pm *encode.PatternMatrix, metric distance.Metric, method hac.Method, workers int) (*CuisineTree, error) {
-	if pm.X.Rows() < 2 {
-		return nil, fmt.Errorf("core: need at least two cuisines, have %d", pm.X.Rows())
-	}
-	d := distance.PdistWorkers(pm.X, metric, workers)
+// LinkTree is the tree step of every figure: condensed distances ->
+// hac.Cluster(method) -> dendrogram over labels. Callers compute their
+// own distances (a pdist over a feature matrix, or the geographic
+// great-circle matrix); metric labels the tree and does not enter the
+// linkage. It is the pipeline's tree stage and the tail of
+// BuildFiguresWorkers, the bootstrap replicates and the per-kind trees.
+func LinkTree(name string, d *distance.Condensed, labels []string, metric distance.Metric, method hac.Method) (*CuisineTree, error) {
 	lk, err := hac.Cluster(d, method)
 	if err != nil {
 		return nil, err
 	}
-	tree, err := hac.BuildTree(lk, pm.Regions)
+	tree, err := hac.BuildTree(lk, labels)
 	if err != nil {
 		return nil, err
 	}
 	return &CuisineTree{
-		Name:      "patterns-" + metric.String(),
+		Name:      name,
 		Tree:      tree,
 		Distances: d,
 		Metric:    metric,
-		Linkage:   method,
-	}, nil
-}
-
-// AuthenticityTree builds the Fig. 5 dendrogram from the ingredient
-// relative-prevalence matrix. The pdist stage uses every available core;
-// see AuthenticityTreeWorkers for the knob.
-func AuthenticityTree(am *authenticity.Matrix, metric distance.Metric, method hac.Method) (*CuisineTree, error) {
-	return AuthenticityTreeWorkers(am, metric, method, 0)
-}
-
-// AuthenticityTreeWorkers is AuthenticityTree with an explicit worker
-// count for the pdist stage (<= 0 means GOMAXPROCS, 1 forces the
-// sequential path).
-func AuthenticityTreeWorkers(am *authenticity.Matrix, metric distance.Metric, method hac.Method, workers int) (*CuisineTree, error) {
-	x := am.FeatureMatrix()
-	if x.Rows() < 2 {
-		return nil, fmt.Errorf("core: need at least two cuisines, have %d", x.Rows())
-	}
-	d := distance.PdistWorkers(x, metric, workers)
-	lk, err := hac.Cluster(d, method)
-	if err != nil {
-		return nil, err
-	}
-	tree, err := hac.BuildTree(lk, am.Regions)
-	if err != nil {
-		return nil, err
-	}
-	return &CuisineTree{
-		Name:      "authenticity-" + metric.String(),
-		Tree:      tree,
-		Distances: d,
-		Metric:    metric,
-		Linkage:   method,
-	}, nil
-}
-
-// GeographicTree builds the Fig. 6 validation dendrogram from
-// great-circle distances between the region centroids.
-func GeographicTree(regions []string, method hac.Method) (*CuisineTree, error) {
-	d, err := geo.DistanceMatrix(regions)
-	if err != nil {
-		return nil, err
-	}
-	lk, err := hac.Cluster(d, method)
-	if err != nil {
-		return nil, err
-	}
-	tree, err := hac.BuildTree(lk, regions)
-	if err != nil {
-		return nil, err
-	}
-	return &CuisineTree{
-		Name:      "geographic",
-		Tree:      tree,
-		Distances: d,
-		Metric:    distance.Euclidean, // label only; distances are haversine km
 		Linkage:   method,
 	}, nil
 }
@@ -179,21 +115,6 @@ func BuildPatternFeatures(mined []RegionPatterns, minSupport float64) (*Table1, 
 	return t1, pm, nil
 }
 
-// ElbowAnalysis runs the Fig. 1 experiment on the pattern feature matrix.
-// The k sweep uses every available core; see ElbowAnalysisWorkers.
-func ElbowAnalysis(pm *encode.PatternMatrix, kMax int, seed uint64) (*kmeans.ElbowCurve, error) {
-	return ElbowAnalysisWorkers(pm, kMax, seed, 0)
-}
-
-// ElbowAnalysisWorkers is ElbowAnalysis with an explicit worker count for
-// the k sweep (<= 0 means GOMAXPROCS, 1 forces the sequential path).
-func ElbowAnalysisWorkers(pm *encode.PatternMatrix, kMax int, seed uint64, workers int) (*kmeans.ElbowCurve, error) {
-	if kMax <= 0 {
-		kMax = 15
-	}
-	return kmeans.Elbow(pm.X, kMax, kmeans.Options{Seed: seed, Workers: workers})
-}
-
 // Figures is the complete artifact set of the paper's evaluation.
 type Figures struct {
 	Table1    *Table1
@@ -233,26 +154,23 @@ func AnchoredPatterns(sets [][]itemset.Pattern) [][]itemset.Pattern {
 	return out
 }
 
-// BuildFigures runs the whole evaluation pipeline on a database. method
-// is the linkage for the cosine/Jaccard/authenticity/geographic trees
-// (the Euclidean pattern tree always uses EuclideanLinkage). Every stage
-// uses all available cores; see BuildFiguresWorkers for the knob.
-func BuildFigures(db *recipedb.DB, minSupport float64, method hac.Method) (*Figures, error) {
-	return BuildFiguresWorkers(db, minSupport, method, 0)
-}
-
-// BuildFiguresWorkers is BuildFigures with an explicit worker count
-// (<= 0 means GOMAXPROCS, 1 forces the fully sequential path). The
-// pipeline parallelizes at two grains: the per-cuisine Eclat runs
-// fan out first over the full budget, then the six independent figure
-// builds (the Fig. 1 elbow sweep, the three pattern trees, the
-// authenticity matrix + tree, and the geographic tree) run concurrently,
-// with the budget split between the outer fan-out and each figure's
-// inner pdist / k-sweep so the total concurrency stays bounded by
-// workers rather than multiplying across the nesting. Each figure lands
-// in its own slot and depends only on the immutable inputs, so the
-// artifact set is identical to the sequential build for any worker
-// count.
+// BuildFiguresWorkers runs the whole evaluation on a database in one
+// call, without the staged pipeline's artifact store. It is the
+// reference the pipeline is pinned against (TestByteIdentityWithMonolithicBuild)
+// and what BenchmarkBuildFiguresParallel measures; every shipped command
+// builds its figures through internal/pipeline. method is the linkage
+// for the cosine/Jaccard/authenticity/geographic trees (the Euclidean
+// pattern tree always uses EuclideanLinkage). workers <= 0 means
+// GOMAXPROCS and 1 forces the fully sequential path. The build
+// parallelizes at two grains: the per-cuisine Eclat runs fan out first
+// over the full budget, then the six independent figure builds (the
+// Fig. 1 elbow sweep, the three pattern trees, the authenticity matrix
+// + tree, and the geographic tree) run concurrently, with the budget
+// split between the outer fan-out and each figure's inner pdist /
+// k-sweep so the total concurrency stays bounded by workers rather than
+// multiplying across the nesting. Each figure lands in its own slot and
+// depends only on the immutable inputs, so the artifact set is
+// identical to the sequential build for any worker count.
 func BuildFiguresWorkers(db *recipedb.DB, minSupport float64, method hac.Method, workers int) (*Figures, error) {
 	if minSupport <= 0 {
 		minSupport = DefaultMinSupport
@@ -265,23 +183,30 @@ func BuildFiguresWorkers(db *recipedb.DB, minSupport float64, method hac.Method,
 	if err != nil {
 		return nil, err
 	}
+	if pm.X.Rows() < 2 {
+		return nil, fmt.Errorf("core: need at least two cuisines, have %d", pm.X.Rows())
+	}
 	outer, inner := SplitWorkers(workers)
 	figs := &Figures{Table1: t1, Patterns: pm, Mined: mined}
+	patternTree := func(metric distance.Metric, method hac.Method) (*CuisineTree, error) {
+		d := distance.PdistWorkers(pm.X, metric, inner)
+		return LinkTree("patterns-"+metric.String(), d, pm.Regions, metric, method)
+	}
 	err = parallel.Do(outer,
 		func() (err error) {
-			figs.Elbow, err = ElbowAnalysisWorkers(pm, ElbowKMax, ElbowSeed, inner)
+			figs.Elbow, err = kmeans.Elbow(pm.X, ElbowKMax, kmeans.Options{Seed: ElbowSeed, Workers: inner})
 			return err
 		},
 		func() (err error) {
-			figs.Euclidean, err = PatternTreeWorkers(pm, distance.Euclidean, EuclideanLinkage, inner)
+			figs.Euclidean, err = patternTree(distance.Euclidean, EuclideanLinkage)
 			return err
 		},
 		func() (err error) {
-			figs.Cosine, err = PatternTreeWorkers(pm, distance.Cosine, method, inner)
+			figs.Cosine, err = patternTree(distance.Cosine, method)
 			return err
 		},
 		func() (err error) {
-			figs.Jaccard, err = PatternTreeWorkers(pm, distance.Jaccard, method, inner)
+			figs.Jaccard, err = patternTree(distance.Jaccard, method)
 			return err
 		},
 		func() (err error) {
@@ -290,11 +215,17 @@ func BuildFiguresWorkers(db *recipedb.DB, minSupport float64, method hac.Method,
 				return err
 			}
 			figs.AuthMat = am
-			figs.Auth, err = AuthenticityTreeWorkers(am, distance.Euclidean, method, inner)
+			d := distance.PdistWorkers(am.FeatureMatrix(), distance.Euclidean, inner)
+			figs.Auth, err = LinkTree("authenticity-euclidean", d, am.Regions, distance.Euclidean, method)
 			return err
 		},
 		func() (err error) {
-			figs.Geo, err = GeographicTree(db.Regions(), method)
+			d, err := geo.DistanceMatrix(db.Regions())
+			if err != nil {
+				return err
+			}
+			// Metric is a label only; the distances are haversine km.
+			figs.Geo, err = LinkTree("geographic", d, db.Regions(), distance.Euclidean, method)
 			return err
 		},
 	)

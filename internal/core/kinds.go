@@ -7,6 +7,7 @@ import (
 
 	"cuisines/internal/authenticity"
 	"cuisines/internal/distance"
+	"cuisines/internal/geo"
 	"cuisines/internal/hac"
 	"cuisines/internal/itemset"
 	"cuisines/internal/recipedb"
@@ -36,7 +37,11 @@ type KindInfluence struct {
 // AnalyzeKindInfluence builds one authenticity tree per item kind and
 // compares each against geography and against the ingredient tree.
 func AnalyzeKindInfluence(db *recipedb.DB, method hac.Method) ([]KindInfluence, error) {
-	geoTree, err := GeographicTree(db.Regions(), method)
+	geoDist, err := geo.DistanceMatrix(db.Regions())
+	if err != nil {
+		return nil, err
+	}
+	geoTree, err := LinkTree("geographic", geoDist, db.Regions(), distance.Euclidean, method)
 	if err != nil {
 		return nil, err
 	}
@@ -51,12 +56,13 @@ func AnalyzeKindInfluence(db *recipedb.DB, method hac.Method) ([]KindInfluence, 
 	for _, kind := range itemset.Kinds() {
 		am, err := authenticity.Build(db, authenticity.Options{
 			Kinds:               []itemset.Kind{kind},
-			MinRegionPrevalence: 0.03,
+			MinRegionPrevalence: AuthMinRegionPrevalence,
 		})
 		if err != nil {
 			return nil, err
 		}
-		ct, err := AuthenticityTree(am, distance.Euclidean, method)
+		d := distance.PdistWorkers(am.FeatureMatrix(), distance.Euclidean, 0)
+		ct, err := LinkTree("authenticity-euclidean", d, am.Regions, distance.Euclidean, method)
 		if err != nil {
 			return nil, err
 		}

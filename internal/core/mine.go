@@ -28,21 +28,15 @@ type RegionPatterns struct {
 	Patterns []itemset.Pattern
 }
 
-// MineRegions mines frequent itemsets per cuisine at the given support
-// threshold, exactly as Sec. V.A prescribes (ingredients, processes and
-// utensils concatenated; one Eclat run per region). Regions are
-// returned in the DB's sorted region order. The per-region runs use
-// every available core; see MineRegionsWorkers for the knob.
-func MineRegions(db *recipedb.DB, minSupport float64) ([]RegionPatterns, error) {
-	return MineRegionsWorkers(db, minSupport, 0)
-}
-
-// MineRegionsWorkers is MineRegions with an explicit worker count (<= 0
-// means GOMAXPROCS, 1 forces the sequential path). The per-cuisine runs
-// are independent — each indexes its region once from the DB's shared
-// vocabulary and returns its own result slot in canonical report order
-// — so the output is identical to the sequential path for any worker
-// count.
+// MineRegionsWorkers mines frequent itemsets per cuisine at the given
+// support threshold, exactly as Sec. V.A prescribes (ingredients,
+// processes and utensils concatenated; one Eclat run per region).
+// Regions are returned in the DB's sorted region order. workers <= 0
+// means GOMAXPROCS and 1 forces the sequential path. The per-cuisine
+// runs are independent — each indexes its region once from the DB's
+// shared vocabulary and returns its own result slot in canonical report
+// order — so the output is identical to the sequential path for any
+// worker count.
 func MineRegionsWorkers(db *recipedb.DB, minSupport float64, workers int) ([]RegionPatterns, error) {
 	if db.Len() == 0 {
 		return nil, fmt.Errorf("core: empty database")

@@ -24,8 +24,8 @@ import (
 //     Table I reports "soy sauce + add + heat" rather than "soy sauce"
 //     for the Chinese cuisine but the bare "soy sauce" for the Japanese.
 //
-// EXPERIMENTS.md records the measured headline next to the paper's for
-// every cuisine.
+// EXPERIMENTS.md (cmd/report's output) records the measured headline
+// next to the paper's for every cuisine.
 
 // DefaultUniversalFraction classifies an item as universal when it is
 // frequent in at least this fraction of cuisines.

@@ -39,19 +39,12 @@ var anecdotes = []anecdote{
 	{"india-closer-to-north-africa-than-southeast-asian", "Indian Subcontinent", "Northern Africa", "Southeast Asian"},
 }
 
-// BootstrapClaims runs the bootstrap with every available core. iters
-// <= 0 defaults to 20; see BootstrapClaimsWorkers for the worker knob.
-func BootstrapClaims(db *recipedb.DB, minSupport float64, iters int, seed uint64) (*Stability, error) {
-	return BootstrapClaimsWorkers(db, minSupport, iters, seed, 0)
-}
-
-// BootstrapClaimsWorkers is BootstrapClaims with an explicit worker
-// bound for each replicate's mining fan-out and pdist stages (<= 0
-// means GOMAXPROCS, 1 forces the sequential path). Callers that already
-// run under a bounded pool — a daemon started with -workers N, or
-// evaltrees -workers — must pass their bound through here, otherwise
-// every replicate silently fans out over all cores and oversubscribes
-// the host during validation.
+// BootstrapClaimsWorkers runs the bootstrap; iters <= 0 defaults to
+// 20. workers bounds each replicate's mining fan-out and pdist stages
+// (<= 0 means GOMAXPROCS, 1 forces the sequential path). A caller that
+// runs under a bounded pool (evaltrees -bootstrap with -workers N) must
+// pass its bound through here, otherwise every replicate fans out over
+// all cores and oversubscribes the host.
 func BootstrapClaimsWorkers(db *recipedb.DB, minSupport float64, iters int, seed uint64, workers int) (*Stability, error) {
 	if iters <= 0 {
 		iters = 20
@@ -76,7 +69,8 @@ func BootstrapClaimsWorkers(db *recipedb.DB, minSupport float64, iters int, seed
 		if err != nil {
 			return nil, err
 		}
-		pTree, err := PatternTreeWorkers(pm, distance.Euclidean, EuclideanLinkage, workers)
+		d := distance.PdistWorkers(pm.X, distance.Euclidean, workers)
+		pTree, err := LinkTree("patterns-euclidean", d, pm.Regions, distance.Euclidean, EuclideanLinkage)
 		if err != nil {
 			return nil, err
 		}
@@ -85,7 +79,8 @@ func BootstrapClaimsWorkers(db *recipedb.DB, minSupport float64, iters int, seed
 		if err != nil {
 			return nil, err
 		}
-		aTree, err := AuthenticityTreeWorkers(am, distance.Euclidean, hac.Average, workers)
+		d = distance.PdistWorkers(am.FeatureMatrix(), distance.Euclidean, workers)
+		aTree, err := LinkTree("authenticity-euclidean", d, am.Regions, distance.Euclidean, hac.Average)
 		if err != nil {
 			return nil, err
 		}

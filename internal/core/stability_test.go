@@ -15,7 +15,7 @@ func TestBootstrapClaims(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	st, err := BootstrapClaims(db, DefaultMinSupport, 5, 77)
+	st, err := BootstrapClaimsWorkers(db, DefaultMinSupport, 5, 77, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -31,8 +31,9 @@ func TestBootstrapClaims(t *testing.T) {
 		}
 	}
 	// The India spice-belt signal is strong enough to survive tenth-scale
-	// resampling; the Canada margin is narrower (EXPERIMENTS.md reports
-	// full-scale stability) so it only needs to appear at all here.
+	// resampling; the Canada margin is narrower (evaltrees -bootstrap N
+	// reports full-scale stability) so it only needs to appear at all
+	// here.
 	if k := "india-closer-to-north-africa-than-thai/authenticity-euclidean"; st.Support[k] < 0.6 {
 		t.Errorf("claim %s bootstrap support only %.2f", k, st.Support[k])
 	}
@@ -83,11 +84,11 @@ func TestBootstrapDeterministic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a, err := BootstrapClaims(db, DefaultMinSupport, 3, 5)
+	a, err := BootstrapClaimsWorkers(db, DefaultMinSupport, 3, 5, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := BootstrapClaims(db, DefaultMinSupport, 3, 5)
+	b, err := BootstrapClaimsWorkers(db, DefaultMinSupport, 3, 5, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -67,7 +67,7 @@ func Validate(f *Figures) (*Validation, error) {
 	// results than Euclidean distance-based HAC". Evaluated on cophenetic
 	// correlation against the raw geographic distances — the canonical
 	// dendrogram-fit statistic. (On Baker's gamma the euclidean pattern
-	// tree is ahead; EXPERIMENTS.md reports both sides.)
+	// tree is ahead; EXPERIMENTS.md's Sec. VII table reports both.)
 	authFit := v.TreeFit[3].Report.Cophenetic
 	eucFit := v.TreeFit[0].Report.Cophenetic
 	v.Claims = append(v.Claims, Claim{

@@ -72,7 +72,7 @@ type Profile struct {
 	MeanProcesses   float64
 	// IntendedTop records the Table I headline pattern(s) this profile is
 	// calibrated to produce, as sorted string patterns — used by the
-	// calibration tests and EXPERIMENTS.md.
+	// calibration tests and cmd/report's measured-vs-published table.
 	IntendedTop []string
 	// PaperSupport is the Table I support of the first intended pattern.
 	PaperSupport float64

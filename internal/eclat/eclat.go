@@ -4,8 +4,9 @@
 // internal/itemset, flat []uint64 bitmaps over the region's
 // transactions, so the inner loop is itemset.AndInto: a branch-free
 // word-wise AND with a running popcount. Eclat is the repository's only
-// frequent-itemset miner (core.MineRegions runs it once per cuisine);
-// internal/miner's tests pin it to a brute-force level-wise reference.
+// frequent-itemset miner (core.MineRegionsWorkers runs it once per
+// cuisine); internal/miner's tests pin it to a brute-force level-wise
+// reference.
 //
 // The per-depth intersection buffers are recycled through a sync.Pool
 // across mining runs, so a steady-state mine allocates only its output
@@ -18,19 +19,6 @@ import (
 
 	"cuisines/internal/itemset"
 )
-
-// Options tunes a mining run.
-type Options struct {
-	// MaxLen, if positive, bounds the size of mined itemsets.
-	MaxLen int
-}
-
-// MineIndex returns all itemsets of the index with relative support >=
-// minSupport (fraction in (0,1], or absolute count if > 1), in canonical
-// report order.
-func MineIndex(ix *itemset.Index, minSupport float64) []itemset.Pattern {
-	return MineIndexWithOptions(ix, minSupport, Options{})
-}
 
 // scratch holds the per-depth intersection bitmaps of one mining run.
 // Buffer d-1 holds the intersection at recursion depth d (depth 0
@@ -55,8 +43,10 @@ func (s *scratch) level(ix *itemset.Index, depth int) []uint64 {
 
 var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
 
-// MineIndexWithOptions is MineIndex with explicit options.
-func MineIndexWithOptions(ix *itemset.Index, minSupport float64, opts Options) []itemset.Pattern {
+// MineIndex returns all itemsets of the index with relative support >=
+// minSupport (fraction in (0,1], or absolute count if > 1), in canonical
+// report order.
+func MineIndex(ix *itemset.Index, minSupport float64) []itemset.Pattern {
 	if ix.NumTransactions() == 0 {
 		return nil
 	}
@@ -107,9 +97,7 @@ func MineIndexWithOptions(ix *itemset.Index, minSupport float64, opts Options) [
 			}
 			prefix = append(prefix, freq[i].id)
 			out = append(out, ix.Pattern(prefix, cnt))
-			if opts.MaxLen == 0 || len(prefix) < opts.MaxLen {
-				dfs(prefix, bits, i+1, depth+1)
-			}
+			dfs(prefix, bits, i+1, depth+1)
 			prefix = prefix[:len(prefix)-1]
 		}
 	}

@@ -122,26 +122,6 @@ func TestMineAbsoluteThreshold(t *testing.T) {
 	}
 }
 
-func TestMaxLen(t *testing.T) {
-	d := ds(txn("a", "b", "c"), txn("a", "b", "c"))
-	if ps := MineIndexWithOptions(d.Index(), 1.0, Options{MaxLen: 1}); len(ps) != 3 {
-		t.Fatalf("MaxLen=1 gave %d patterns", len(ps))
-	}
-}
-
-func TestMaxLenOption(t *testing.T) {
-	d := ds(txn("a", "b", "c"), txn("a", "b", "c"))
-	ps := MineIndexWithOptions(d.Index(), 0.5, Options{MaxLen: 2})
-	for _, p := range ps {
-		if p.Items.Len() > 2 {
-			t.Fatalf("pattern %v exceeds MaxLen", p)
-		}
-	}
-	if m := patternMap(ps); len(m) != 6 { // a, b, c, ab, ac, bc
-		t.Fatalf("MaxLen=2 gave %d patterns: %v", len(m), m)
-	}
-}
-
 func TestSinglePathDeepCounts(t *testing.T) {
 	// Deeper extensions of the one frequent item are infrequent.
 	d := ds(txn("a"), txn("a"), txn("a"), txn("a", "b"))

@@ -32,13 +32,13 @@ func TestParse(t *testing.T) {
 
 // TestBackendsByteIdenticalOnCorpus holds the two miners, Eclat and
 // the reference, to identical output: it mines every region of the
-// calibrated corpus through the production path (core.MineRegions:
+// calibrated corpus through the production path (core.MineRegionsWorkers:
 // one index per region, the worker fan-out, Eclat) and requires the
 // reference miner's exact pattern slices at both Table I thresholds.
 func TestBackendsByteIdenticalOnCorpus(t *testing.T) {
 	db, ref := corpusReference(t)
 	for _, sup := range corpusSupports {
-		mined, err := core.MineRegions(db, sup)
+		mined, err := core.MineRegionsWorkers(db, sup, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -150,28 +150,6 @@ func TestSharedIndexMinesLikeReference(t *testing.T) {
 	for _, sup := range []float64{0.4, 0.6, 0.2, 0.4, 1.0, 0.6} {
 		if got, want := miner.Eclat.Mine(ix, sup), referenceMine(d, sup); !reflect.DeepEqual(got, want) {
 			t.Fatalf("sup=%g: shared index mined %v\nreference %v", sup, got, want)
-		}
-	}
-}
-
-// TestEclatMaxLenAgreesWithReferenceProperty pins eclat's MaxLen option:
-// mining with MaxLen k must give exactly the reference's patterns of at
-// most k items, in the same order.
-func TestEclatMaxLenAgreesWithReferenceProperty(t *testing.T) {
-	r := rand.New(rand.NewSource(12))
-	for trial := 0; trial < 40; trial++ {
-		d := randomDataset(r, 5+r.Intn(25), 6, 1, 6)
-		sup := []float64{0.15, 0.3, 1.0}[r.Intn(3)]
-		maxLen := 1 + r.Intn(3)
-		var want []itemset.Pattern
-		for _, p := range referenceMine(d, sup) {
-			if p.Items.Len() <= maxLen {
-				want = append(want, p)
-			}
-		}
-		got := eclat.MineIndexWithOptions(d.Index(), sup, eclat.Options{MaxLen: maxLen})
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("trial %d sup %g MaxLen %d: eclat %v\nreference %v", trial, sup, maxLen, got, want)
 		}
 	}
 }

@@ -868,7 +868,7 @@ func decodeAuth(body []byte) (any, error) {
 // The tree travels in linkage form (hac.Tree.Merges); decode rebuilds
 // its nodes through hac.BuildTree, which rejects merges that reference
 // unknown clusters or leave more than one root. Decode also requires
-// what linkTree builds: a known metric and linkage method, and
+// what core.LinkTree builds: a known metric and linkage method, and
 // len(Labels) == n == Distances.N().
 
 const minMergeBytes = 4 + 4 + 8 // a, b, height

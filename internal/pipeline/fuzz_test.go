@@ -80,7 +80,7 @@ func fuzzDB(tb testing.TB) *recipedb.DB {
 
 // fuzzFeatures mines fuzzDB and builds its pattern features.
 func fuzzFeatures(f *testing.F) ([]core.RegionPatterns, *PatternFeatures) {
-	mined, err := core.MineRegions(fuzzDB(f), 1)
+	mined, err := core.MineRegionsWorkers(fuzzDB(f), 1, 0)
 	if err != nil {
 		f.Fatal(err)
 	}
@@ -132,7 +132,7 @@ func fuzzGeoTree(f *testing.F) *core.CuisineTree {
 	if err != nil {
 		f.Fatal(err)
 	}
-	ct, err := linkTree("geographic", d, names, distance.Euclidean, hac.Average)
+	ct, err := core.LinkTree("geographic", d, names, distance.Euclidean, hac.Average)
 	if err != nil {
 		f.Fatal(err)
 	}

@@ -188,7 +188,7 @@ func (p *Pipeline) runFrom(ctx context.Context, db *recipedb.DB, corpusKey strin
 			return nil, err
 		}
 		return stage(ctx, p.store, key, treeCodec, func() (*core.CuisineTree, error) {
-			return linkTree("patterns-"+metric.String(), d, feats.Matrix.Regions, metric, method)
+			return core.LinkTree("patterns-"+metric.String(), d, feats.Matrix.Regions, metric, method)
 		})
 	}
 	err = parallel.Do(outer,
@@ -225,7 +225,7 @@ func (p *Pipeline) runFrom(ctx context.Context, db *recipedb.DB, corpusKey strin
 				return err
 			}
 			figs.Auth, err = stage(ctx, p.store, keyAuth, treeCodec, func() (*core.CuisineTree, error) {
-				return linkTree("authenticity-euclidean", d, am.Regions, distance.Euclidean, pr.Method)
+				return core.LinkTree("authenticity-euclidean", d, am.Regions, distance.Euclidean, pr.Method)
 			})
 			return err
 		},
@@ -237,9 +237,8 @@ func (p *Pipeline) runFrom(ctx context.Context, db *recipedb.DB, corpusKey strin
 				return err
 			}
 			figs.Geo, err = stage(ctx, p.store, keyGeo, treeCodec, func() (*core.CuisineTree, error) {
-				// Metric is a label only; the distances are haversine km
-				// (see core.GeographicTree).
-				return linkTree("geographic", d, db.Regions(), distance.Euclidean, pr.Method)
+				// Metric is a label only; the distances are haversine km.
+				return core.LinkTree("geographic", d, db.Regions(), distance.Euclidean, pr.Method)
 			})
 			return err
 		},
@@ -256,26 +255,6 @@ func (p *Pipeline) runFrom(ctx context.Context, db *recipedb.DB, corpusKey strin
 		return nil, err
 	}
 	return &Result{DB: db, Figures: figs, Validation: v}, nil
-}
-
-// linkTree is the tree stage: condensed distances -> linkage ->
-// dendrogram, the tail of core.PatternTreeWorkers.
-func linkTree(name string, d *distance.Condensed, labels []string, metric distance.Metric, method hac.Method) (*core.CuisineTree, error) {
-	lk, err := hac.Cluster(d, method)
-	if err != nil {
-		return nil, err
-	}
-	tree, err := hac.BuildTree(lk, labels)
-	if err != nil {
-		return nil, err
-	}
-	return &core.CuisineTree{
-		Name:      name,
-		Tree:      tree,
-		Distances: d,
-		Metric:    metric,
-		Linkage:   method,
-	}, nil
 }
 
 // ContentKey hashes a database's full content — recipes in stored

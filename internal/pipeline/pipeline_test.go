@@ -53,7 +53,7 @@ func TestByteIdentityWithMonolithicBuild(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	figs, err := core.BuildFigures(db, core.DefaultMinSupport, core.DefaultLinkage)
+	figs, err := core.BuildFiguresWorkers(db, core.DefaultMinSupport, core.DefaultLinkage, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -141,42 +141,3 @@ func (db *DB) RegionRecipes(region string) []*Recipe {
 	}
 	return out
 }
-
-// Filter returns a new DB with recipes satisfying keep. Errors cannot
-// occur since recipes were already validated.
-func (db *DB) Filter(keep func(*Recipe) bool) *DB {
-	var out []Recipe
-	for i := range db.recipes {
-		if keep(&db.recipes[i]) {
-			out = append(out, db.recipes[i])
-		}
-	}
-	ndb, err := New(out)
-	if err != nil {
-		// Unreachable: recipes were validated on construction.
-		panic(err)
-	}
-	return ndb
-}
-
-// Sample returns a new DB keeping every k-th recipe per region starting at
-// offset 0 — a cheap deterministic downsample for quick examples and
-// tests.
-func (db *DB) Sample(k int) *DB {
-	if k <= 1 {
-		return db
-	}
-	var out []Recipe
-	for _, region := range db.regions {
-		for i, j := range db.byRegion[region] {
-			if i%k == 0 {
-				out = append(out, db.recipes[j])
-			}
-		}
-	}
-	ndb, err := New(out)
-	if err != nil {
-		panic(err)
-	}
-	return ndb
-}

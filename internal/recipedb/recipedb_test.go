@@ -114,10 +114,8 @@ func TestVocabRegion(t *testing.T) {
 // restart that serves stored artifacts runs none of them.
 func TestNewLeavesVocabUnbuilt(t *testing.T) {
 	db := mustDB(t, sampleRecipes())
-	for name, d := range map[string]*DB{"New": db, "Filter": db.Filter(func(*Recipe) bool { return true }), "Sample": db.Sample(2)} {
-		if d.vocab != nil {
-			t.Errorf("%s built the vocabulary", name)
-		}
+	if db.vocab != nil {
+		t.Error("New built the vocabulary")
 	}
 	var buf bytes.Buffer
 	if err := WriteJSONL(&buf, db); err != nil {
@@ -177,21 +175,6 @@ func TestRejectsBlankItemNames(t *testing.T) {
 	csv := "id,name,region,ingredients,processes,utensils\na,,X,  ,,\n"
 	if _, err := ReadCSV(strings.NewReader(csv)); err == nil || !strings.Contains(err.Error(), "line 2") {
 		t.Errorf("ReadCSV accepted blank names: %v", err)
-	}
-}
-
-func TestFilterAndSample(t *testing.T) {
-	db := mustDB(t, sampleRecipes())
-	f := db.Filter(func(r *Recipe) bool { return r.Region == "Japanese" })
-	if f.Len() != 2 || f.NumRegions() != 1 {
-		t.Fatal("filter wrong")
-	}
-	s := db.Sample(2)
-	if s.RegionSize("Japanese") != 1 || s.RegionSize("Mexican") != 1 {
-		t.Fatalf("sample sizes: %v", s.Regions())
-	}
-	if db.Sample(1) != db {
-		t.Fatal("Sample(1) should be identity")
 	}
 }
 
