@@ -5,7 +5,9 @@
 // (Canada-France over Canada-US; India-North-Africa over India-Thai/SEA;
 // Euclidean fits geography best; authenticity at least as good) are
 // checked explicitly. The figures come from the same staged pipeline
-// (internal/pipeline) the daemon and the report build them with.
+// (internal/pipeline) the daemon and the report build them with, and
+// so do the -bootstrap replicates, which re-check every claim on
+// resampled corpora. The exit status depends only on the full data.
 package main
 
 import (
@@ -31,7 +33,7 @@ func main() {
 		scale     = flag.Float64("scale", 1.0, "corpus scale")
 		seed      = flag.Uint64("seed", corpus.DefaultSeed, "corpus generator seed")
 		linkage   = flag.String("linkage", core.DefaultLinkage.String(), "linkage method (single|complete|average|weighted|ward)")
-		bootstrap = flag.Int("bootstrap", 0, "additionally run N bootstrap replicates of the anecdote claims")
+		bootstrap = flag.Int("bootstrap", 0, "additionally run N bootstrap replicates of every Sec. VII claim")
 		pvalues   = flag.Bool("pvalues", false, "additionally run permutation significance tests of each tree's geography fit")
 		kinds     = flag.Bool("kinds", false, "additionally analyze per-kind (ingredient/process/utensil) influence on the cuisine tree")
 		pairing   = flag.Bool("pairing", false, "additionally compute the flavor-compound food-pairing statistic per cuisine")
@@ -43,9 +45,12 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	res, err := pipeline.New(nil).Run(context.Background(), pipeline.Params{
+	ctx := context.Background()
+	p := pipeline.New(nil)
+	params := pipeline.Params{
 		Seed: *seed, Scale: *scale, MinSupport: *support, Method: method, Workers: *workers,
-	})
+	}
+	res, err := p.Run(ctx, params)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -69,7 +74,7 @@ func main() {
 
 	if *kinds {
 		fmt.Println("\nPer-kind influence (authenticity tree per item kind — the paper's Sec. VIII question):")
-		rows, err := core.AnalyzeKindInfluence(db, method)
+		rows, err := core.AnalyzeKindInfluence(db, figs.Geo, method)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -87,7 +92,7 @@ func main() {
 
 	if *bootstrap > 0 {
 		fmt.Printf("\nBootstrap stability (%d replicates):\n", *bootstrap)
-		st, err := core.BootstrapClaimsWorkers(db, *support, *bootstrap, *seed, *workers)
+		st, err := p.Bootstrap(ctx, params, *bootstrap)
 		if err != nil {
 			log.Fatal(err)
 		}

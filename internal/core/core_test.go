@@ -356,13 +356,15 @@ func TestPatternTreeErrorsOnTinyInput(t *testing.T) {
 }
 
 func TestAnalyzeKindInfluence(t *testing.T) {
+	// The geographic tree depends only on the region set, which every
+	// scale shares, so the fixture's Fig. 6 tree serves the tenth-scale
+	// corpus.
 	f := getFigures(t)
-	_ = f // ensure fixture corpus exists for timing comparability
 	db, err := corpus.Generate(corpus.Config{Seed: corpus.DefaultSeed, Scale: 0.1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	rows, err := AnalyzeKindInfluence(db, DefaultLinkage)
+	rows, err := AnalyzeKindInfluence(db, f.Geo, DefaultLinkage)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -44,8 +44,9 @@ type CuisineTree struct {
 // hac.Cluster(method) -> dendrogram over labels. Callers compute their
 // own distances (a pdist over a feature matrix, or the geographic
 // great-circle matrix); metric labels the tree and does not enter the
-// linkage. It is the pipeline's tree stage and the tail of
-// BuildFiguresWorkers, the bootstrap replicates and the per-kind trees.
+// linkage. It is the pipeline's tree stage (bootstrap replicates
+// included, which run through the pipeline) and the tail of
+// BuildFiguresWorkers and the per-kind trees.
 func LinkTree(name string, d *distance.Condensed, labels []string, metric distance.Metric, method hac.Method) (*CuisineTree, error) {
 	lk, err := hac.Cluster(d, method)
 	if err != nil {

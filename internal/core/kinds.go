@@ -7,7 +7,6 @@ import (
 
 	"cuisines/internal/authenticity"
 	"cuisines/internal/distance"
-	"cuisines/internal/geo"
 	"cuisines/internal/hac"
 	"cuisines/internal/itemset"
 	"cuisines/internal/recipedb"
@@ -34,17 +33,11 @@ type KindInfluence struct {
 	IngredientAgreement float64
 }
 
-// AnalyzeKindInfluence builds one authenticity tree per item kind and
-// compares each against geography and against the ingredient tree.
-func AnalyzeKindInfluence(db *recipedb.DB, method hac.Method) ([]KindInfluence, error) {
-	geoDist, err := geo.DistanceMatrix(db.Regions())
-	if err != nil {
-		return nil, err
-	}
-	geoTree, err := LinkTree("geographic", geoDist, db.Regions(), distance.Euclidean, method)
-	if err != nil {
-		return nil, err
-	}
+// AnalyzeKindInfluence builds one authenticity tree per item kind,
+// linked with method, and compares each against geoTree (the Fig. 6
+// tree of the same corpus, Figures.Geo) and against the ingredient
+// tree.
+func AnalyzeKindInfluence(db *recipedb.DB, geoTree *CuisineTree, method hac.Method) ([]KindInfluence, error) {
 	geoCoph := geoTree.Tree.Cophenetic()
 
 	type kindTree struct {

@@ -14,12 +14,12 @@ import (
 // cuisine trees against geography by inspection; here every tree is
 // compared to the geographic tree with cophenetic correlation, Baker's
 // gamma, Robinson-Foulds and Fowlkes-Mallows B_k, and the two headline
-// anecdotes (Canada-France vs Canada-US, India-North-Africa vs
+// examples (Canada-France vs Canada-US, India-North-Africa vs
 // India-Southeast-Asia) are checked as cophenetic inequalities.
 type Validation struct {
 	// TreeFit holds, per candidate tree, its similarity to geography.
 	TreeFit []TreeFit
-	// Claims holds the anecdote checks.
+	// Claims holds the claim checks, one per claim and tree.
 	Claims []Claim
 }
 

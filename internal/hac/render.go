@@ -60,9 +60,11 @@ func (t *Tree) ASCII(opts RenderOptions) string {
 		return c
 	}
 
+	// A joint may sit up to one column per tree level past width (see
+	// draw), so rows get that much slack; trailing blanks are trimmed.
 	grid := make([][]rune, len(order))
 	for i := range grid {
-		grid[i] = []rune(strings.Repeat(" ", width+1))
+		grid[i] = []rune(strings.Repeat(" ", width+len(order)))
 	}
 
 	// attach marks that a horizontal stem continues rightward from an
@@ -78,32 +80,32 @@ func (t *Tree) ASCII(opts RenderOptions) string {
 		}
 	}
 
-	// draw returns (row, col) where the subtree attaches. Leaves attach at
-	// column 0; internal nodes at their joint column.
+	// draw returns (row, col) where the subtree attaches: an internal
+	// node's joint column, or -1 for a leaf, whose stem starts at 0.
 	var draw func(n *Node) (int, int)
 	draw = func(n *Node) (int, int) {
 		if n.IsLeaf() {
-			return row[n.Leaf], 0
+			return row[n.Leaf], -1
 		}
 		lr, lc := draw(n.Left)
 		rr, rc := draw(n.Right)
-		c := col(n.Height)
+		// A joint sits right of its children's joints even when their
+		// heights round to one column; sharing it would fuse connectors.
+		c := max(col(n.Height), lc+1, rc+1)
 		// Horizontal stems from each child to the joint column, starting
-		// after the child's own joint glyph for internal children.
-		drawStem := func(r, from int, leaf bool) {
-			start := from
-			if !leaf {
+		// after an internal child's own joint glyph.
+		drawStem := func(r, from int) {
+			if from >= 0 {
 				attach(r, from)
-				start = from + 1
 			}
-			for x := start; x < c; x++ {
+			for x := from + 1; x < c; x++ {
 				if grid[r][x] == ' ' {
 					grid[r][x] = '─'
 				}
 			}
 		}
-		drawStem(lr, lc, n.Left.IsLeaf())
-		drawStem(rr, rc, n.Right.IsLeaf())
+		drawStem(lr, lc)
+		drawStem(rr, rc)
 		top, bot := lr, rr
 		if top > bot {
 			top, bot = bot, top

@@ -13,7 +13,7 @@ import (
 // parameter struct reference every exported field of that struct. Two
 // structs carry the engine's cache identity: cuisines.Options
 // (Canonical feeds the serving-cache key, DESIGN.md §7) and
-// pipeline.Params (Run/RunOn/runFrom derive every artifact stage key,
+// pipeline.Params (corpus/RunOn/runFrom derive every artifact stage key,
 // DESIGN.md §8). Adding a field to either without deciding its
 // cache-key fate silently aliases distinct analyses to one artifact —
 // this analyzer makes that a build error. Fields that are *proven*
@@ -43,7 +43,7 @@ var canonTargets = map[string][]canonTarget{
 		{typeName: "Options", funcs: []string{"Canonical"}, exclude: perfKnobs},
 	},
 	"cuisines/internal/pipeline": {
-		{typeName: "Params", funcs: []string{"Run", "RunOn", "runFrom"}, exclude: perfKnobs},
+		{typeName: "Params", funcs: []string{"corpus", "RunOn", "runFrom"}, exclude: perfKnobs},
 	},
 }
 

@@ -1,5 +1,5 @@
 // Fixture for the canonfields analyzer, pipeline target: the
-// stage-key functions (Run/RunOn/runFrom) collectively miss Params'
+// stage-key functions (corpus/RunOn/runFrom) collectively miss Params'
 // Extra field.
 package pipeline
 
@@ -13,10 +13,9 @@ type Params struct {
 
 type Pipeline struct{}
 
-func (p *Pipeline) Run(pr Params) { // want `does not reference exported field Extra`
+func (p *Pipeline) corpus(pr Params) { // want `does not reference exported field Extra`
 	_ = pr.Seed
 	_ = pr.Scale
-	p.runFrom(pr)
 }
 
 func (p *Pipeline) RunOn(pr Params) { p.runFrom(pr) }

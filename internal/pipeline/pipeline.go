@@ -91,16 +91,23 @@ func (p *Pipeline) Store() *artifact.Store { return p.store }
 // stage starts once ctx is done, and Run returns ctx's error.
 func (p *Pipeline) Run(ctx context.Context, pr Params) (*Result, error) {
 	pr = withDefaults(pr)
-	corpusKey := artifact.Key("corpus",
-		fmt.Sprintf("seed=%d", pr.Seed),
-		fmt.Sprintf("scale=%g", pr.Scale))
-	db, err := stage(ctx, p.store, corpusKey, corpusCodec, func() (*recipedb.DB, error) {
-		return corpus.Generate(corpus.Config{Seed: pr.Seed, Scale: pr.Scale, Workers: pr.Workers})
-	})
+	db, corpusKey, err := p.corpus(ctx, pr)
 	if err != nil {
 		return nil, err
 	}
 	return p.runFrom(ctx, db, corpusKey, pr)
+}
+
+// corpus resolves the generated corpus stage of defaulted params and
+// returns it with its key, the root of every downstream key.
+func (p *Pipeline) corpus(ctx context.Context, pr Params) (*recipedb.DB, string, error) {
+	key := artifact.Key("corpus",
+		fmt.Sprintf("seed=%d", pr.Seed),
+		fmt.Sprintf("scale=%g", pr.Scale))
+	db, err := stage(ctx, p.store, key, corpusCodec, func() (*recipedb.DB, error) {
+		return corpus.Generate(corpus.Config{Seed: pr.Seed, Scale: pr.Scale, Workers: pr.Workers})
+	})
+	return db, key, err
 }
 
 // RunOn executes the graph on an externally supplied database (the

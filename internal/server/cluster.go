@@ -155,43 +155,36 @@ func (s *Server) clusterResponse() cuisines.ClusterResponse {
 	return resp
 }
 
-// renderClusterMetrics appends the cluster series to /metrics: the
-// exchange counters and one health gauge per peer.
-func (s *Server) renderClusterMetrics(w io.Writer) {
+// clusterFamilies is the cluster part of /metrics: the exchange
+// counters and one health gauge per peer.
+func (s *Server) clusterFamilies() []family {
 	if s.cluster == nil {
-		return
+		return nil
 	}
 	m := s.cluster.Metrics()
-	fmt.Fprintf(w, "# HELP cuisined_peer_fetch_total Peer artifact fetches issued by this node, by result.\n")
-	fmt.Fprintf(w, "# TYPE cuisined_peer_fetch_total counter\n")
-	fmt.Fprintf(w, "cuisined_peer_fetch_total{result=\"hit\"} %d\n", m.FetchHits)
-	fmt.Fprintf(w, "cuisined_peer_fetch_total{result=\"miss\"} %d\n", m.FetchMisses)
-	fmt.Fprintf(w, "cuisined_peer_fetch_total{result=\"error\"} %d\n", m.FetchErrors)
-	fmt.Fprintf(w, "cuisined_peer_fetch_total{result=\"reject\"} %d\n", m.FetchRejects)
-	fmt.Fprintf(w, "# HELP cuisined_peer_serve_total Peer artifact requests answered by this node, by result.\n")
-	fmt.Fprintf(w, "# TYPE cuisined_peer_serve_total counter\n")
-	fmt.Fprintf(w, "cuisined_peer_serve_total{result=\"hit\"} %d\n", m.ServeHits)
-	fmt.Fprintf(w, "cuisined_peer_serve_total{result=\"miss\"} %d\n", m.ServeMisses)
-	fmt.Fprintf(w, "# HELP cuisined_peer_serve_source_total Peer artifact GETs answered by this node, by the tier that produced the frame.\n")
-	fmt.Fprintf(w, "# TYPE cuisined_peer_serve_source_total counter\n")
-	fmt.Fprintf(w, "cuisined_peer_serve_source_total{source=\"disk\"} %d\n", m.ServeDisk)
-	fmt.Fprintf(w, "cuisined_peer_serve_source_total{source=\"memory\"} %d\n", m.ServeMemory)
-	fmt.Fprintf(w, "# HELP cuisined_peer_serve_disk_rejects_total Local disk frames that failed verification while serving a peer.\n")
-	fmt.Fprintf(w, "# TYPE cuisined_peer_serve_disk_rejects_total counter\n")
-	fmt.Fprintf(w, "cuisined_peer_serve_disk_rejects_total %d\n", m.ServeDiskRejects)
-	fmt.Fprintf(w, "# HELP cuisined_proxied_requests_total Requests forwarded to their ring owner.\n")
-	fmt.Fprintf(w, "# TYPE cuisined_proxied_requests_total counter\n")
-	fmt.Fprintf(w, "cuisined_proxied_requests_total %d\n", s.proxy.proxied.Load())
-	fmt.Fprintf(w, "# HELP cuisined_proxy_fallbacks_total Forwards that failed transport-level and were served locally.\n")
-	fmt.Fprintf(w, "# TYPE cuisined_proxy_fallbacks_total counter\n")
-	fmt.Fprintf(w, "cuisined_proxy_fallbacks_total %d\n", s.proxy.fallbacks.Load())
-	fmt.Fprintf(w, "# HELP cuisined_peer_healthy Peer liveness as seen by this node's health checker.\n")
-	fmt.Fprintf(w, "# TYPE cuisined_peer_healthy gauge\n")
+	healthy := gauge("cuisined_peer_healthy", "Peer liveness as seen by this node's health checker.")
 	for _, p := range s.cluster.Peers() {
 		v := 0
 		if p.Healthy {
 			v = 1
 		}
-		fmt.Fprintf(w, "cuisined_peer_healthy{peer=%q} %d\n", p.URL, v)
+		healthy.samples = append(healthy.samples, val(v, "peer", p.URL))
+	}
+	return []family{
+		counter("cuisined_peer_fetch_total", "Peer artifact fetches issued by this node, by result.",
+			val(m.FetchHits, "result", "hit"),
+			val(m.FetchMisses, "result", "miss"),
+			val(m.FetchErrors, "result", "error"),
+			val(m.FetchRejects, "result", "reject")),
+		counter("cuisined_peer_serve_total", "Peer artifact requests answered by this node, by result.",
+			val(m.ServeHits, "result", "hit"),
+			val(m.ServeMisses, "result", "miss")),
+		counter("cuisined_peer_serve_source_total", "Peer artifact GETs answered by this node, by the tier that produced the frame.",
+			val(m.ServeDisk, "source", "disk"),
+			val(m.ServeMemory, "source", "memory")),
+		counter("cuisined_peer_serve_disk_rejects_total", "Local disk frames that failed verification while serving a peer.", val(m.ServeDiskRejects)),
+		counter("cuisined_proxied_requests_total", "Requests forwarded to their ring owner.", val(s.proxy.proxied.Load())),
+		counter("cuisined_proxy_fallbacks_total", "Forwards that failed transport-level and were served locally.", val(s.proxy.fallbacks.Load())),
+		healthy,
 	}
 }

@@ -10,11 +10,11 @@ import (
 )
 
 // metrics is the server's hand-rolled metric registry. It keeps exactly
-// the series /metrics exposes — per-endpoint request/error counters, a
-// latency histogram, and an in-flight gauge — behind one mutex, and
-// renders them in the Prometheus text exposition format. Hand-rolled
-// because the repo takes no dependencies: the text format is three line
-// shapes (# HELP, # TYPE, sample), well within reach of fmt.Fprintf.
+// the HTTP series /metrics exposes — per-endpoint request/error
+// counters, a latency histogram, and an in-flight gauge — behind one
+// mutex. Hand-rolled because the repo takes no dependencies: the text
+// format is three line shapes (# HELP, # TYPE, sample), which family
+// and sample below cover.
 type metrics struct {
 	mu       sync.Mutex
 	requests map[string]map[int]uint64 // endpoint → status code → count
@@ -94,14 +94,61 @@ func (m *metrics) observe(endpoint string, code int, seconds float64) {
 	h.observe(seconds)
 }
 
-// render writes every HTTP series in Prometheus text format. Series are
-// emitted in sorted label order so successive scrapes diff cleanly.
-func (m *metrics) render(w io.Writer) {
+// family is one metric family of the Prometheus text exposition: a
+// HELP line, a TYPE line, then its samples in order. A sample is one
+// series line: the family name plus suffix (a histogram's _bucket,
+// _sum and _count), a rendered label set, and the value.
+type family struct {
+	name, typ, help string
+	samples         []sample
+}
+
+type sample struct{ suffix, labels, value string }
+
+func (f family) write(w io.Writer) {
+	fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s %s\n", f.name, f.help, f.name, f.typ)
+	for _, s := range f.samples {
+		fmt.Fprintf(w, "%s%s%s %s\n", f.name, s.suffix, s.labels, s.value)
+	}
+}
+
+func counter(name, help string, s ...sample) family { return family{name, "counter", help, s} }
+
+func gauge(name, help string, s ...sample) family { return family{name, "gauge", help, s} }
+
+// val is a sample with an integer or float value and label pairs
+// (name, value, name, value, ...); label values are Go-quoted.
+func val(v any, kv ...string) sample {
+	s := sample{value: fmt.Sprint(v)}
+	if f, ok := v.(float64); ok {
+		s.value = formatFloat(f)
+	}
+	for i := 0; i+1 < len(kv); i += 2 {
+		s.labels += "," + kv[i] + "=" + strconv.Quote(kv[i+1])
+	}
+	if s.labels != "" {
+		s.labels = "{" + s.labels[1:] + "}"
+	}
+	return s
+}
+
+// cacheEvents is the event-labelled traffic of a cache.
+func cacheEvents(hit, miss, eviction, inflightJoin uint64) []sample {
+	return []sample{
+		val(hit, "event", "hit"),
+		val(miss, "event", "miss"),
+		val(eviction, "event", "eviction"),
+		val(inflightJoin, "event", "inflight_join"),
+	}
+}
+
+// families snapshots every HTTP series. Series are emitted in sorted
+// label order so successive scrapes diff cleanly.
+func (m *metrics) families() []family {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 
-	fmt.Fprintf(w, "# HELP cuisined_http_requests_total Requests served, by endpoint pattern and status code.\n")
-	fmt.Fprintf(w, "# TYPE cuisined_http_requests_total counter\n")
+	requests := counter("cuisined_http_requests_total", "Requests served, by endpoint pattern and status code.")
 	for _, ep := range sortedKeys(m.requests) {
 		byCode := m.requests[ep]
 		codes := make([]int, 0, len(byCode))
@@ -110,34 +157,34 @@ func (m *metrics) render(w io.Writer) {
 		}
 		sort.Ints(codes)
 		for _, c := range codes {
-			fmt.Fprintf(w, "cuisined_http_requests_total{endpoint=%q,code=%q} %d\n", ep, strconv.Itoa(c), byCode[c])
+			requests.samples = append(requests.samples, val(byCode[c], "endpoint", ep, "code", strconv.Itoa(c)))
 		}
 	}
-
-	fmt.Fprintf(w, "# HELP cuisined_http_request_errors_total Requests answered with a 5xx status, by endpoint pattern.\n")
-	fmt.Fprintf(w, "# TYPE cuisined_http_request_errors_total counter\n")
+	errors := counter("cuisined_http_request_errors_total", "Requests answered with a 5xx status, by endpoint pattern.")
 	for _, ep := range sortedKeys(m.errors) {
-		fmt.Fprintf(w, "cuisined_http_request_errors_total{endpoint=%q} %d\n", ep, m.errors[ep])
+		errors.samples = append(errors.samples, val(m.errors[ep], "endpoint", ep))
 	}
-
-	fmt.Fprintf(w, "# HELP cuisined_http_requests_inflight Requests currently being handled, by endpoint pattern.\n")
-	fmt.Fprintf(w, "# TYPE cuisined_http_requests_inflight gauge\n")
+	inflight := gauge("cuisined_http_requests_inflight", "Requests currently being handled, by endpoint pattern.")
 	for _, ep := range sortedKeys(m.inflight) {
-		fmt.Fprintf(w, "cuisined_http_requests_inflight{endpoint=%q} %d\n", ep, m.inflight[ep])
+		inflight.samples = append(inflight.samples, val(m.inflight[ep], "endpoint", ep))
 	}
-
-	fmt.Fprintf(w, "# HELP cuisined_http_request_duration_seconds Request latency, by endpoint pattern.\n")
-	fmt.Fprintf(w, "# TYPE cuisined_http_request_duration_seconds histogram\n")
+	latency := family{name: "cuisined_http_request_duration_seconds", typ: "histogram", help: "Request latency, by endpoint pattern."}
 	for _, ep := range sortedKeys(m.latency) {
 		h := m.latency[ep]
 		for i, ub := range latencyBuckets {
-			fmt.Fprintf(w, "cuisined_http_request_duration_seconds_bucket{endpoint=%q,le=%q} %d\n",
-				ep, formatFloat(ub), h.counts[i])
+			latency.samples = append(latency.samples, withSuffix("_bucket", val(h.counts[i], "endpoint", ep, "le", formatFloat(ub))))
 		}
-		fmt.Fprintf(w, "cuisined_http_request_duration_seconds_bucket{endpoint=%q,le=\"+Inf\"} %d\n", ep, h.count)
-		fmt.Fprintf(w, "cuisined_http_request_duration_seconds_sum{endpoint=%q} %s\n", ep, formatFloat(h.sum))
-		fmt.Fprintf(w, "cuisined_http_request_duration_seconds_count{endpoint=%q} %d\n", ep, h.count)
+		latency.samples = append(latency.samples,
+			withSuffix("_bucket", val(h.count, "endpoint", ep, "le", "+Inf")),
+			withSuffix("_sum", val(h.sum, "endpoint", ep)),
+			withSuffix("_count", val(h.count, "endpoint", ep)))
 	}
+	return []family{requests, errors, inflight, latency}
+}
+
+func withSuffix(suffix string, s sample) sample {
+	s.suffix = suffix
+	return s
 }
 
 func sortedKeys[V any](m map[string]V) []string {
@@ -154,86 +201,58 @@ func sortedKeys[V any](m map[string]V) []string {
 func formatFloat(f float64) string { return strconv.FormatFloat(f, 'g', -1, 64) }
 
 // handleMetrics renders the full exposition: HTTP series plus the
-// analysis-cache, per-stage artifact-cache, and admission-gate series
-// the daemon already tracks internally.
+// analysis-cache, render-cache, per-stage artifact-cache, admission
+// and cluster series the daemon already tracks internally.
 func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	s.met.render(w)
-
 	cs := s.cache.Stats()
-	fmt.Fprintf(w, "# HELP cuisined_analysis_cache_entries Analyses currently cached or in flight.\n")
-	fmt.Fprintf(w, "# TYPE cuisined_analysis_cache_entries gauge\n")
-	fmt.Fprintf(w, "cuisined_analysis_cache_entries %d\n", cs.Size)
-	fmt.Fprintf(w, "# HELP cuisined_analysis_cache_capacity Configured analysis cache capacity.\n")
-	fmt.Fprintf(w, "# TYPE cuisined_analysis_cache_capacity gauge\n")
-	fmt.Fprintf(w, "cuisined_analysis_cache_capacity %d\n", cs.Capacity)
-	fmt.Fprintf(w, "# HELP cuisined_analysis_cache_events_total Analysis cache traffic, by event.\n")
-	fmt.Fprintf(w, "# TYPE cuisined_analysis_cache_events_total counter\n")
-	fmt.Fprintf(w, "cuisined_analysis_cache_events_total{event=\"hit\"} %d\n", cs.Hits)
-	fmt.Fprintf(w, "cuisined_analysis_cache_events_total{event=\"miss\"} %d\n", cs.Misses)
-	fmt.Fprintf(w, "cuisined_analysis_cache_events_total{event=\"eviction\"} %d\n", cs.Evictions)
-	fmt.Fprintf(w, "cuisined_analysis_cache_events_total{event=\"inflight_join\"} %d\n", cs.InFlightJoins)
-
 	rs := s.renders.Stats()
-	fmt.Fprintf(w, "# HELP cuisined_render_cache_entries Rendered responses currently cached.\n")
-	fmt.Fprintf(w, "# TYPE cuisined_render_cache_entries gauge\n")
-	fmt.Fprintf(w, "cuisined_render_cache_entries %d\n", rs.Entries)
-	fmt.Fprintf(w, "# HELP cuisined_render_cache_bytes Bytes held by the render cache (bodies plus gzip variants).\n")
-	fmt.Fprintf(w, "# TYPE cuisined_render_cache_bytes gauge\n")
-	fmt.Fprintf(w, "cuisined_render_cache_bytes %d\n", rs.Bytes)
-	fmt.Fprintf(w, "# HELP cuisined_render_cache_capacity_bytes Configured render cache byte budget.\n")
-	fmt.Fprintf(w, "# TYPE cuisined_render_cache_capacity_bytes gauge\n")
-	fmt.Fprintf(w, "cuisined_render_cache_capacity_bytes %d\n", rs.MaxBytes)
-	fmt.Fprintf(w, "# HELP cuisined_render_cache_events_total Render cache traffic, by event.\n")
-	fmt.Fprintf(w, "# TYPE cuisined_render_cache_events_total counter\n")
-	fmt.Fprintf(w, "cuisined_render_cache_events_total{event=\"hit\"} %d\n", rs.Hits)
-	fmt.Fprintf(w, "cuisined_render_cache_events_total{event=\"miss\"} %d\n", rs.Misses)
-	fmt.Fprintf(w, "cuisined_render_cache_events_total{event=\"eviction\"} %d\n", rs.Evictions)
-	fmt.Fprintf(w, "cuisined_render_cache_events_total{event=\"inflight_join\"} %d\n", rs.InFlightJoins)
-	fmt.Fprintf(w, "# HELP cuisined_render_cache_gzip_variants_total Gzip variants built (once per entry worth compressing).\n")
-	fmt.Fprintf(w, "# TYPE cuisined_render_cache_gzip_variants_total counter\n")
-	fmt.Fprintf(w, "cuisined_render_cache_gzip_variants_total %d\n", rs.GzipVariants)
-	fmt.Fprintf(w, "# HELP cuisined_http_not_modified_total Conditional requests answered 304 Not Modified.\n")
-	fmt.Fprintf(w, "# TYPE cuisined_http_not_modified_total counter\n")
-	fmt.Fprintf(w, "cuisined_http_not_modified_total %d\n", s.notModified.Load())
-	fmt.Fprintf(w, "# HELP cuisined_http_body_bytes_total Response body bytes written from the render cache, by encoding.\n")
-	fmt.Fprintf(w, "# TYPE cuisined_http_body_bytes_total counter\n")
-	fmt.Fprintf(w, "cuisined_http_body_bytes_total{encoding=\"identity\"} %d\n", s.bytesIdentity.Load())
-	fmt.Fprintf(w, "cuisined_http_body_bytes_total{encoding=\"gzip\"} %d\n", s.bytesGzip.Load())
+	fams := append(s.met.families(),
+		gauge("cuisined_analysis_cache_entries", "Analyses currently cached or in flight.", val(cs.Size)),
+		gauge("cuisined_analysis_cache_capacity", "Configured analysis cache capacity.", val(cs.Capacity)),
+		counter("cuisined_analysis_cache_events_total", "Analysis cache traffic, by event.",
+			cacheEvents(cs.Hits, cs.Misses, cs.Evictions, cs.InFlightJoins)...),
+		gauge("cuisined_render_cache_entries", "Rendered responses currently cached.", val(rs.Entries)),
+		gauge("cuisined_render_cache_bytes", "Bytes held by the render cache (bodies plus gzip variants).", val(rs.Bytes)),
+		gauge("cuisined_render_cache_capacity_bytes", "Configured render cache byte budget.", val(rs.MaxBytes)),
+		counter("cuisined_render_cache_events_total", "Render cache traffic, by event.",
+			cacheEvents(rs.Hits, rs.Misses, rs.Evictions, rs.InFlightJoins)...),
+		counter("cuisined_render_cache_gzip_variants_total", "Gzip variants built (once per entry worth compressing).", val(rs.GzipVariants)),
+		counter("cuisined_http_not_modified_total", "Conditional requests answered 304 Not Modified.", val(s.notModified.Load())),
+		counter("cuisined_http_body_bytes_total", "Response body bytes written from the render cache, by encoding.",
+			val(s.bytesIdentity.Load(), "encoding", "identity"),
+			val(s.bytesGzip.Load(), "encoding", "gzip")),
+	)
 
 	if s.engine != nil {
 		stages := s.engine.CacheStats()
-		fmt.Fprintf(w, "# HELP cuisined_stage_cache_events_total Per-stage artifact cache traffic, by stage and event.\n")
-		fmt.Fprintf(w, "# TYPE cuisined_stage_cache_events_total counter\n")
+		f := counter("cuisined_stage_cache_events_total", "Per-stage artifact cache traffic, by stage and event.")
 		for _, kind := range sortedKeys(stages) {
 			st := stages[kind]
-			fmt.Fprintf(w, "cuisined_stage_cache_events_total{stage=%q,event=\"hit\"} %d\n", kind, st.Hits)
-			fmt.Fprintf(w, "cuisined_stage_cache_events_total{stage=%q,event=\"disk_hit\"} %d\n", kind, st.DiskHits)
-			fmt.Fprintf(w, "cuisined_stage_cache_events_total{stage=%q,event=\"peer_hit\"} %d\n", kind, st.PeerHits)
-			fmt.Fprintf(w, "cuisined_stage_cache_events_total{stage=%q,event=\"computed\"} %d\n", kind, st.Computed)
-			fmt.Fprintf(w, "cuisined_stage_cache_events_total{stage=%q,event=\"eviction\"} %d\n", kind, st.Evictions)
-			fmt.Fprintf(w, "cuisined_stage_cache_events_total{stage=%q,event=\"inflight_join\"} %d\n", kind, st.InFlightJoins)
+			f.samples = append(f.samples,
+				val(st.Hits, "stage", kind, "event", "hit"),
+				val(st.DiskHits, "stage", kind, "event", "disk_hit"),
+				val(st.PeerHits, "stage", kind, "event", "peer_hit"),
+				val(st.Computed, "stage", kind, "event", "computed"),
+				val(st.Evictions, "stage", kind, "event", "eviction"),
+				val(st.InFlightJoins, "stage", kind, "event", "inflight_join"))
 		}
+		fams = append(fams, f)
 	}
 
 	if s.gate != nil {
 		gs := s.gate.Stats()
-		fmt.Fprintf(w, "# HELP cuisined_admission_slots Configured concurrent pipeline-run limit.\n")
-		fmt.Fprintf(w, "# TYPE cuisined_admission_slots gauge\n")
-		fmt.Fprintf(w, "cuisined_admission_slots %d\n", gs.Slots)
-		fmt.Fprintf(w, "# HELP cuisined_admission_active Pipeline runs currently admitted.\n")
-		fmt.Fprintf(w, "# TYPE cuisined_admission_active gauge\n")
-		fmt.Fprintf(w, "cuisined_admission_active %d\n", gs.Active)
-		fmt.Fprintf(w, "# HELP cuisined_admission_queue_capacity Configured admission queue depth.\n")
-		fmt.Fprintf(w, "# TYPE cuisined_admission_queue_capacity gauge\n")
-		fmt.Fprintf(w, "cuisined_admission_queue_capacity %d\n", gs.QueueCap)
-		fmt.Fprintf(w, "# HELP cuisined_admission_queued Requests currently waiting for a pipeline slot.\n")
-		fmt.Fprintf(w, "# TYPE cuisined_admission_queued gauge\n")
-		fmt.Fprintf(w, "cuisined_admission_queued %d\n", gs.Queued)
-		fmt.Fprintf(w, "# HELP cuisined_admission_rejected_total Requests rejected with 429 because the queue was full.\n")
-		fmt.Fprintf(w, "# TYPE cuisined_admission_rejected_total counter\n")
-		fmt.Fprintf(w, "cuisined_admission_rejected_total %d\n", gs.Rejected)
+		fams = append(fams,
+			gauge("cuisined_admission_slots", "Configured concurrent pipeline-run limit.", val(gs.Slots)),
+			gauge("cuisined_admission_active", "Pipeline runs currently admitted.", val(gs.Active)),
+			gauge("cuisined_admission_queue_capacity", "Configured admission queue depth.", val(gs.QueueCap)),
+			gauge("cuisined_admission_queued", "Requests currently waiting for a pipeline slot.", val(gs.Queued)),
+			counter("cuisined_admission_rejected_total", "Requests rejected with 429 because the queue was full.", val(gs.Rejected)),
+		)
 	}
 
-	s.renderClusterMetrics(w)
+	fams = append(fams, s.clusterFamilies()...)
+	for _, f := range fams {
+		f.write(w)
+	}
 }
