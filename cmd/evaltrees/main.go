@@ -14,6 +14,7 @@ import (
 	"context"
 	"flag"
 	"fmt"
+	"io"
 	"log"
 	"os"
 
@@ -28,22 +29,41 @@ import (
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("evaltrees: ")
+	allHold, err := run(os.Args[1:], os.Stdout)
+	if err != nil {
+		log.Fatal(err)
+	}
+	if !allHold {
+		os.Exit(1)
+	}
+}
+
+// run parses args, prints the evaluation to out and reports whether
+// every Sec. VII claim held on the full data.
+func run(args []string, out io.Writer) (bool, error) {
+	fs := flag.NewFlagSet("evaltrees", flag.ExitOnError)
 	var (
-		support   = flag.Float64("support", core.DefaultMinSupport, "minimum relative support")
-		scale     = flag.Float64("scale", 1.0, "corpus scale")
-		seed      = flag.Uint64("seed", corpus.DefaultSeed, "corpus generator seed")
-		linkage   = flag.String("linkage", core.DefaultLinkage.String(), "linkage method (single|complete|average|weighted|ward)")
-		bootstrap = flag.Int("bootstrap", 0, "additionally run N bootstrap replicates of every Sec. VII claim")
-		pvalues   = flag.Bool("pvalues", false, "additionally run permutation significance tests of each tree's geography fit")
-		kinds     = flag.Bool("kinds", false, "additionally analyze per-kind (ingredient/process/utensil) influence on the cuisine tree")
-		pairing   = flag.Bool("pairing", false, "additionally compute the flavor-compound food-pairing statistic per cuisine")
-		workers   = flag.Int("workers", 0, "worker pool size (0 = all cores, 1 = sequential; output is identical)")
+		support   = fs.Float64("support", core.DefaultMinSupport, "minimum relative support")
+		scale     = fs.Float64("scale", 1.0, "corpus scale")
+		seed      = fs.Uint64("seed", corpus.DefaultSeed, "corpus generator seed (0 = default)")
+		linkage   = fs.String("linkage", core.DefaultLinkage.String(), "linkage method (single|complete|average|weighted|ward)")
+		bootstrap = fs.Int("bootstrap", 0, "additionally run N bootstrap replicates of every Sec. VII claim")
+		pvalues   = fs.Bool("pvalues", false, "additionally run permutation significance tests of each tree's geography fit")
+		kinds     = fs.Bool("kinds", false, "additionally analyze per-kind (ingredient/process/utensil) influence on the cuisine tree")
+		pairing   = fs.Bool("pairing", false, "additionally compute the flavor-compound food-pairing statistic per cuisine")
+		workers   = fs.Int("workers", 0, "worker pool size (0 = all cores, 1 = sequential; output is identical)")
 	)
-	flag.Parse()
+	_ = fs.Parse(args) // ExitOnError: a bad flag exits here
+	// Seed 0 means the default corpus seed everywhere, not only where
+	// the pipeline defaults it: the permutation tests and the pairing
+	// analysis below take the seed too.
+	if *seed == 0 {
+		*seed = corpus.DefaultSeed
+	}
 
 	method, err := hac.ParseMethod(*linkage)
 	if err != nil {
-		log.Fatal(err)
+		return false, err
 	}
 	ctx := context.Background()
 	p := pipeline.New(nil)
@@ -52,58 +72,67 @@ func main() {
 	}
 	res, err := p.Run(ctx, params)
 	if err != nil {
-		log.Fatal(err)
+		return false, err
 	}
-	db, figs, v := res.DB, res.Figures, res.Validation
-	if err := v.Render(os.Stdout); err != nil {
-		log.Fatal(err)
+	figs, v := res.Figures, res.Validation
+	if err := v.Render(out); err != nil {
+		return false, err
 	}
 
 	if *pvalues {
-		fmt.Println("\nPermutation significance of geography fit (Baker's gamma, 1000 permutations):")
+		fmt.Fprintln(out, "\nPermutation significance of geography fit (Baker's gamma, 1000 permutations):")
 		geoCoph := figs.Geo.Tree.Cophenetic()
 		for _, ct := range []*core.CuisineTree{figs.Euclidean, figs.Cosine, figs.Jaccard, figs.Auth} {
 			res, err := treecmp.PermutationTest(ct.Tree.Cophenetic(), geoCoph, treecmp.BakersGamma, 1000, *seed)
 			if err != nil {
-				log.Fatal(err)
+				return false, err
 			}
-			fmt.Printf("  %-24s observed %.3f  null %.3f±%.3f  p = %.4f\n",
+			fmt.Fprintf(out, "  %-24s observed %.3f  null %.3f±%.3f  p = %.4f\n",
 				ct.Name, res.Observed, res.NullMean, res.NullStd, res.PValue)
 		}
 	}
 
 	if *kinds {
-		fmt.Println("\nPer-kind influence (authenticity tree per item kind — the paper's Sec. VIII question):")
+		fmt.Fprintln(out, "\nPer-kind influence (authenticity tree per item kind — the paper's Sec. VIII question):")
+		db, err := res.DB(ctx)
+		if err != nil {
+			return false, err
+		}
 		rows, err := core.AnalyzeKindInfluence(db, figs.Geo, method)
 		if err != nil {
-			log.Fatal(err)
+			return false, err
 		}
-		if err := core.RenderKindInfluence(os.Stdout, rows); err != nil {
-			log.Fatal(err)
+		if err := core.RenderKindInfluence(out, rows); err != nil {
+			return false, err
 		}
 	}
 
 	if *pairing {
-		fmt.Println("\nFlavor-compound food pairing (Ahn et al. delta N_s on the synthetic compound table):")
-		if err := flavor.RenderPairing(os.Stdout, flavor.AnalyzeDB(db, *seed)); err != nil {
-			log.Fatal(err)
+		fmt.Fprintln(out, "\nFlavor-compound food pairing (Ahn et al. delta N_s on the synthetic compound table):")
+		db, err := res.DB(ctx)
+		if err != nil {
+			return false, err
+		}
+		if err := flavor.RenderPairing(out, flavor.AnalyzeDB(db, *seed)); err != nil {
+			return false, err
 		}
 	}
 
 	if *bootstrap > 0 {
-		fmt.Printf("\nBootstrap stability (%d replicates):\n", *bootstrap)
+		fmt.Fprintf(out, "\nBootstrap stability (%d replicates):\n", *bootstrap)
 		st, err := p.Bootstrap(ctx, params, *bootstrap)
 		if err != nil {
-			log.Fatal(err)
+			return false, err
 		}
-		if err := st.Render(os.Stdout); err != nil {
-			log.Fatal(err)
+		if err := st.Render(out); err != nil {
+			return false, err
 		}
 	}
 
 	if !v.AllClaimsHold() {
-		fmt.Println("\nWARNING: not all Sec. VII claims reproduced")
-		os.Exit(1)
+		fmt.Fprintln(out, "\nWARNING: not all Sec. VII claims reproduced")
+		return false, nil
 	}
-	fmt.Println("\nAll Sec. VII claims reproduced.")
+	fmt.Fprintln(out, "\nAll Sec. VII claims reproduced.")
+	return true, nil
 }

@@ -178,8 +178,14 @@ func (f Figure) String() string {
 // (guarded by sync.Once), so an Analysis served per-request by the
 // cuisined daemon answers every repeat query without recomputation and
 // is safe for concurrent use.
+//
+// Only Stats and FoodPairings read recipes. An Analysis from Run does
+// not hold the corpus: each of the two resolves it on its first call
+// from the engine's artifact store, which regenerates a missing or
+// corrupt copy, and keeps only what it derives. (An Analysis from
+// RunFromCSV or RunFromJSONL keeps the recipes it was given.)
 type Analysis struct {
-	db         *recipedb.DB
+	corpus     func() (*recipedb.DB, error)
 	figures    *core.Figures
 	validation *core.Validation
 
@@ -279,7 +285,19 @@ func (e *Engine) RunContext(ctx context.Context, opts Options) (*Analysis, error
 	if err != nil {
 		return nil, err
 	}
-	return &Analysis{db: res.DB, figures: res.Figures, validation: res.Validation}, nil
+	return newAnalysis(ctx, res), nil
+}
+
+// newAnalysis wraps a pipeline result. The corpus resolver keeps ctx's
+// values but not its cancellation: an accessor may run long after the
+// request that built the Analysis has finished.
+func newAnalysis(ctx context.Context, res *pipeline.Result) *Analysis {
+	ctx = context.WithoutCancel(ctx)
+	return &Analysis{
+		corpus:     func() (*recipedb.DB, error) { return res.DB(ctx) },
+		figures:    res.Figures,
+		validation: res.Validation,
+	}
 }
 
 // RunFromCSV is RunFromCSV through the engine's artifact store.
@@ -314,7 +332,8 @@ func (e *Engine) runOn(db *recipedb.DB, opts Options) (*Analysis, error) {
 	if err != nil {
 		return nil, err
 	}
-	res, err := e.pipe.RunOn(context.Background(), db, pipeline.Params{
+	ctx := context.Background()
+	res, err := e.pipe.RunOn(ctx, db, pipeline.Params{
 		MinSupport: opts.MinSupport,
 		Method:     method,
 		Workers:    opts.Workers,
@@ -322,7 +341,7 @@ func (e *Engine) runOn(db *recipedb.DB, opts Options) (*Analysis, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Analysis{db: res.DB, figures: res.Figures, validation: res.Validation}, nil
+	return newAnalysis(ctx, res), nil
 }
 
 // CacheStats returns the engine's per-stage artifact cache counters,
@@ -373,8 +392,10 @@ func RunFromJSONL(r io.Reader, opts Options) (*Analysis, error) {
 	return NewEngine(EngineConfig{}).RunFromJSONL(r, opts)
 }
 
-// Regions returns the 26 cuisine names in canonical (sorted) order.
-func (a *Analysis) Regions() []string { return a.db.Regions() }
+// Regions returns the 26 cuisine names in canonical (sorted) order:
+// the geographic tree's leaf labels, which the pipeline takes from the
+// corpus's region list.
+func (a *Analysis) Regions() []string { return a.figures.Geo.Tree.Labels }
 
 // tree resolves a figure to its dendrogram.
 func (a *Analysis) tree(f Figure) (*core.CuisineTree, error) {
@@ -431,7 +452,7 @@ func (a *Analysis) cophenetic(f Figure) (*distance.Condensed, error) {
 // the leaf order every tree and matrix shares — via a map built once.
 func (a *Analysis) regionIndex(region string) (int, error) {
 	a.regionsOnce.Do(func() {
-		regions := a.db.Regions()
+		regions := a.Regions()
 		a.regionIdx = make(map[string]int, len(regions))
 		for i, r := range regions {
 			a.regionIdx[r] = i
@@ -515,10 +536,22 @@ func (a *Analysis) Clusters(f Figure, k int) ([][]string, error) {
 }
 
 // Stats exposes the Sec. III corpus statistics, computed on first call
-// and memoized (the daemon serves it per request).
+// and memoized (the daemon serves it per request). The first call loads
+// the corpus.
 func (a *Analysis) Stats() recipedb.Stats {
-	a.statsOnce.Do(func() { a.stats = recipedb.ComputeStats(a.db) })
+	a.statsOnce.Do(func() { a.stats = recipedb.ComputeStats(a.recipes()) })
 	return a.stats
+}
+
+// recipes resolves the corpus for the accessors that read it. The
+// store recomputes a missing or corrupt corpus and the pipeline already
+// built these parameters once, so a failure here is a bug.
+func (a *Analysis) recipes() *recipedb.DB {
+	db, err := a.corpus()
+	if err != nil {
+		panic(fmt.Sprintf("cuisines: resolve corpus: %v", err))
+	}
+	return db
 }
 
 // ElbowReport renders the Fig. 1 elbow analysis.

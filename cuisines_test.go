@@ -289,7 +289,7 @@ func TestRunFromCSVRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
-	if err := recipedb.WriteCSV(&buf, direct.db); err != nil {
+	if err := recipedb.WriteCSV(&buf, direct.recipes()); err != nil {
 		t.Fatal(err)
 	}
 	loaded, err := RunFromCSV(&buf, Options{})
@@ -314,7 +314,7 @@ func TestRunFromJSONL(t *testing.T) {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
-	if err := recipedb.WriteJSONL(&buf, direct.db); err != nil {
+	if err := recipedb.WriteJSONL(&buf, direct.recipes()); err != nil {
 		t.Fatal(err)
 	}
 	loaded, err := RunFromJSONL(&buf, Options{})

@@ -21,9 +21,10 @@ type FoodPairing struct {
 // FoodPairings computes the pairing statistic for every cuisine. The
 // underlying flavor analysis scans the whole corpus, so it is computed
 // once per Analysis and memoized (the daemon serves it per request).
+// The first call loads the corpus.
 func (a *Analysis) FoodPairings() []FoodPairing {
 	a.pairingsOnce.Do(func() {
-		rows := flavor.AnalyzeDB(a.db, 1)
+		rows := flavor.AnalyzeDB(a.recipes(), 1)
 		a.pairings = make([]FoodPairing, 0, len(rows))
 		for _, r := range rows {
 			a.pairings = append(a.pairings, FoodPairing{

@@ -264,6 +264,51 @@ func TestClusterWarmServing(t *testing.T) {
 	}
 }
 
+// TestClusterRestartFetchesNoCorpus: a node with an empty cache
+// directory serves /v1/table from a warm peer without asking for the
+// corpus, the one artifact that endpoint never reads. Every other
+// artifact the peer computed still arrives over the wire and passes
+// verification, one fetch each.
+func TestClusterRestartFetchesNoCorpus(t *testing.T) {
+	nodes := startCluster(t, 2, 2)
+	a, b := nodes[0], nodes[1]
+	code, want := getNode(t, a.url, "/v1/table", true)
+	if code != 200 {
+		t.Fatalf("node A /v1/table = %d\n%s", code, want)
+	}
+	for _, tn := range nodes {
+		tn.node.CheckNow(context.Background())
+	}
+	code, got := getNode(t, b.url, "/v1/table", true)
+	if code != 200 || !bytes.Equal(got, want) {
+		t.Fatalf("node B /v1/table = %d, byte-identical %v", code, bytes.Equal(got, want))
+	}
+
+	computedA := a.engine.CacheStats()
+	if computedA["corpus"].Computed != 1 {
+		t.Fatalf("node A corpus stats %+v; fixture broken", computedA["corpus"])
+	}
+	var others uint64
+	statsB := b.engine.CacheStats()
+	for kind, sa := range computedA {
+		sb := statsB[kind]
+		if kind == "corpus" {
+			if sb != (cuisines.StageCacheStats{}) {
+				t.Errorf("node B touched the corpus: %+v", sb)
+			}
+			continue
+		}
+		others += sa.Computed
+		if sb.PeerHits != sa.Computed || sb.Computed != 0 {
+			t.Errorf("node B stage %s: %+v, want %d peer hits and nothing computed", kind, sb, sa.Computed)
+		}
+	}
+	m := b.node.Metrics()
+	if m.FetchAttempts != others || m.FetchHits != others || m.FetchRejects != 0 {
+		t.Fatalf("node B exchange %+v; want exactly %d verified fetches, one per non-corpus artifact", m, others)
+	}
+}
+
 // blobCodec is a minimal test codec for store-level exchange tests.
 type blobCodec struct{}
 

@@ -17,13 +17,12 @@ import (
 // the corpus key boot(corpusKey, round=b) (DESIGN.md §8), so it is
 // scored by the same Validate, on trees linked with pr.Method, as the
 // headline claims. Support counts each "<claim>/<tree>" over the
-// iters replicates.
+// iters replicates. Like the base corpus in Run, a replicate's corpus
+// is resolved only when one of its stages must compute, and the base
+// corpus only when a replicate's corpus must be drawn.
 func (p *Pipeline) Bootstrap(ctx context.Context, pr Params, iters int) (*core.Stability, error) {
 	pr = withDefaults(pr)
-	db, corpusKey, err := p.corpus(ctx, pr)
-	if err != nil {
-		return nil, err
-	}
+	corpusKey, base := p.corpus(pr)
 	r := rng.New(pr.Seed)
 	held := make(map[string]int)
 	for b := 0; b < iters; b++ {
@@ -31,13 +30,19 @@ func (p *Pipeline) Bootstrap(ctx context.Context, pr Params, iters int) (*core.S
 		// depend on which earlier replicates the store already held.
 		rb := r.Fork()
 		bootKey := artifact.Key("boot", corpusKey, fmt.Sprintf("round=%d", b))
-		boot, err := stage(ctx, p.store, bootKey, corpusCodec, func() (*recipedb.DB, error) {
-			return resample(db, rb, b)
-		})
-		if err != nil {
-			return nil, err
+		boot := func(ctx context.Context) (*recipedb.DB, error) {
+			return stage(ctx, p.store, bootKey, corpusCodec, func() (*recipedb.DB, error) {
+				db, err := base(ctx)
+				if err != nil {
+					return nil, err
+				}
+				// Draw from a copy of rb, so the resolver returns the
+				// same replicate however often it runs.
+				draw := *rb
+				return resample(db, &draw, b)
+			})
 		}
-		res, err := p.runFrom(ctx, boot, bootKey, pr)
+		res, err := p.runFrom(ctx, bootKey, boot, pr)
 		if err != nil {
 			return nil, err
 		}

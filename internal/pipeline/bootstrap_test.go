@@ -138,12 +138,15 @@ func TestBootstrapWorkersInvariant(t *testing.T) {
 
 // TestBootstrapWarmStoreComputesNothing: replicate artifacts are
 // ordinary keyed stages, so a second Bootstrap over the same store is
-// served entirely from it.
+// served entirely from it. A fresh store over the same directory loads
+// no corpus at all, neither the base corpus nor a replicate's: every
+// replicate's downstream artifacts are on disk.
 func TestBootstrapWarmStoreComputesNothing(t *testing.T) {
 	if testing.Short() {
 		t.Skip("bootstrap is slow")
 	}
-	p := New(nil)
+	dir := t.TempDir()
+	p := New(artifact.NewStore(artifact.Options{Dir: dir}))
 	pr := testParams(core.DefaultLinkage, 0)
 	cold := bootstrap(t, p, pr, 2)
 	before := computed(p.Store())
@@ -153,6 +156,18 @@ func TestBootstrapWarmStoreComputesNothing(t *testing.T) {
 	}
 	if !reflect.DeepEqual(cold, warm) {
 		t.Fatalf("warm bootstrap differs:\n%v\n%v", cold.Support, warm.Support)
+	}
+
+	fresh := New(artifact.NewStore(artifact.Options{Dir: dir}))
+	disk := bootstrap(t, fresh, pr, 2)
+	if n := computed(fresh.Store()); n != 0 {
+		t.Fatalf("bootstrap over the warm directory computed %d stages", n)
+	}
+	if st, ok := fresh.Store().Stats()["corpus"]; ok {
+		t.Fatalf("bootstrap over the warm directory touched a corpus: %+v", st)
+	}
+	if !reflect.DeepEqual(cold, disk) {
+		t.Fatalf("bootstrap over the warm directory differs:\n%v\n%v", cold.Support, disk.Support)
 	}
 }
 

@@ -43,14 +43,20 @@ var codecFix codecFixture
 
 func codecFixtures(tb testing.TB) codecFixture {
 	codecFixOnce.Do(func() {
-		res, err := New(nil).Run(context.Background(), testParams(hac.Average, 0))
+		ctx := context.Background()
+		res, err := New(nil).Run(ctx, testParams(hac.Average, 0))
+		if err != nil {
+			codecFix.err = err
+			return
+		}
+		db, err := res.DB(ctx)
 		if err != nil {
 			codecFix.err = err
 			return
 		}
 		figs := res.Figures
 		codecFix = codecFixture{
-			db:       res.DB,
+			db:       db,
 			mined:    figs.Mined,
 			feats:    &PatternFeatures{Table1: figs.Table1, Matrix: figs.Patterns},
 			pdist:    figs.Euclidean.Distances,

@@ -35,6 +35,7 @@ import (
 	"encoding/hex"
 	"fmt"
 	"io"
+	"sync"
 
 	"cuisines/internal/artifact"
 	"cuisines/internal/authenticity"
@@ -61,11 +62,18 @@ type Params struct {
 }
 
 // Result is one full run of the paper's evaluation in pipeline form.
+// DB resolves the run's corpus on demand: a run whose every downstream
+// artifact was already stored never loads it (DESIGN.md §8).
 type Result struct {
-	DB         *recipedb.DB
+	DB         Corpus
 	Figures    *core.Figures
 	Validation *core.Validation
 }
+
+// Corpus resolves a run's recipe database. Run's resolves the corpus
+// stage through the store, so a miss there recomputes it; RunOn's
+// returns the database the caller supplied.
+type Corpus func(context.Context) (*recipedb.DB, error)
 
 // Pipeline executes the stage graph against one artifact store.
 // Pipelines sharing a store share every cached stage.
@@ -91,39 +99,33 @@ func (p *Pipeline) Store() *artifact.Store { return p.store }
 // stage starts once ctx is done, and Run returns ctx's error.
 func (p *Pipeline) Run(ctx context.Context, pr Params) (*Result, error) {
 	pr = withDefaults(pr)
-	db, corpusKey, err := p.corpus(ctx, pr)
-	if err != nil {
-		return nil, err
-	}
-	return p.runFrom(ctx, db, corpusKey, pr)
+	corpusKey, db := p.corpus(pr)
+	return p.runFrom(ctx, corpusKey, db, pr)
 }
 
-// corpus resolves the generated corpus stage of defaulted params and
-// returns it with its key, the root of every downstream key.
-func (p *Pipeline) corpus(ctx context.Context, pr Params) (*recipedb.DB, string, error) {
+// corpus returns the generated corpus stage's key for defaulted
+// params, the root of every downstream key, and its resolver.
+func (p *Pipeline) corpus(pr Params) (string, Corpus) {
 	key := artifact.Key("corpus",
 		fmt.Sprintf("seed=%d", pr.Seed),
 		fmt.Sprintf("scale=%g", pr.Scale))
-	db, err := stage(ctx, p.store, key, corpusCodec, func() (*recipedb.DB, error) {
-		return corpus.Generate(corpus.Config{Seed: pr.Seed, Scale: pr.Scale, Workers: pr.Workers})
-	})
-	return db, key, err
+	return key, func(ctx context.Context) (*recipedb.DB, error) {
+		return stage(ctx, p.store, key, corpusCodec, func() (*recipedb.DB, error) {
+			return corpus.Generate(corpus.Config{Seed: pr.Seed, Scale: pr.Scale, Workers: pr.Workers})
+		})
+	}
 }
 
 // RunOn executes the graph on an externally supplied database (the
-// CSV/JSONL ingestion path). The corpus stage key is a content hash of
-// the recipes, so identical datasets share downstream artifacts no
-// matter how they arrived. Cancellation behaves as in Run.
+// CSV/JSONL ingestion path). The corpus key is a content hash of the
+// recipes, so identical datasets share downstream artifacts no matter
+// how they arrived. The database itself is not stored: only its holder
+// can produce that key. Cancellation behaves as in Run.
 func (p *Pipeline) RunOn(ctx context.Context, db *recipedb.DB, pr Params) (*Result, error) {
 	pr = withDefaults(pr)
-	corpusKey := artifact.Key("dataset", ContentKey(db))
-	stored, err := stage(ctx, p.store, corpusKey, corpusCodec, func() (*recipedb.DB, error) {
+	return p.runFrom(ctx, artifact.Key("dataset", ContentKey(db)), func(context.Context) (*recipedb.DB, error) {
 		return db, nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return p.runFrom(ctx, stored, corpusKey, pr)
+	}, pr)
 }
 
 func withDefaults(pr Params) Params {
@@ -144,9 +146,24 @@ func withDefaults(pr Params) Params {
 // chains run concurrently with the worker budget split between the
 // outer fan-out and each chain's inner pdist / k-sweep, so total
 // concurrency stays bounded by Workers rather than multiplying.
-func (p *Pipeline) runFrom(ctx context.Context, db *recipedb.DB, corpusKey string, pr Params) (*Result, error) {
+//
+// Only the mine and auth computes read recipes, so db is called from
+// those two alone: a run whose mine and auth artifacts are stored never
+// loads the corpus. The geographic stages take the region names from
+// the pattern matrix, whose rows are db.Regions() in order.
+func (p *Pipeline) runFrom(ctx context.Context, corpusKey string, db Corpus, pr Params) (*Result, error) {
+	// A started compute runs to completion (see stage), so the corpus
+	// it reads is resolved regardless of ctx: a shared flight must not
+	// fail for a joiner because its starter gave up. It is resolved at
+	// most once per run: a second store lookup would refresh the
+	// corpus's LRU position and keep one more whole corpus live.
+	load := sync.OnceValues(func() (*recipedb.DB, error) { return db(context.WithoutCancel(ctx)) })
 	mineKey := artifact.Key("mine", corpusKey, fmt.Sprintf("support=%g", pr.MinSupport))
 	mined, err := stage(ctx, p.store, mineKey, mineCodec, func() ([]core.RegionPatterns, error) {
+		db, err := load()
+		if err != nil {
+			return nil, err
+		}
 		return core.MineRegionsWorkers(db, pr.MinSupport, pr.Workers)
 	})
 	if err != nil {
@@ -219,6 +236,10 @@ func (p *Pipeline) runFrom(ctx context.Context, db *recipedb.DB, corpusKey strin
 		},
 		func() (err error) {
 			am, err := stage(ctx, p.store, authKey, authCodec, func() (*authenticity.Matrix, error) {
+				db, err := load()
+				if err != nil {
+					return nil, err
+				}
 				return authenticity.Build(db, authenticity.Options{MinRegionPrevalence: core.AuthMinRegionPrevalence})
 			})
 			if err != nil {
@@ -238,14 +259,14 @@ func (p *Pipeline) runFrom(ctx context.Context, db *recipedb.DB, corpusKey strin
 		},
 		func() (err error) {
 			d, err := stage(ctx, p.store, geodistKey, geodistCodec, func() (*distance.Condensed, error) {
-				return geo.DistanceMatrix(db.Regions())
+				return geo.DistanceMatrix(feats.Matrix.Regions)
 			})
 			if err != nil {
 				return err
 			}
 			figs.Geo, err = stage(ctx, p.store, keyGeo, treeCodec, func() (*core.CuisineTree, error) {
 				// Metric is a label only; the distances are haversine km.
-				return core.LinkTree("geographic", d, db.Regions(), distance.Euclidean, pr.Method)
+				return core.LinkTree("geographic", d, feats.Matrix.Regions, distance.Euclidean, pr.Method)
 			})
 			return err
 		},

@@ -61,7 +61,7 @@ func TestByteIdentityWithMonolithicBuild(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := snapshot(t, &Result{DB: db, Figures: figs, Validation: v})
+	want := snapshot(t, &Result{Figures: figs, Validation: v})
 
 	dir := t.TempDir()
 	for _, workers := range []int{1, 8} {

@@ -81,8 +81,8 @@ type entry struct {
 }
 
 // DefaultCacheSize bounds distinct analyses kept when the caller passes
-// size <= 0. Analyses are large (the full corpus plus every figure), so
-// the default stays small.
+// size <= 0. Analyses are large (every figure, and the corpus-derived
+// stats and pairings once requested), so the default stays small.
 const DefaultCacheSize = 8
 
 // NewCache returns a Cache holding up to size analyses, running misses

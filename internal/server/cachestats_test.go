@@ -60,7 +60,9 @@ func TestCacheStatsExposesStages(t *testing.T) {
 		t.Fatalf("table: %d %s", code, body)
 	}
 	// Same corpus and mining run, different linkage: upstream stages
-	// must be hits, not recomputations.
+	// must be hits, not recomputations. The corpus is read only by the
+	// mine and auth computes, so the second run does not touch it and
+	// the first reads it once.
 	if code, body, _ := get(t, s, "/v1/table?linkage=ward"); code != 200 {
 		t.Fatalf("table?linkage=ward: %d %s", code, body)
 	}
@@ -81,7 +83,11 @@ func TestCacheStatsExposesStages(t *testing.T) {
 		if got.Computed != 1 {
 			t.Errorf("%s computed %d times across a linkage-only change, want 1", kind, got.Computed)
 		}
-		if got.Hits == 0 {
+		if kind == "corpus" {
+			if got.Hits != 0 || got.DiskHits != 0 {
+				t.Errorf("corpus read again after it was computed: %+v", got)
+			}
+		} else if got.Hits == 0 {
 			t.Errorf("%s has no memory hits after a linkage-only change: %+v", kind, got)
 		}
 	}
@@ -121,6 +127,104 @@ func TestWarmRestartServesFromDisk(t *testing.T) {
 	}
 	if len(st.Stages) == 0 {
 		t.Error("no stage stats on warm restart")
+	}
+}
+
+// corpusFreePaths is one URL per /v1 analysis family that reads no
+// recipes, so a warm restart answers each without loading the corpus.
+var corpusFreePaths = []string{
+	"/v1/table",
+	"/v1/dendrogram/fig5-authenticity",
+	"/v1/newick/fig3-cosine",
+	"/v1/clusters/fig5-authenticity?k=5",
+	"/v1/closest/fig6-geographic?region=UK",
+	"/v1/fingerprint/Japanese?k=5",
+	"/v1/patterns/Japanese",
+	"/v1/rules/Japanese?min_confidence=0.6&max=20",
+	"/v1/substitutes/Chinese%20and%20Mongolian?ingredient=ginger&k=5",
+	"/v1/map",
+	"/v1/claims",
+}
+
+// corpusPaths are the families that read recipes.
+var corpusPaths = []string{"/v1/stats", "/v1/pairings/Japanese"}
+
+// TestWarmRestartLoadsCorpusOnDemand: a fresh engine over a populated
+// cache directory serves every corpus-free family byte-identical to
+// the cold engine without touching the corpus, then loads it exactly
+// once for stats and pairings. A deleted or corrupt corpus file
+// surfaces only there, and recomputes.
+func TestWarmRestartLoadsCorpusOnDemand(t *testing.T) {
+	dir := t.TempDir()
+	opts := cuisines.Options{Scale: testScale}
+	cold := New(Config{Base: opts, Engine: cuisines.NewEngine(cuisines.EngineConfig{CacheDir: dir})})
+	want := map[string][]byte{}
+	for _, p := range append(corpusFreePaths, corpusPaths...) {
+		code, body, _ := get(t, cold, p)
+		if code != 200 {
+			t.Fatalf("cold %s: %d %s", p, code, body)
+		}
+		want[p] = body
+	}
+	files, err := filepath.Glob(filepath.Join(dir, "corpus-*.art"))
+	if err != nil || len(files) != 1 {
+		t.Fatalf("corpus files on disk: %v (err %v)", files, err)
+	}
+	corpusFile := files[0]
+	pristine, err := os.ReadFile(corpusFile)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	for _, tc := range []struct {
+		name               string
+		damage             func() error
+		diskHits, computed uint64
+	}{
+		{"intact", func() error { return nil }, 1, 0},
+		{"deleted", func() error { return os.Remove(corpusFile) }, 0, 1},
+		{"corrupt", func() error { return os.WriteFile(corpusFile, []byte("garbage"), 0o644) }, 0, 1},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			if err := os.WriteFile(corpusFile, pristine, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			if err := tc.damage(); err != nil {
+				t.Fatal(err)
+			}
+			engine := cuisines.NewEngine(cuisines.EngineConfig{CacheDir: dir})
+			s := New(Config{Base: opts, Engine: engine})
+			serve := func(paths []string) {
+				t.Helper()
+				for _, p := range paths {
+					if code, body, _ := get(t, s, p); code != 200 || !bytes.Equal(body, want[p]) {
+						t.Fatalf("warm %s: %d\n%s\nwant\n%s", p, code, body, want[p])
+					}
+				}
+			}
+
+			serve(corpusFreePaths)
+			for kind, st := range engine.CacheStats() {
+				if (kind == "corpus" && st != (cuisines.StageCacheStats{})) || st.Computed != 0 {
+					t.Errorf("stage %s before stats: %+v, want no corpus traffic and nothing computed", kind, st)
+				}
+			}
+			_, metrics, _ := get(t, s, "/metrics")
+			for _, series := range []string{
+				`cuisined_stage_cache_events_total{stage="corpus",event="disk_hit"} 0` + "\n",
+				`cuisined_stage_cache_events_total{stage="corpus",event="computed"} 0` + "\n",
+			} {
+				if !bytes.Contains(metrics, []byte(series)) {
+					t.Errorf("/metrics lacks %q", series)
+				}
+			}
+
+			serve(corpusPaths)
+			st := engine.CacheStats()["corpus"]
+			if st.DiskHits != tc.diskHits || st.Computed != tc.computed || st.PeerHits != 0 {
+				t.Errorf("corpus after stats and pairings: %+v, want %d disk hits and %d computed", st, tc.diskHits, tc.computed)
+			}
+		})
 	}
 }
 

@@ -7,6 +7,9 @@ import (
 	"sort"
 	"strconv"
 	"sync"
+
+	"cuisines"
+	"cuisines/internal/pipeline"
 )
 
 // metrics is the server's hand-rolled metric registry. It keeps exactly
@@ -226,6 +229,14 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 
 	if s.engine != nil {
 		stages := s.engine.CacheStats()
+		// Every stage kind gets its series, so one this process never
+		// touched reads 0 instead of going missing: a warm restart
+		// serving /v1/table shows the corpus at 0 disk hits.
+		for kind := range pipeline.Codecs() {
+			if _, ok := stages[kind]; !ok {
+				stages[kind] = cuisines.StageCacheStats{}
+			}
+		}
 		f := counter("cuisined_stage_cache_events_total", "Per-stage artifact cache traffic, by stage and event.")
 		for _, kind := range sortedKeys(stages) {
 			st := stages[kind]
