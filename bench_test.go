@@ -14,6 +14,7 @@ package cuisines
 //	E7 BenchmarkFig6GeographicTree     Fig. 6
 //	E8 BenchmarkSec7TreeValidation     Sec. VII
 //	E9 BenchmarkCorpusGeneration       Sec. III corpus
+//	E9b BenchmarkColdCorpusMine        fresh-seed corpus + Sec. V.A mining
 //	A2 BenchmarkLinkageAblation        linkage methods vs geography fit
 //	A3 BenchmarkFeatureAblation        binary vs support vs TF-IDF
 //	P1-P4 ...Parallel                  worker-count sweeps (DESIGN.md §3)
@@ -109,6 +110,7 @@ func linkGeo(regions []string) (*core.CuisineTree, error) {
 
 // E9 — Sec. III corpus generation.
 func BenchmarkCorpusGeneration(b *testing.B) {
+	b.ReportAllocs()
 	var recipes int
 	for i := 0; i < b.N; i++ {
 		db, err := corpus.Generate(corpus.Config{Seed: corpus.DefaultSeed, Scale: benchScale})
@@ -118,6 +120,29 @@ func BenchmarkCorpusGeneration(b *testing.B) {
 		recipes = db.Len()
 	}
 	b.ReportMetric(float64(recipes), "recipes")
+}
+
+// E9b — the cold path of a fresh analysis: a new corpus seed per
+// iteration, generated and mined per cuisine (Sec. III then Sec. V.A),
+// at scale 0.08 with two workers.
+func BenchmarkColdCorpusMine(b *testing.B) {
+	b.ReportAllocs()
+	var patterns int
+	for i := 0; i < b.N; i++ {
+		db, err := corpus.Generate(corpus.Config{Seed: uint64(1000 + i), Scale: 0.08, Workers: 2})
+		if err != nil {
+			b.Fatal(err)
+		}
+		mined, err := core.MineRegionsWorkers(db, core.DefaultMinSupport, 2)
+		if err != nil {
+			b.Fatal(err)
+		}
+		patterns = 0
+		for _, rp := range mined {
+			patterns += len(rp.Patterns)
+		}
+	}
+	b.ReportMetric(float64(patterns), "patterns")
 }
 
 // E1 — Table I: per-cuisine Eclat, significance ranking and the pattern

@@ -3,6 +3,7 @@ package corpus
 import (
 	"math"
 	"reflect"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -91,6 +92,39 @@ func TestGenerateRegionIndependence(t *testing.T) {
 			t.Fatalf("Thai recipe %d differs with/without Greek present", i)
 		}
 	}
+	// Each subset's vocabulary is the one built from its recipes, and
+	// gives every Thai recipe the same items either way.
+	checkGeneratedVocab(t, solo)
+	checkGeneratedVocab(t, both)
+	soloRow, bothRow := slices.Index(solo.Regions(), "Thai"), slices.Index(both.Regions(), "Thai")
+	soloLists, bothLists := solo.Vocab().Region(soloRow), both.Vocab().Region(bothRow)
+	for i := range soloLists {
+		if !reflect.DeepEqual(vocabItems(solo.Vocab(), soloLists[i]), vocabItems(both.Vocab(), bothLists[i])) {
+			t.Fatalf("Thai recipe %d has different vocabulary items with/without Greek present", i)
+		}
+	}
+}
+
+// checkGeneratedVocab asserts that the vocabulary the generator handed
+// recipedb equals the one recipedb builds from the recipes alone.
+func checkGeneratedVocab(t *testing.T, db *recipedb.DB) {
+	t.Helper()
+	built, err := recipedb.New(db.Recipes())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(db.Vocab(), built.Vocab()) {
+		t.Fatal("generated vocabulary differs from the one built from the recipes")
+	}
+}
+
+// vocabItems resolves an id list of v.
+func vocabItems(v *recipedb.Vocab, ids []int32) []itemset.Item {
+	out := make([]itemset.Item, len(ids))
+	for i, id := range ids {
+		out[i] = v.Items()[id]
+	}
+	return out
 }
 
 func TestGenerateUnknownRegion(t *testing.T) {
@@ -466,16 +500,21 @@ func TestBundleItemsNotInBand(t *testing.T) {
 // TestGenerateParallelEquivalence checks the parallel fan-out contract:
 // the corpus is byte-identical whatever the worker count, because each
 // region draws from its own seed-derived RNG stream and batches are
-// concatenated in canonical profile order.
+// concatenated in canonical profile order. The vocabulary is identical
+// too.
 func TestGenerateParallelEquivalence(t *testing.T) {
 	seq, err := Generate(Config{Seed: DefaultSeed, Scale: 0.05, Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, workers := range []int{4, 0} {
+	checkGeneratedVocab(t, seq)
+	for _, workers := range []int{4, 8, 0} {
 		par, err := Generate(Config{Seed: DefaultSeed, Scale: 0.05, Workers: workers})
 		if err != nil {
 			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(seq.Vocab(), par.Vocab()) {
+			t.Fatalf("workers=%d: vocabulary differs from the sequential one", workers)
 		}
 		sr, pr := seq.Recipes(), par.Recipes()
 		if len(sr) != len(pr) {

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"sort"
+	"strconv"
 	"strings"
 
 	"cuisines/internal/itemset"
@@ -85,31 +86,58 @@ func Generate(cfg Config) (*recipedb.DB, error) {
 	// seed and the region itself — the per-region generator is seeded
 	// independently of region subset, order, or worker count — so a
 	// region's batch is identical whether generated alone, sequentially,
-	// or concurrently, and concatenating the batches in profile order
-	// reproduces the sequential corpus byte for byte.
-	batches := parallel.Map(len(selected), cfg.Workers, func(idx int) []recipedb.Recipe {
-		p := selected[idx]
+	// or concurrently, and each region writes its own span of the corpus,
+	// laid out in profile order, which reproduces the sequential corpus
+	// byte for byte.
+	start := make([]int, len(selected)+1)
+	for i, p := range selected {
 		n := int(math.Round(float64(p.Recipes) * scale))
 		if n < 30 {
 			n = 30
 		}
+		start[i+1] = start[i] + n
+	}
+	recipes := make([]recipedb.Recipe, start[len(selected)])
+	batches := parallel.Map(len(selected), cfg.Workers, func(idx int) batch {
+		p := selected[idx]
 		r := rng.New(cfg.Seed ^ hashString(p.Region))
-		g := newRegionGen(&p, regionIndexOf(p.Region))
-		batch := make([]recipedb.Recipe, 0, n)
-		for i := 0; i < n; i++ {
-			batch = append(batch, g.recipe(r, i))
-		}
-		return batch
+		return newRegionGen(&p, regionIndexOf(p.Region)).batch(r, recipes[start[idx]:start[idx+1]])
 	})
-	total := 0
+	return assemble(recipes, batches)
+}
+
+// assemble hands recipedb the recipes and their vocabulary: the item
+// space cut down to the items drawn, which keeps Item.Less order, with
+// the batches' id lists renumbered to match and concatenated in order.
+func assemble(recipes []recipedb.Recipe, batches []batch) (*recipedb.DB, error) {
+	items := space().items
+	newID := make([]int32, len(items)) // space id -> vocabulary id + 1, 0 if undrawn
+	entries := 0
 	for _, b := range batches {
-		total += len(b)
+		entries += len(b.ids)
+		for _, id := range b.ids {
+			newID[id] = 1
+		}
 	}
-	recipes := make([]recipedb.Recipe, 0, total)
+	var drawn []itemset.Item
+	for id, used := range newID {
+		if used != 0 {
+			drawn = append(drawn, items[id])
+			newID[id] = int32(len(drawn))
+		}
+	}
+	ids := make([]int32, 0, entries)
+	off := make([]int32, 1, len(recipes)+1)
 	for _, b := range batches {
-		recipes = append(recipes, b...)
+		for _, id := range b.ids {
+			ids = append(ids, newID[id]-1)
+		}
+		base := off[len(off)-1]
+		for _, o := range b.off[1:] {
+			off = append(off, base+o)
+		}
 	}
-	return recipedb.New(recipes)
+	return recipedb.NewChecked(recipes, recipedb.NewVocab(drawn, ids, off))
 }
 
 func selectProfiles(regions []string) ([]Profile, error) {
@@ -163,34 +191,59 @@ func hashString(s string) uint64 {
 	return h
 }
 
-// regionGen holds a region's fully resolved generation tables.
+// regionGen holds a region's fully resolved generation tables, as ids
+// of the item space.
 type regionGen struct {
 	profile *Profile
 	slug    string
 
-	bundles []Bundle // profile bundles plus region-specific boosters
-
-	universals []ItemProb // universal tables minus items the band overrides
-	poolItems  []ItemProb // sub-threshold pantry items
-	bgProcs    []ItemProb // sub-threshold background processes
-	bgUtes     []ItemProb // sub-threshold background utensils
+	bundles []idBundle // profile bundles plus region-specific boosters
+	// singles are drawn item by item after the bundles: the band, the
+	// universal tables minus items the band overrides, the
+	// sub-threshold pantry items, background processes and background
+	// utensils, in that order.
+	singles []idProb
 
 	rareBase   int // first rare-ingredient index for this region
 	sharedBase int // first shared rare-ingredient index
+
+	// stamp[id] is one more than the index of the last recipe that drew
+	// id, so a draw is deduplicated without a per-recipe set.
+	stamp []int32
+}
+
+// idProb and idBundle are ItemProb and Bundle over item-space ids.
+type idProb struct {
+	id   int32
+	prob float64
+}
+
+type idBundle struct {
+	ids  []int32
+	prob float64
 }
 
 func newRegionGen(p *Profile, regionIdx int) *regionGen {
+	sp := space()
 	g := &regionGen{
 		profile:    p,
 		slug:       slugify(p.Region),
 		rareBase:   regionIdx * rareIngredientsPerRegion,
 		sharedBase: len(profiles) * rareIngredientsPerRegion,
+		stamp:      make([]int32, len(sp.items)),
 	}
-	g.bundles = append(append([]Bundle(nil), p.Bundles...), regionBoost(regionIdx, p.Boost)...)
-	g.buildUniversals()
-	g.buildPool()
-	g.buildBackgroundProcesses()
-	g.buildBackgroundUtensils()
+	for _, b := range append(append([]Bundle(nil), p.Bundles...), regionBoost(regionIdx, p.Boost)...) {
+		ids := make([]int32, len(b.Items))
+		for i, it := range b.Items {
+			ids[i] = sp.id(it)
+		}
+		g.bundles = append(g.bundles, idBundle{ids, b.Prob})
+	}
+	for _, table := range [...][]ItemProb{p.Band, universals(p), poolItems(p), backgroundProcesses(p), backgroundUtensils(p)} {
+		for _, ip := range table {
+			g.singles = append(g.singles, idProb{sp.id(ip.Item), ip.Prob})
+		}
+	}
 	return g
 }
 
@@ -224,30 +277,31 @@ func regionBoost(regionIdx, level int) []Bundle {
 	return out
 }
 
-// buildUniversals filters the universal tables against the region's band:
+// universals filters the universal tables against the region's band:
 // when a profile bands an item that is also universal (e.g. a cuisine with
 // its own calibrated garlic rate), the band probability is the item's
 // total rate and the universal entry is dropped. Bundles, by contrast,
 // model correlation on top of the universal base and do not suppress it.
-func (g *regionGen) buildUniversals() {
-	banded := make(map[ItemRef]bool, len(g.profile.Band))
-	for _, ip := range g.profile.Band {
+func universals(p *Profile) []ItemProb {
+	banded := make(map[ItemRef]bool, len(p.Band))
+	for _, ip := range p.Band {
 		banded[ip.Item] = true
 	}
+	var out []ItemProb
 	for _, table := range [][]ItemProb{universalIngredients, universalProcesses, universalUtensils} {
 		for _, ip := range table {
 			if !banded[ip.Item] {
-				g.universals = append(g.universals, ip)
+				out = append(out, ip)
 			}
 		}
 	}
+	return out
 }
 
-// buildPool resolves the macro-region pantry pools into capped,
+// poolItems resolves the macro-region pantry pools into capped,
 // sub-threshold inclusion probabilities that top the recipe up to the
 // region's mean-ingredient target.
-func (g *regionGen) buildPool() {
-	p := g.profile
+func poolItems(p *Profile) []ItemProb {
 	target := p.MeanIngredients
 	if target == 0 {
 		target = defaultMeanIngredients
@@ -255,7 +309,7 @@ func (g *regionGen) buildPool() {
 	expected := universalSum(universalIngredients) + p.expectedBandIngredients() + 1.5 // rare mean
 	lambda := target - expected
 	if lambda <= 0 {
-		return
+		return nil
 	}
 
 	// Items already planted by band/bundles must not be double-included.
@@ -285,7 +339,7 @@ func (g *regionGen) buildPool() {
 		}
 	}
 	if len(names) == 0 {
-		return
+		return nil
 	}
 	// Zipf-shaped weights, normalized to lambda, capped sub-threshold.
 	weights := make([]float64, len(names))
@@ -294,17 +348,18 @@ func (g *regionGen) buildPool() {
 		weights[i] = math.Pow(float64(i+3), -0.7)
 		total += weights[i]
 	}
+	out := make([]ItemProb, len(names))
 	for i, n := range names {
 		prob := lambda * weights[i] / total
 		if prob > subThresholdCap {
 			prob = subThresholdCap
 		}
-		g.poolItems = append(g.poolItems, ItemProb{ing(n), prob})
+		out[i] = ItemProb{ing(n), prob}
 	}
+	return out
 }
 
-func (g *regionGen) buildBackgroundProcesses() {
-	p := g.profile
+func backgroundProcesses(p *Profile) []ItemProb {
 	target := p.MeanProcesses
 	if target == 0 {
 		target = defaultMeanProcesses
@@ -312,7 +367,7 @@ func (g *regionGen) buildBackgroundProcesses() {
 	expected := p.expectedBandProcesses() + 0.8 // rare mean
 	lambda := target - expected
 	if lambda <= 0 {
-		return
+		return nil
 	}
 	weights := make([]float64, backgroundProcessCount)
 	total := 0.0
@@ -320,17 +375,18 @@ func (g *regionGen) buildBackgroundProcesses() {
 		weights[i] = math.Pow(float64(i+4), -0.5)
 		total += weights[i]
 	}
-	for i := 0; i < backgroundProcessCount; i++ {
+	out := make([]ItemProb, backgroundProcessCount)
+	for i := range out {
 		prob := lambda * weights[i] / total
 		if prob > subThresholdCap {
 			prob = subThresholdCap
 		}
-		g.bgProcs = append(g.bgProcs, ItemProb{proc(TailProcessName(i)), prob})
+		out[i] = ItemProb{proc(TailProcessName(i)), prob}
 	}
+	return out
 }
 
-func (g *regionGen) buildBackgroundUtensils() {
-	p := g.profile
+func backgroundUtensils(p *Profile) []ItemProb {
 	expected := universalSum(universalUtensils) + 0.3 // rare mean
 	for _, ip := range p.Band {
 		if ip.Item.Kind == itemset.Utensil {
@@ -346,7 +402,7 @@ func (g *regionGen) buildBackgroundUtensils() {
 	}
 	lambda := targetMeanUtensils - expected
 	if lambda <= 0 {
-		return
+		return nil
 	}
 	weights := make([]float64, backgroundUtensilCount)
 	total := 0.0
@@ -354,13 +410,15 @@ func (g *regionGen) buildBackgroundUtensils() {
 		weights[i] = math.Pow(float64(i+3), -0.6)
 		total += weights[i]
 	}
-	for i := 0; i < backgroundUtensilCount; i++ {
+	out := make([]ItemProb, backgroundUtensilCount)
+	for i := range out {
 		prob := lambda * weights[i] / total
 		if prob > subThresholdCap {
 			prob = subThresholdCap
 		}
-		g.bgUtes = append(g.bgUtes, ItemProb{ute(TailUtensilName(i)), prob})
+		out[i] = ItemProb{ute(TailUtensilName(i)), prob}
 	}
+	return out
 }
 
 func universalSum(items []ItemProb) float64 {
@@ -371,75 +429,139 @@ func universalSum(items []ItemProb) float64 {
 	return s
 }
 
-// recipe generates the i-th recipe of the region.
-func (g *regionGen) recipe(r *rng.RNG, i int) recipedb.Recipe {
-	var ings, procs, utes []string
-	seen := make(map[ItemRef]bool, 48)
-	include := func(it ItemRef) {
-		if seen[it] {
-			return
-		}
-		seen[it] = true
-		switch it.Kind {
-		case itemset.Ingredient:
-			ings = append(ings, it.Name)
-		case itemset.Process:
-			procs = append(procs, it.Name)
-		case itemset.Utensil:
-			utes = append(utes, it.Name)
-		}
+// batch is the item-space ids of one region's recipes.
+type batch struct {
+	ids []int32 // each recipe's distinct ids, ascending, back to back
+	off []int32 // recipe k holds ids[off[k]:off[k+1]]
+}
+
+// batch fills recipes with the region's first len(recipes) recipes. It
+// draws every recipe's ids first, then cuts all the item-name lists
+// from one arena.
+func (g *regionGen) batch(r *rng.RNG, recipes []recipedb.Recipe) batch {
+	// Size the id arena by the expected draws per recipe; duplicates
+	// and cleared utensils only lower the count kept.
+	perRecipe := 1 + 0.5 + 0.8 + 0.3 // the long tails
+	for _, bu := range g.bundles {
+		perRecipe += bu.prob * float64(len(bu.ids))
 	}
-	maybe := func(items []ItemProb) {
-		for _, ip := range items {
-			if r.Bool(ip.Prob) {
-				include(ip.Item)
+	for _, ip := range g.singles {
+		perRecipe += ip.prob
+	}
+	n := len(recipes)
+	b := batch{
+		ids: make([]int32, 0, int(perRecipe*float64(n))),
+		off: make([]int32, 1, n+1),
+	}
+	for i := 0; i < n; i++ {
+		b.ids = g.draw(r, i, b.ids)
+		b.off = append(b.off, int32(len(b.ids)))
+	}
+	items := space().items
+	arena := make([]string, len(b.ids))
+	for i := range recipes {
+		drawn := b.ids[b.off[i]:b.off[i+1]]
+		list := arena[b.off[i]:b.off[i+1]]
+		// Each kind's names in draw order, which the corpus frame
+		// goldens pin.
+		var end [3]int
+		k := 0
+		for kind := range end {
+			for _, id := range drawn {
+				if items[id].Kind == itemset.Kind(kind) {
+					list[k] = items[id].Name
+					k++
+				}
 			}
+			end[kind] = k
+		}
+		ings := cutList(list, 0, end[itemset.Ingredient])
+		recipes[i] = recipedb.Recipe{
+			ID:          recipeID(g.slug, i),
+			Name:        recipeName(g.profile.Region, ings, i),
+			Region:      g.profile.Region,
+			Ingredients: ings,
+			Processes:   cutList(list, end[itemset.Ingredient], end[itemset.Process]),
+			Utensils:    cutList(list, end[itemset.Process], end[itemset.Utensil]),
+		}
+		sortIDs(drawn)
+	}
+	return b
+}
+
+// sortIDs sorts one recipe's ids, a few dozen at most, by insertion,
+// which at that length beats slices.Sort.
+func sortIDs(ids []int32) {
+	for i := 1; i < len(ids); i++ {
+		v, j := ids[i], i
+		for ; j > 0 && ids[j-1] > v; j-- {
+			ids[j] = ids[j-1]
+		}
+		ids[j] = v
+	}
+}
+
+// cutList returns list[lo:hi] capped at hi, so an append to one list
+// cannot overwrite the next, or nil when empty.
+func cutList(list []string, lo, hi int) []string {
+	if lo == hi {
+		return nil
+	}
+	return list[lo:hi:hi]
+}
+
+// draw appends the distinct ids of the region's i-th recipe to ids, in
+// draw order.
+func (g *regionGen) draw(r *rng.RNG, i int, ids []int32) []int32 {
+	sp := space()
+	start, stamp := len(ids), int32(i+1)
+	include := func(id int32) {
+		if g.stamp[id] != stamp {
+			g.stamp[id] = stamp
+			ids = append(ids, id)
 		}
 	}
 
 	// Signature bundles first (they define the Table I patterns).
 	for _, b := range g.bundles {
-		if r.Bool(b.Prob) {
-			for _, it := range b.Items {
-				include(it)
+		if r.Bool(b.prob) {
+			for _, id := range b.ids {
+				include(id)
 			}
 		}
 	}
-	maybe(g.profile.Band)
-	maybe(g.universals)
-	maybe(g.poolItems)
-	maybe(g.bgProcs)
-	maybe(g.bgUtes)
+	for _, ip := range g.singles {
+		if r.Bool(ip.prob) {
+			include(ip.id)
+		}
+	}
 
 	// Long tails: every recipe carries one region-private rare ingredient
 	// (cycled for full vocabulary coverage) and, half the time, one shared
 	// rare ingredient.
-	include(ing(TailIngredientName(g.rareBase + i%rareIngredientsPerRegion)))
+	include(sp.tailIngredients[g.rareBase+i%rareIngredientsPerRegion])
 	if r.Bool(0.5) {
-		include(ing(TailIngredientName(g.sharedBase + zipfIndex(r, sharedRareIngredients))))
+		include(sp.tailIngredients[g.sharedBase+zipfIndex(r, sharedRareIngredients)])
 	}
 	if r.Bool(0.8) {
-		include(proc(TailProcessName(backgroundProcessCount + zipfIndex(r, rareProcessCount))))
+		include(sp.tailProcesses[backgroundProcessCount+zipfIndex(r, rareProcessCount)])
 	}
 	if r.Bool(0.3) {
-		include(ute(TailUtensilName(backgroundUtensilCount + zipfIndex(r, rareUtensilCount))))
+		include(sp.tailUtensils[backgroundUtensilCount+zipfIndex(r, rareUtensilCount)])
 	}
 
 	// Utensil sparsity: a fixed fraction of recipes lack utensil data
 	// entirely (Sec. III: 14,601 of 118k).
 	if r.Bool(missingUtensilRate) {
-		utes = nil
+		kept := ids[:start]
+		for _, id := range ids[start:] {
+			if sp.items[id].Kind != itemset.Utensil {
+				kept = append(kept, id)
+			}
+		}
+		ids = kept
 	}
-
-	name := recipeName(g.profile.Region, ings, i)
-	return recipedb.Recipe{
-		ID:          fmt.Sprintf("%s-%06d", g.slug, i),
-		Name:        name,
-		Region:      g.profile.Region,
-		Ingredients: ings,
-		Processes:   procs,
-		Utensils:    utes,
-	}
+	return ids
 }
 
 // zipfIndex draws a Zipf(0.8)-ish index in [0, n) without precomputing a
@@ -461,14 +583,36 @@ func zipfIndex(r *rng.RNG, n int) int {
 	return i
 }
 
+// recipeID formats the region's i-th recipe ID as slug-%06d.
+func recipeID(slug string, i int) string {
+	b := make([]byte, 0, len(slug)+8)
+	b = append(append(b, slug...), '-')
+	for w := 100000; w > 1 && i < w; w /= 10 {
+		b = append(b, '0')
+	}
+	return string(strconv.AppendInt(b, int64(i), 10))
+}
+
+// recipeName titles the region's i-th recipe after one of its
+// ingredients: "<Lead> <style> (<region> #<i>)".
 func recipeName(region string, ings []string, i int) string {
 	lead := "house"
 	if len(ings) > 0 {
 		lead = ings[i%len(ings)]
 	}
-	styles := []string{"stew", "roast", "salad", "bake", "bowl", "plate", "pie", "soup", "grill", "braise"}
-	return fmt.Sprintf("%s %s (%s #%d)", strings.ToUpper(lead[:1])+lead[1:], styles[i%len(styles)], region, i)
+	style := recipeStyles[i%len(recipeStyles)]
+	b := make([]byte, 0, len(lead)+len(style)+len(region)+12)
+	if c := lead[0]; 'a' <= c && c <= 'z' {
+		b = append(b, c-'a'+'A')
+	} else {
+		b = append(b, strings.ToUpper(lead[:1])...)
+	}
+	b = append(append(append(b, lead[1:]...), ' '), style...)
+	b = append(append(append(b, " ("...), region...), " #"...)
+	return string(append(strconv.AppendInt(b, int64(i), 10), ')'))
 }
+
+var recipeStyles = []string{"stew", "roast", "salad", "bake", "bowl", "plate", "pie", "soup", "grill", "braise"}
 
 func slugify(s string) string {
 	var b strings.Builder

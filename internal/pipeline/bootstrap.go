@@ -62,7 +62,9 @@ func (p *Pipeline) Bootstrap(ctx context.Context, pr Params, iters int) (*core.S
 }
 
 // resample draws each region's recipes with replacement, preserving
-// region sizes. Recipe IDs are re-minted to stay unique.
+// region sizes. Recipe IDs are re-minted to stay unique. The item names
+// come from db, which checked them, so the replicate skips the
+// per-name scan.
 func resample(db *recipedb.DB, r *rng.RNG, round int) (*recipedb.DB, error) {
 	out := make([]recipedb.Recipe, 0, db.Len())
 	prefix := "boot" + strconv.Itoa(round) + "-"
@@ -74,5 +76,5 @@ func resample(db *recipedb.DB, r *rng.RNG, round int) (*recipedb.DB, error) {
 			out = append(out, cp)
 		}
 	}
-	return recipedb.New(out)
+	return recipedb.NewChecked(out, nil)
 }

@@ -516,13 +516,17 @@ func decodeCorpus(body []byte) (any, error) {
 	if r.off != len(body) || len(arena) != 0 || len(blob) != 0 || !r.names.allSeen() {
 		return nil, fmt.Errorf("pipeline: corpus artifact has trailing or unused data")
 	}
-	// New re-runs recipe validation (empty ID or region, no
-	// ingredients, duplicate IDs) and rebuilds the region index.
-	db, err := recipedb.New(recipes)
-	if err != nil {
-		return nil, err
+	// Item names are checked once per intern-table entry, not once per
+	// occurrence. A table holding a blank name, which is legal only as
+	// a region, takes New's per-recipe scan instead, so the error names
+	// the recipe. Either constructor re-checks IDs, regions and
+	// ingredient counts and rebuilds the region index.
+	for _, s := range names {
+		if recipedb.BlankName(s) {
+			return recipedb.New(recipes)
+		}
 	}
-	return db, nil
+	return recipedb.NewChecked(recipes, nil)
 }
 
 // cutList returns list[lo:hi] capped at hi, so an append to one list

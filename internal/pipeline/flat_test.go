@@ -378,7 +378,9 @@ func hostileFrame(tb testing.TB, c flatCodec, body []byte) []byte {
 // TestFlatDecodeRejectsInvalidCorpus feeds the corpus decoder bodies
 // that pass both checksums but break a DB invariant or the canonical
 // encoding. Each must fail to decode rather than build a broken DB or
-// one that re-encodes differently.
+// one that re-encodes differently. The decoder checks item names once
+// per intern-table entry, so the blank-name cases pin that an entry
+// holding only white space is still rejected wherever an item uses it.
 func TestFlatDecodeRejectsInvalidCorpus(t *testing.T) {
 	valid := []recipedb.Recipe{
 		{ID: "r1", Name: "Stew", Region: "French", Ingredients: []string{"beef", "wine"}, Processes: []string{"simmer"}, Utensils: []string{"pot"}},
@@ -405,6 +407,9 @@ func TestFlatDecodeRejectsInvalidCorpus(t *testing.T) {
 		{"empty-id", withRecipe(recipedb.Recipe{Region: "French", Ingredients: []string{"salt"}})},
 		{"no-ingredients", withRecipe(recipedb.Recipe{ID: "r3", Region: "French", Processes: []string{"heat"}})},
 		{"duplicate-id", withRecipe(recipedb.Recipe{ID: "r1", Region: "French", Ingredients: []string{"salt"}})},
+		{"blank-ingredient", withRecipe(recipedb.Recipe{ID: "r3", Region: "French", Ingredients: []string{"salt", " \t "}})},
+		{"blank-utensil", withRecipe(recipedb.Recipe{ID: "r3", Region: "French", Ingredients: []string{"salt"}, Utensils: []string{"\u00a0"}})},
+		{"blank-region-and-item", oneRecipe([]string{"  "}, 0, 0)},
 		{"duplicate-name", oneRecipe([]string{"a", "a"}, 0, 1)},
 		{"name-out-of-order", oneRecipe([]string{"a", "b"}, 1, 0)},
 		{"unused-name", oneRecipe([]string{"a", "b", "c"}, 0, 1)},
@@ -415,7 +420,8 @@ func TestFlatDecodeRejectsInvalidCorpus(t *testing.T) {
 			t.Errorf("%s: decoded without error", tc.name)
 		}
 	}
-	for _, body := range [][]byte{validBody, oneRecipe([]string{"a", "b"}, 0, 1)} {
+	// A whitespace-only name is legal as a region, only not as an item.
+	for _, body := range [][]byte{validBody, oneRecipe([]string{"a", "b"}, 0, 1), oneRecipe([]string{"  ", "b"}, 0, 1)} {
 		if _, err := artifact.DecodeFrame(hostileFrame(t, corpusCodec, body), corpusCodec); err != nil {
 			t.Errorf("valid body %x rejected: %v", body, err)
 		}

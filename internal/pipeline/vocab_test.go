@@ -1,11 +1,14 @@
 package pipeline
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"fmt"
 	"reflect"
 	"sort"
 	"testing"
 
+	"cuisines/internal/artifact"
 	"cuisines/internal/authenticity"
 	"cuisines/internal/corpus"
 	"cuisines/internal/itemset"
@@ -41,6 +44,57 @@ func TestVocabMatchesBruteForce(t *testing.T) {
 	dbs["variants"] = variants
 	for name, db := range dbs {
 		checkVocab(t, name, db)
+	}
+}
+
+// TestGeneratedCorpusPin pins the generator, which draws interned item
+// ids and hands recipedb their vocabulary: in every cell the vocabulary
+// equals the one recipedb builds from the recipes alone, and the corpus
+// frame hashes to the golden recorded before the generator drew ids,
+// so the RNG draw order, list order, IDs and names are unchanged.
+func TestGeneratedCorpusPin(t *testing.T) {
+	golden := []struct {
+		seed  uint64
+		scale float64
+		sum   string
+	}{
+		{1, 0.05, "09d842013a3d56f4d203c897c55e721b277f7896b6733fbc8acf9b75ec0845ae"},
+		{1, 0.08, "712c73f0694e449bd67dd89cdca79c79253bbfbb6f850ae49241e86b3d034321"},
+		{1, 0.5, "b552bd32acc49d799e631819f6e12aa7798678a180abf35d6beccb743f07ccb7"},
+		{1, 1, "34c6eb1cc98e8119e569a7a3b0fc7cfb5932c1905563749bb6004530e2223ade"},
+		{7, 0.05, "fae5d26a3292a5e457db1eba1d929547f240cf3e9957663ff016b01e49e7a6e1"},
+		{7, 0.08, "cb18a7fcd2ada7ca562a34426358dcdc8afe9f5d0e5a243713f7f2912f60cc03"},
+		{7, 0.5, "fed2b86ce79de4d5ea49b7282d62f4bd706441b5bef2f677a87dd945597b9b17"},
+		{7, 1, "ebaaaf9da0a312cb3e57448e34700cba6983d9879a273b6ce38b88351a9bb49f"},
+		{corpus.DefaultSeed, 0.05, "ceeb0511235ddfc3bada8776f874c0b43ed9a0bd59863e56d0e138e72dee4f95"},
+		{corpus.DefaultSeed, 0.08, "aad959fca1ae66e81234b970ec19ace77114422f74d40965eef6fb17ccbd7f80"},
+		{corpus.DefaultSeed, 0.5, "69d8a0023bb2b1120f35d9e5b4dea475ae02023df55486035cc70bb21f9b2ca3"},
+		{corpus.DefaultSeed, 1, "eadbe5df8899873a81c1c2a81aa10ca69e38aa4b8ce9cedc9a8d2e002918491e"},
+	}
+	for _, g := range golden {
+		t.Run(fmt.Sprintf("seed=%d/scale=%v", g.seed, g.scale), func(t *testing.T) {
+			if g.scale == 1 && testing.Short() {
+				t.Skip("full scale skipped in -short mode")
+			}
+			db, err := corpus.Generate(corpus.Config{Seed: g.seed, Scale: g.scale})
+			if err != nil {
+				t.Fatal(err)
+			}
+			built, err := recipedb.New(db.Recipes())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(db.Vocab(), built.Vocab()) {
+				t.Fatal("generated vocabulary differs from the one built from the recipes")
+			}
+			frame, err := artifact.EncodeFrame(corpusCodec, db)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if sum := sha256.Sum256(frame); hex.EncodeToString(sum[:]) != g.sum {
+				t.Fatalf("corpus frame sha256 %x, golden %s", sum, g.sum)
+			}
+		})
 	}
 }
 

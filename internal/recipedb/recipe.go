@@ -41,8 +41,24 @@ type Recipe struct {
 // ingredients at all, or an item name that canonicalises to "" (one of
 // white space only, which would otherwise mine as an item named "").
 // Missing utensils are explicitly allowed (14,601 RecipeDB recipes have
-// none).
+// none). New runs it on every recipe, so it scans every occurrence of
+// every item name; NewChecked keeps all but that scan.
 func (r *Recipe) Validate() error {
+	if err := r.checkFields(); err != nil {
+		return err
+	}
+	for k, names := range [...][]string{r.Ingredients, r.Processes, r.Utensils} {
+		for _, name := range names {
+			if BlankName(name) {
+				return fmt.Errorf("recipedb: recipe %s has a blank %s name", r.ID, itemset.Kind(k))
+			}
+		}
+	}
+	return nil
+}
+
+// checkFields is Validate without the item-name scan.
+func (r *Recipe) checkFields() error {
 	if r.ID == "" {
 		return fmt.Errorf("recipedb: recipe with empty ID (name %q)", r.Name)
 	}
@@ -52,20 +68,19 @@ func (r *Recipe) Validate() error {
 	if len(r.Ingredients) == 0 {
 		return fmt.Errorf("recipedb: recipe %s has no ingredients", r.ID)
 	}
-	for k, names := range [...][]string{r.Ingredients, r.Processes, r.Utensils} {
-		for _, name := range names {
-			// Exactly when itemset.CanonicalName(name) == "", without
-			// allocating; a leading printable ASCII byte settles it inline.
-			if (name == "" || name[0] <= ' ' || name[0] >= utf8.RuneSelf) && strings.TrimSpace(name) == "" {
-				return fmt.Errorf("recipedb: recipe %s has a blank %s name", r.ID, itemset.Kind(k))
-			}
-		}
-	}
 	return nil
 }
 
+// BlankName reports whether name canonicalises to "" under
+// itemset.CanonicalName, without allocating: a leading printable ASCII
+// byte settles it inline.
+func BlankName(name string) bool {
+	return (name == "" || name[0] <= ' ' || name[0] >= utf8.RuneSelf) && strings.TrimSpace(name) == ""
+}
+
 // DB is an in-memory RecipeDB: the recipes plus a region index, and
-// the item vocabulary built from them on first use.
+// their item vocabulary, handed over by the corpus generator or built
+// from the recipes on first use.
 type DB struct {
 	recipes  []Recipe
 	byRegion map[string][]int // region -> indexes into recipes
@@ -79,10 +94,46 @@ type DB struct {
 func New(recipes []Recipe) (*DB, error) {
 	cp := make([]Recipe, len(recipes))
 	copy(cp, recipes)
-	seen := make(map[string]bool, len(cp))
-	for i := range cp {
-		r := &cp[i]
-		if err := r.Validate(); err != nil {
+	return build(cp, (*Recipe).Validate)
+}
+
+// NewChecked builds a DB like New from recipes whose item names have
+// been checked once per distinct name rather than once per occurrence.
+// It takes ownership of recipes and keeps New's other checks: empty ID,
+// empty region, no ingredients, duplicate ID.
+//
+// A non-nil vocab is the recipes' vocabulary as their producer numbered
+// it (NewVocab). NewChecked checks each of its item names once and
+// DB.Vocab returns it without building one: the corpus generator knows
+// every item before it draws the first recipe. With a nil vocab the
+// caller has checked every distinct item name (BlankName), as a corpus
+// decoder does over its intern table and a resampler inherits from the
+// DB it draws from; the vocabulary is then built on first use.
+func NewChecked(recipes []Recipe, vocab *Vocab) (*DB, error) {
+	if vocab != nil {
+		if err := vocab.check(len(recipes)); err != nil {
+			return nil, err
+		}
+	}
+	db, err := build(recipes, (*Recipe).checkFields)
+	if err != nil {
+		return nil, err
+	}
+	if vocab != nil {
+		v := *vocab
+		v.rows = db.regionRows()
+		db.vocab = &v
+	}
+	return db, nil
+}
+
+// build runs check on every recipe, rejects duplicate IDs and indexes
+// the recipes, which it keeps.
+func build(recipes []Recipe, check func(*Recipe) error) (*DB, error) {
+	seen := make(map[string]bool, len(recipes))
+	for i := range recipes {
+		r := &recipes[i]
+		if err := check(r); err != nil {
 			return nil, err
 		}
 		if seen[r.ID] {
@@ -90,7 +141,7 @@ func New(recipes []Recipe) (*DB, error) {
 		}
 		seen[r.ID] = true
 	}
-	return newValidated(cp), nil
+	return newValidated(recipes), nil
 }
 
 // newValidated builds a DB from a recipe slice the caller owns and has

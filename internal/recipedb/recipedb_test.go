@@ -3,6 +3,7 @@ package recipedb
 import (
 	"bytes"
 	"reflect"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -108,14 +109,21 @@ func TestVocabRegion(t *testing.T) {
 	}
 }
 
-// TestNewLeavesVocabUnbuilt: building a DB — as the corpus decoder does
-// on every disk or peer load — must not build the vocabulary; only the
-// stages that read it (mine, auth, stats, pairing) pay for it, and a
-// restart that serves stored artifacts runs none of them.
+// TestNewLeavesVocabUnbuilt: building a DB without a vocabulary — as
+// the corpus decoder does on every disk or peer load — must not build
+// one; only the stages that read it (mine, auth, stats, pairing) pay
+// for it, and a restart that serves stored artifacts runs none of them.
 func TestNewLeavesVocabUnbuilt(t *testing.T) {
 	db := mustDB(t, sampleRecipes())
 	if db.vocab != nil {
 		t.Error("New built the vocabulary")
+	}
+	checked, err := NewChecked(sampleRecipes(), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if checked.vocab != nil {
+		t.Error("NewChecked without a vocabulary built one")
 	}
 	var buf bytes.Buffer
 	if err := WriteJSONL(&buf, db); err != nil {
@@ -130,6 +138,46 @@ func TestNewLeavesVocabUnbuilt(t *testing.T) {
 	}
 	if db.Vocab() != db.Vocab() || db.vocab == nil {
 		t.Error("Vocab is not built once and kept")
+	}
+}
+
+// TestNewCheckedTakesVocab: a producer's vocabulary is served as
+// handed over, equal to the one built from the recipes, while every
+// check but the per-occurrence name scan still rejects.
+func TestNewCheckedTakesVocab(t *testing.T) {
+	ref := mustDB(t, sampleRecipes()).Vocab()
+	handed := func() *Vocab { return NewVocab(slices.Clone(ref.items), slices.Clone(ref.ids), slices.Clone(ref.off)) }
+	db, err := NewChecked(sampleRecipes(), handed())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if db.vocab == nil || !reflect.DeepEqual(db.Vocab(), ref) {
+		t.Fatalf("NewChecked vocabulary %+v, built %+v", db.vocab, ref)
+	}
+
+	blank, swapped, short := handed(), handed(), handed()
+	blank.items[0].Name = " "
+	swapped.items[0], swapped.items[1] = swapped.items[1], swapped.items[0]
+	short.off = short.off[:len(short.off)-1]
+	for name, v := range map[string]*Vocab{"blank item": blank, "items out of order": swapped, "one list short": short} {
+		if _, err := NewChecked(sampleRecipes(), v); err == nil {
+			t.Errorf("%s: accepted", name)
+		}
+	}
+	invalid := func(edit func(*Recipe)) []Recipe {
+		rs := sampleRecipes()
+		edit(&rs[1])
+		return rs
+	}
+	for name, rs := range map[string][]Recipe{
+		"empty ID":       invalid(func(r *Recipe) { r.ID = "" }),
+		"empty region":   invalid(func(r *Recipe) { r.Region = "" }),
+		"no ingredients": invalid(func(r *Recipe) { r.Ingredients = nil }),
+		"duplicate ID":   invalid(func(r *Recipe) { r.ID = "r1" }),
+	} {
+		if _, err := NewChecked(rs, nil); err == nil {
+			t.Errorf("%s: accepted", name)
+		}
 	}
 }
 

@@ -1,6 +1,7 @@
 package recipedb
 
 import (
+	"fmt"
 	"slices"
 	"sort"
 
@@ -19,10 +20,41 @@ type Vocab struct {
 	rows  [][]int        // region row (Regions order) -> recipe indexes
 }
 
-// Vocab returns the DB's vocabulary, built on the first call in one
-// pass that canonicalises each distinct raw name of each kind once.
+// NewVocab assembles a vocabulary numbered by its producer: items in
+// Item.Less order, and each recipe's distinct ids ascending, back to
+// back in ids, recipe i at ids[off[i]:off[i+1]]. NewChecked checks it
+// against its recipes and takes it over; the slices are not copied.
+func NewVocab(items []itemset.Item, ids, off []int32) *Vocab {
+	return &Vocab{items: items, ids: ids, off: off}
+}
+
+// check verifies what NewChecked can of a producer's vocabulary
+// without visiting every occurrence: one id list per recipe, and each
+// item once, non-blank and in Item.Less order.
+func (v *Vocab) check(recipes int) error {
+	if len(v.off) != recipes+1 || v.off[0] != 0 || int(v.off[recipes]) != len(v.ids) {
+		return fmt.Errorf("recipedb: vocabulary holds %d recipe lists, want %d", len(v.off)-1, recipes)
+	}
+	for id, it := range v.items {
+		if BlankName(it.Name) {
+			return fmt.Errorf("recipedb: vocabulary has a blank %s name", it.Kind)
+		}
+		if id > 0 && !v.items[id-1].Less(it) {
+			return fmt.Errorf("recipedb: vocabulary item %q out of order", it.Name)
+		}
+	}
+	return nil
+}
+
+// Vocab returns the DB's vocabulary: the one its producer handed
+// NewChecked, or else one built on the first call in one pass that
+// canonicalises each distinct raw name of each kind once.
 func (db *DB) Vocab() *Vocab {
-	db.vocabOnce.Do(func() { db.vocab = buildVocab(db) })
+	db.vocabOnce.Do(func() {
+		if db.vocab == nil {
+			db.vocab = buildVocab(db)
+		}
+	})
 	return db.vocab
 }
 
@@ -81,12 +113,18 @@ func buildVocab(db *DB) *Vocab {
 		v.off[i+1] = n
 	}
 	v.ids = v.ids[:n]
-
-	v.rows = make([][]int, len(db.regions))
-	for row, region := range db.regions {
-		v.rows[row] = db.byRegion[region]
-	}
+	v.rows = db.regionRows()
 	return v
+}
+
+// regionRows returns the recipe indexes of each region, in Regions
+// order.
+func (db *DB) regionRows() [][]int {
+	rows := make([][]int, len(db.regions))
+	for row, region := range db.regions {
+		rows[row] = db.byRegion[region]
+	}
+	return rows
 }
 
 // Items returns every item, indexed by id (shared; do not modify).
