@@ -115,13 +115,16 @@ type StatsResponse struct {
 
 // StageCacheStats counts one pipeline stage's artifact cache traffic.
 // Hits are memory-tier hits, DiskHits are persistent-tier loads,
-// PeerHits are artifacts fetched from cluster peers instead of
-// recomputed, Computed counts actual stage executions — the number the
-// staged pipeline exists to minimize — and InFlightJoins counts
-// requests that latched onto an already-running computation.
+// DiskRejects are persisted files that failed verification or decode
+// and were fetched or recomputed instead, PeerHits are artifacts
+// fetched from cluster peers instead of recomputed, Computed counts
+// actual stage executions — the number the staged pipeline exists to
+// minimize — and InFlightJoins counts requests that latched onto an
+// already-running computation.
 type StageCacheStats struct {
 	Hits          uint64 `json:"hits"`
 	DiskHits      uint64 `json:"disk_hits"`
+	DiskRejects   uint64 `json:"disk_rejects"`
 	PeerHits      uint64 `json:"peer_hits"`
 	Computed      uint64 `json:"computed"`
 	Evictions     uint64 `json:"evictions"`

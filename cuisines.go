@@ -354,6 +354,7 @@ func (e *Engine) CacheStats() map[string]StageCacheStats {
 		out[kind] = StageCacheStats{
 			Hits:          s.Hits,
 			DiskHits:      s.DiskHits,
+			DiskRejects:   s.DiskRejects,
 			PeerHits:      s.PeerHits,
 			Computed:      s.Computed,
 			Evictions:     s.Evictions,

@@ -96,14 +96,17 @@ func validKey(key string) bool {
 }
 
 // Stats counts one kind's cache traffic. Hits are memory-tier hits,
-// DiskHits are disk-tier loads, PeerHits are artifacts obtained from a
-// cluster peer via the Fetcher hook, Computed counts actual stage
+// DiskHits are disk-tier loads, DiskRejects are disk files that were
+// read but failed verification or decode (each then falls through to
+// the next tier, as a miss would), PeerHits are artifacts obtained from
+// a cluster peer via the Fetcher hook, Computed counts actual stage
 // executions, Evictions counts memory-tier LRU evictions, and
 // InFlightJoins counts callers that latched onto an in-flight
 // computation instead of starting their own.
 type Stats struct {
 	Hits          uint64 `json:"hits"`
 	DiskHits      uint64 `json:"disk_hits"`
+	DiskRejects   uint64 `json:"disk_rejects"`
 	PeerHits      uint64 `json:"peer_hits"`
 	Computed      uint64 `json:"computed"`
 	Evictions     uint64 `json:"evictions"`
@@ -200,9 +203,6 @@ func NewStore(opts Options) *Store {
 		stats:     make(map[string]*Stats),
 	}
 }
-
-// DiskEnabled reports whether the store has a disk tier.
-func (s *Store) DiskEnabled() bool { return s.dir != "" }
 
 // SetFetcher installs (or clears) the peer-exchange hook. Safe to call
 // while the store is serving; the hook applies to subsequent misses.
@@ -367,8 +367,8 @@ func (s *Store) Summary() []string {
 	out := make([]string, len(kinds))
 	for i, k := range kinds {
 		st := stats[k]
-		out[i] = fmt.Sprintf("%s: hits=%d disk_hits=%d peer_hits=%d computed=%d evictions=%d inflight_joins=%d",
-			k, st.Hits, st.DiskHits, st.PeerHits, st.Computed, st.Evictions, st.InFlightJoins)
+		out[i] = fmt.Sprintf("%s: hits=%d disk_hits=%d disk_rejects=%d peer_hits=%d computed=%d evictions=%d inflight_joins=%d",
+			k, st.Hits, st.DiskHits, st.DiskRejects, st.PeerHits, st.Computed, st.Evictions, st.InFlightJoins)
 	}
 	return out
 }
@@ -376,8 +376,8 @@ func (s *Store) Summary() []string {
 // Frame format — shared by the disk tier and the peer wire protocol:
 // magic, format version, codec version, kind length, payload length,
 // kind, payload sha256, payload. All integers little-endian uint32.
-// On disk anything that fails a check is silently a miss; over the
-// wire it rejects the peer's response.
+// On disk anything that fails a check is a miss, counted as a disk
+// reject; over the wire it rejects the peer's response.
 var diskMagic = [4]byte{'C', 'A', 'R', 'T'}
 
 const (
@@ -433,9 +433,11 @@ func framePayload(data []byte, codec Codec) ([]byte, error) {
 	if kindLen > 256 {
 		return nil, fmt.Errorf("artifact frame: kind length %d", kindLen)
 	}
+	// The length is exact: bytes past the payload would be stored and
+	// served on as part of the frame.
 	rest := data[frameHeaderSize:]
-	if uint64(len(rest)) < uint64(kindLen)+sha256.Size+uint64(payloadLen) {
-		return nil, fmt.Errorf("artifact frame: truncated body")
+	if want := uint64(kindLen) + sha256.Size + uint64(payloadLen); uint64(len(rest)) != want {
+		return nil, fmt.Errorf("artifact frame: body is %d bytes, want %d", len(rest), want)
 	}
 	if string(rest[:kindLen]) != codec.Kind() {
 		return nil, fmt.Errorf("artifact frame: kind %q, want %q", rest[:kindLen], codec.Kind())
@@ -443,7 +445,7 @@ func framePayload(data []byte, codec Codec) ([]byte, error) {
 	rest = rest[kindLen:]
 	var sum [sha256.Size]byte
 	copy(sum[:], rest)
-	payload := rest[sha256.Size:][:payloadLen]
+	payload := rest[sha256.Size:]
 	if sha256.Sum256(payload) != sum {
 		return nil, fmt.Errorf("artifact frame: checksum mismatch")
 	}
@@ -490,7 +492,8 @@ func sanitizeKind(kind string) string {
 
 // loadDisk attempts a disk-tier read. Every failure mode — invalid
 // key, absent file, bad magic, version mismatch, checksum mismatch,
-// decode error — is (nil, false).
+// wrong length, decode error — is (nil, false). A file that was read
+// but failed verification or decode also counts as a DiskReject.
 func (s *Store) loadDisk(key string, codec Codec) (any, bool) {
 	if s.dir == "" || !validKey(key) {
 		return nil, false
@@ -501,6 +504,9 @@ func (s *Store) loadDisk(key string, codec Codec) (any, bool) {
 	}
 	v, err := DecodeFrame(data, codec)
 	if err != nil {
+		s.mu.Lock()
+		s.statsFor(codec.Kind()).DiskRejects++
+		s.mu.Unlock()
 		return nil, false
 	}
 	touch(s.path(key, codec))

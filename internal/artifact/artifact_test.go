@@ -1,6 +1,7 @@
 package artifact
 
 import (
+	"bytes"
 	"context"
 	"encoding/binary"
 	"fmt"
@@ -176,6 +177,9 @@ func TestDiskTierRoundTrip(t *testing.T) {
 	}
 }
 
+// TestDiskCorruptionIsIgnored damages the one file a store wrote in
+// each way a disk can: every damaged file is a miss that recomputes,
+// and is counted once as a disk reject.
 func TestDiskCorruptionIsIgnored(t *testing.T) {
 	dir := t.TempDir()
 	c := intCodec{kind: "stage", version: 1}
@@ -193,6 +197,9 @@ func TestDiskCorruptionIsIgnored(t *testing.T) {
 		"flipped":   func(b []byte) []byte { b[len(b)-1] ^= 0xff; return b },
 		"bad-magic": func(b []byte) []byte { b[0] = 'X'; return b },
 		"empty":     func([]byte) []byte { return nil },
+		"garbage":   func([]byte) []byte { return []byte("garbage\n") },
+		// The payload still decodes; the byte after it must not pass.
+		"trailing-byte": func(b []byte) []byte { return append(b, 0) },
 	}
 	for name, corrupt := range corruptions {
 		t.Run(name, func(t *testing.T) {
@@ -210,10 +217,41 @@ func TestDiskCorruptionIsIgnored(t *testing.T) {
 			if err != nil || v.(int) != 5 {
 				t.Fatalf("corrupted artifact was fatal: %v, %v", v, err)
 			}
-			if st := s2.Stats()["stage"]; st.Computed != 1 || st.DiskHits != 0 {
-				t.Fatalf("stats = %+v, want fallback to recompute", st)
+			if st := s2.Stats()["stage"]; st.Computed != 1 || st.DiskHits != 0 || st.DiskRejects != 1 {
+				t.Fatalf("stats = %+v, want one disk reject and fallback to recompute", st)
 			}
 		})
+	}
+}
+
+// TestFetchedFrameWithTrailingBytesIsRefused hands the store a peer
+// frame whose payload decodes but which carries bytes after it. The
+// frame must be refused, the stage computed, and the disk file hold
+// only the computed frame, not the peer's bytes.
+func TestFetchedFrameWithTrailingBytesIsRefused(t *testing.T) {
+	dir := t.TempDir()
+	c := intCodec{kind: "stage", version: 1}
+	frame, err := EncodeFrame(c, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := NewStore(Options{Dir: dir})
+	s.SetFetcher(func(context.Context, string, Codec) ([]byte, bool) {
+		return append(bytes.Clone(frame), make([]byte, 4096)...), true
+	})
+	v, err := s.GetOrCompute(context.Background(), diskKey, c, func() (any, error) { return 5, nil })
+	if err != nil || v.(int) != 5 {
+		t.Fatalf("GetOrCompute = %v, %v", v, err)
+	}
+	if st := s.Stats()["stage"]; st.PeerHits != 0 || st.Computed != 1 {
+		t.Fatalf("stats = %+v, want the peer frame refused and one compute", st)
+	}
+	files, err := filepath.Glob(filepath.Join(dir, "*.art"))
+	if err != nil || len(files) != 1 {
+		t.Fatalf("artifact files: %v, %v", files, err)
+	}
+	if got, err := os.ReadFile(files[0]); err != nil || !bytes.Equal(got, frame) {
+		t.Fatalf("disk file is %d bytes (%v), want the %d-byte computed frame", len(got), err, len(frame))
 	}
 }
 
@@ -235,9 +273,6 @@ func TestDiskVersionMismatchIsIgnored(t *testing.T) {
 
 func TestDiskTierDisabled(t *testing.T) {
 	s := NewStore(Options{})
-	if s.DiskEnabled() {
-		t.Fatal("store without dir reports disk enabled")
-	}
 	if _, err := s.GetOrCompute(context.Background(), "k", intCodec{kind: "s", version: 1}, func() (any, error) { return 1, nil }); err != nil {
 		t.Fatal(err)
 	}

@@ -18,9 +18,9 @@ import (
 // over every stage kind of a real pipeline run: Store.Encoded answers
 // with the disk tier's verified frame as stored, which must be exactly
 // the bytes a re-encode of the memory value gives (and what a
-// memory-only store serves); a flipped, truncated or deleted file
-// falls back to the memory re-encode byte for byte, and a file that
-// fails verification is counted.
+// memory-only store serves); a flipped, truncated, extended or deleted
+// file falls back to the memory re-encode byte for byte, and a file
+// that fails verification is counted.
 func TestEncodedServesVerifiedDiskFrame(t *testing.T) {
 	ctx := context.Background()
 	dir := t.TempDir()
@@ -68,6 +68,7 @@ func TestEncodedServesVerifiedDiskFrame(t *testing.T) {
 		return b
 	}
 	truncated := func(frame []byte) []byte { return frame[:len(frame)-1] }
+	trailing := func(frame []byte) []byte { return append(bytes.Clone(frame), 0) }
 	cases := []struct {
 		name   string
 		file   func(frame []byte) []byte // the disk file's bytes; nil = no file
@@ -79,6 +80,7 @@ func TestEncodedServesVerifiedDiskFrame(t *testing.T) {
 		{"disk frame, no memory entry", intact, false, artifact.ServeDisk, false},
 		{"flipped byte", flipped, true, artifact.ServeMemory, true},
 		{"truncated", truncated, true, artifact.ServeMemory, true},
+		{"trailing byte", trailing, true, artifact.ServeMemory, true},
 		{"deleted", nil, true, artifact.ServeMemory, false},
 		{"flipped byte, no memory entry", flipped, false, artifact.ServeMiss, true},
 		{"no entry, no file", nil, false, artifact.ServeMiss, false},

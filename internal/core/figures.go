@@ -34,7 +34,10 @@ type CuisineTree struct {
 	// Name identifies the experiment ("fig2-euclidean", ...).
 	Name string
 	Tree *hac.Tree
-	// Distances is the condensed matrix the tree was linked from.
+	// Distances is unused: LinkTree leaves it nil and the tree codec
+	// does not carry it, since the matrix a tree was linked from is the
+	// pdist or geodist artifact its key names. The field remains only
+	// because the benchmark module's replay names it.
 	Distances *distance.Condensed
 	Metric    distance.Metric
 	Linkage   hac.Method
@@ -57,11 +60,10 @@ func LinkTree(name string, d *distance.Condensed, labels []string, metric distan
 		return nil, err
 	}
 	return &CuisineTree{
-		Name:      name,
-		Tree:      tree,
-		Distances: d,
-		Metric:    metric,
-		Linkage:   method,
+		Name:    name,
+		Tree:    tree,
+		Metric:  metric,
+		Linkage: method,
 	}, nil
 }
 

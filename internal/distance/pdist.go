@@ -24,29 +24,6 @@ func NewCondensed(n int) *Condensed {
 	return &Condensed{n: n, d: make([]float64, n*(n-1)/2)}
 }
 
-// FromSquare builds a condensed matrix from a full symmetric matrix,
-// validating symmetry and zero diagonal within tol.
-func FromSquare(m *matrix.Dense, tol float64) (*Condensed, error) {
-	if m.Rows() != m.Cols() {
-		return nil, fmt.Errorf("distance: square matrix required, got %dx%d", m.Rows(), m.Cols())
-	}
-	n := m.Rows()
-	c := NewCondensed(n)
-	for i := 0; i < n; i++ {
-		if diff := m.At(i, i); diff > tol || diff < -tol {
-			return nil, fmt.Errorf("distance: nonzero diagonal at %d: %v", i, diff)
-		}
-		for j := i + 1; j < n; j++ {
-			a, b := m.At(i, j), m.At(j, i)
-			if d := a - b; d > tol || d < -tol {
-				return nil, fmt.Errorf("distance: asymmetric at (%d,%d): %v vs %v", i, j, a, b)
-			}
-			c.Set(i, j, a)
-		}
-	}
-	return c, nil
-}
-
 // N returns the number of observations.
 func (c *Condensed) N() int { return c.n }
 
@@ -109,19 +86,6 @@ func (c *Condensed) Set(i, j int, v float64) {
 
 // Values returns the underlying condensed vector (aliased, scipy layout).
 func (c *Condensed) Values() []float64 { return c.d }
-
-// Square expands to a full symmetric matrix (scipy squareform).
-func (c *Condensed) Square() *matrix.Dense {
-	m := matrix.NewDense(c.n, c.n)
-	for i := 0; i < c.n; i++ {
-		for j := i + 1; j < c.n; j++ {
-			v := c.At(i, j)
-			m.Set(i, j, v)
-			m.Set(j, i, v)
-		}
-	}
-	return m
-}
 
 // Clone returns a deep copy.
 func (c *Condensed) Clone() *Condensed {
@@ -197,16 +161,4 @@ func (c *Condensed) Max() float64 {
 		}
 	}
 	return max
-}
-
-// Mean returns the mean pairwise distance (0 for n < 2).
-func (c *Condensed) Mean() float64 {
-	if len(c.d) == 0 {
-		return 0
-	}
-	s := 0.0
-	for _, v := range c.d {
-		s += v
-	}
-	return s / float64(len(c.d))
 }

@@ -94,20 +94,6 @@ func (w Weighting) String() string {
 	}
 }
 
-// ParseWeighting parses a weighting name.
-func ParseWeighting(s string) (Weighting, error) {
-	switch s {
-	case "binary":
-		return Binary, nil
-	case "support":
-		return SupportWeighted, nil
-	case "tfidf":
-		return TFIDF, nil
-	default:
-		return 0, fmt.Errorf("encode: unknown weighting %q", s)
-	}
-}
-
 // PatternMatrix is the cuisines x patterns feature matrix with its
 // vocabulary.
 type PatternMatrix struct {

@@ -303,16 +303,6 @@ func TestASCIIRender(t *testing.T) {
 	}
 }
 
-func TestDescribeDeterministic(t *testing.T) {
-	lk, _ := Cluster(lineExample(), Single)
-	tree, _ := BuildTree(lk, []string{"a", "b", "c"})
-	d1 := tree.Describe()
-	d2 := tree.Describe()
-	if d1 != d2 || !strings.Contains(d1, "{a,b}") {
-		t.Fatalf("describe = %q", d1)
-	}
-}
-
 // --- properties -------------------------------------------------------------
 
 func randomCondensed(r *rand.Rand, n int) *distance.Condensed {

@@ -2,7 +2,6 @@ package hac
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 )
 
@@ -223,46 +222,4 @@ func escapeNewick(label string) string {
 		return "'" + strings.ReplaceAll(label, "'", "''") + "'"
 	}
 	return label
-}
-
-// Describe returns a compact textual summary of the merges, useful in
-// logs and golden tests: each line "height: {leaves-left} + {leaves-right}".
-func (t *Tree) Describe() string {
-	type rec struct {
-		h    float64
-		line string
-	}
-	var recs []rec
-	var leaves func(n *Node) []string
-	leaves = func(n *Node) []string {
-		if n.IsLeaf() {
-			return []string{t.Label(n.Leaf)}
-		}
-		return append(leaves(n.Left), leaves(n.Right)...)
-	}
-	var walk func(n *Node)
-	walk = func(n *Node) {
-		if n == nil || n.IsLeaf() {
-			return
-		}
-		l := leaves(n.Left)
-		r := leaves(n.Right)
-		sort.Strings(l)
-		sort.Strings(r)
-		recs = append(recs, rec{n.Height, fmt.Sprintf("%.4g: {%s} + {%s}", n.Height, strings.Join(l, ","), strings.Join(r, ","))})
-		walk(n.Left)
-		walk(n.Right)
-	}
-	walk(t.Root)
-	sort.Slice(recs, func(i, j int) bool {
-		if recs[i].h != recs[j].h {
-			return recs[i].h < recs[j].h
-		}
-		return recs[i].line < recs[j].line
-	})
-	lines := make([]string, len(recs))
-	for i, r := range recs {
-		lines[i] = r.line
-	}
-	return strings.Join(lines, "\n")
 }

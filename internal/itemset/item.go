@@ -48,21 +48,6 @@ func (k Kind) String() string {
 // Valid reports whether k is one of Kinds.
 func (k Kind) Valid() bool { return k < numKinds }
 
-// ParseKind parses a kind name as produced by Kind.String. It accepts any
-// case and the common plural forms used in CSV headers.
-func ParseKind(s string) (Kind, error) {
-	switch strings.ToLower(strings.TrimSpace(s)) {
-	case "ingredient", "ingredients":
-		return Ingredient, nil
-	case "process", "processes":
-		return Process, nil
-	case "utensil", "utensils":
-		return Utensil, nil
-	default:
-		return 0, fmt.Errorf("itemset: unknown kind %q", s)
-	}
-}
-
 // Item is a single named entity appearing in recipes. Names are stored in
 // canonical form (lowercase, single-spaced); use NewItem to construct.
 type Item struct {

@@ -154,25 +154,6 @@ func (s Set) Intersect(other Set) Set {
 	return Set{items: out}
 }
 
-// Diff returns s \ other.
-func (s Set) Diff(other Set) Set {
-	var out []Item
-	i, j := 0, 0
-	for i < len(s.items) {
-		switch {
-		case j >= len(other.items) || s.items[i].Less(other.items[j]):
-			out = append(out, s.items[i])
-			i++
-		case s.items[i] == other.items[j]:
-			i++
-			j++
-		default:
-			j++
-		}
-	}
-	return Set{items: out}
-}
-
 // Add returns a new set with the item inserted.
 func (s Set) Add(it Item) Set {
 	if s.Contains(it) {

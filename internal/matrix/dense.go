@@ -82,25 +82,6 @@ func (m *Dense) Row(i int) []float64 {
 	return m.data[i*m.cols : (i+1)*m.cols]
 }
 
-// RowCopy returns an independent copy of row i.
-func (m *Dense) RowCopy(i int) []float64 {
-	out := make([]float64, m.cols)
-	copy(out, m.Row(i))
-	return out
-}
-
-// Col returns a copy of column j.
-func (m *Dense) Col(j int) []float64 {
-	if j < 0 || j >= m.cols {
-		panic(fmt.Sprintf("matrix: col %d out of range %d", j, m.cols))
-	}
-	out := make([]float64, m.rows)
-	for i := 0; i < m.rows; i++ {
-		out[i] = m.data[i*m.cols+j]
-	}
-	return out
-}
-
 // Clone returns a deep copy.
 func (m *Dense) Clone() *Dense {
 	c := NewDense(m.rows, m.cols)

@@ -38,7 +38,6 @@ func TestBoundsPanic(t *testing.T) {
 		func() { m.At(0, -1) },
 		func() { m.Set(-1, 0, 1) },
 		func() { m.Row(2) },
-		func() { m.Col(5) },
 	} {
 		func() {
 			defer func() {
@@ -80,16 +79,6 @@ func TestRowAliasesColCopies(t *testing.T) {
 	if m.At(0, 1) != 9 {
 		t.Fatal("Row should alias")
 	}
-	c := m.Col(0)
-	c[0] = 77
-	if m.At(0, 0) == 77 {
-		t.Fatal("Col should copy")
-	}
-	rc := m.RowCopy(1)
-	rc[0] = 55
-	if m.At(1, 0) == 55 {
-		t.Fatal("RowCopy should copy")
-	}
 }
 
 func TestColMeansRowMeans(t *testing.T) {
@@ -97,10 +86,6 @@ func TestColMeansRowMeans(t *testing.T) {
 	cm := m.ColMeans()
 	if !almostEq(cm[0], 2) || !almostEq(cm[1], 3) || !almostEq(cm[2], 4) {
 		t.Fatalf("ColMeans = %v", cm)
-	}
-	rm := m.RowMeans()
-	if !almostEq(rm[0], 2) || !almostEq(rm[1], 4) {
-		t.Fatalf("RowMeans = %v", rm)
 	}
 }
 
@@ -124,15 +109,9 @@ func TestCenterColumns(t *testing.T) {
 
 func TestScaleSumNorm(t *testing.T) {
 	m := FromRows([][]float64{{3, 4}})
-	if !almostEq(m.FrobeniusNorm(), 5) {
-		t.Fatalf("norm = %v", m.FrobeniusNorm())
-	}
 	m.Scale(2)
 	if !almostEq(m.Sum(), 14) {
 		t.Fatalf("sum = %v", m.Sum())
-	}
-	if !almostEq(m.MaxAbs(), 8) {
-		t.Fatalf("maxabs = %v", m.MaxAbs())
 	}
 }
 
@@ -173,12 +152,8 @@ func TestColVariances(t *testing.T) {
 
 func TestEmptyMatrixReductions(t *testing.T) {
 	m := NewDense(0, 3)
-	if len(m.ColMeans()) != 3 || m.Sum() != 0 || m.MaxAbs() != 0 {
+	if len(m.ColMeans()) != 3 || m.Sum() != 0 {
 		t.Fatal("empty reductions wrong")
-	}
-	m2 := NewDense(2, 0)
-	if len(m2.RowMeans()) != 2 {
-		t.Fatal("empty row means wrong")
 	}
 }
 

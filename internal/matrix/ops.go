@@ -1,7 +1,5 @@
 package matrix
 
-import "math"
-
 // ColMeans returns the mean of each column. Zero rows yield all zeros.
 func (m *Dense) ColMeans() []float64 {
 	means := make([]float64, m.cols)
@@ -17,23 +15,6 @@ func (m *Dense) ColMeans() []float64 {
 	inv := 1 / float64(m.rows)
 	for j := range means {
 		means[j] *= inv
-	}
-	return means
-}
-
-// RowMeans returns the mean of each row. Zero cols yield all zeros.
-func (m *Dense) RowMeans() []float64 {
-	means := make([]float64, m.rows)
-	if m.cols == 0 {
-		return means
-	}
-	inv := 1 / float64(m.cols)
-	for i := 0; i < m.rows; i++ {
-		s := 0.0
-		for _, v := range m.Row(i) {
-			s += v
-		}
-		means[i] = s * inv
 	}
 	return means
 }
@@ -59,18 +40,6 @@ func (m *Dense) Scale(f float64) {
 	}
 }
 
-// MaxAbs returns the largest absolute element value, 0 for an empty
-// matrix.
-func (m *Dense) MaxAbs() float64 {
-	max := 0.0
-	for _, v := range m.data {
-		if a := math.Abs(v); a > max {
-			max = a
-		}
-	}
-	return max
-}
-
 // Sum returns the sum of all elements.
 func (m *Dense) Sum() float64 {
 	s := 0.0
@@ -78,15 +47,6 @@ func (m *Dense) Sum() float64 {
 		s += v
 	}
 	return s
-}
-
-// FrobeniusNorm returns sqrt(sum of squared elements).
-func (m *Dense) FrobeniusNorm() float64 {
-	s := 0.0
-	for _, v := range m.data {
-		s += v * v
-	}
-	return math.Sqrt(s)
 }
 
 // SelectColumns returns a new matrix keeping only the listed columns, in

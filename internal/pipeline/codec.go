@@ -41,6 +41,8 @@ type PatternFeatures struct {
 // encodings, and a peer serving its stored frame must send the same
 // bytes a re-encode would. The last gob codecs then went flat, with
 // keys again unchanged: auth to version 2, tree 3, elbow 3, validate 4.
+// Tree 4: the distances section went; the matrix is the pdist or
+// geodist artifact the tree's key names.
 var (
 	corpusCodec   = flatCodec{kind: "corpus", version: 2, appendFn: appendCorpus, decodeFn: decodeCorpus}
 	mineCodec     = flatCodec{kind: "mine", version: 3, appendFn: appendMine, decodeFn: decodeMine}
@@ -48,7 +50,7 @@ var (
 	authCodec     = flatCodec{kind: "auth", version: 2, appendFn: appendAuth, decodeFn: decodeAuth}
 	pdistCodec    = flatCodec{kind: "pdist", version: 3, appendFn: appendCondensed, decodeFn: decodeCondensed}
 	geodistCodec  = flatCodec{kind: "geodist", version: 2, appendFn: appendCondensed, decodeFn: decodeCondensed}
-	treeCodec     = flatCodec{kind: "tree", version: 3, appendFn: appendTree, decodeFn: decodeTree}
+	treeCodec     = flatCodec{kind: "tree", version: 4, appendFn: appendTree, decodeFn: decodeTree}
 	elbowCodec    = flatCodec{kind: "elbow", version: 3, appendFn: appendElbow, decodeFn: decodeElbow}
 	validateCodec = flatCodec{kind: "validate", version: 4, appendFn: appendValidate, decodeFn: decodeValidate}
 )

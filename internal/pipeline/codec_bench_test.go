@@ -59,7 +59,7 @@ func codecFixtures(tb testing.TB) codecFixture {
 			db:       db,
 			mined:    figs.Mined,
 			feats:    &PatternFeatures{Table1: figs.Table1, Matrix: figs.Patterns},
-			pdist:    figs.Euclidean.Distances,
+			pdist:    distance.PdistWorkers(figs.Patterns.X, distance.Euclidean, 0),
 			auth:     figs.AuthMat,
 			tree:     figs.Euclidean,
 			elbow:    figs.Elbow,

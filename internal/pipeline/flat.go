@@ -867,19 +867,20 @@ func decodeAuth(body []byte) (any, error) {
 //
 //	string name | u8 metric | u8 linkage | intern table of the n labels
 //	(n-1) × merge (u32 a, u32 b, f64 height), in scipy order
-//	flat Condensed distances (trailing, self-sized)
 //
 // The tree travels in linkage form (hac.Tree.Merges); decode rebuilds
 // its nodes through hac.BuildTree, which rejects merges that reference
 // unknown clusters or leave more than one root. Decode also requires
-// what core.LinkTree builds: a known metric and linkage method, and
-// len(Labels) == n == Distances.N().
+// what core.LinkTree builds: a known metric and linkage method and at
+// least one label, and no byte after the last merge. The matrix the
+// tree was linked from is not in the frame: it is the pdist or geodist
+// artifact whose key the tree's key embeds.
 
 const minMergeBytes = 4 + 4 + 8 // a, b, height
 
 func appendTree(dst []byte, v any) ([]byte, error) {
 	ct, ok := v.(*core.CuisineTree)
-	if !ok || ct.Tree == nil || ct.Distances == nil {
+	if !ok || ct.Tree == nil {
 		return nil, fmt.Errorf("pipeline: tree artifact is %T with nil sections, want *core.CuisineTree", v)
 	}
 	merges, err := ct.Tree.Merges()
@@ -893,7 +894,7 @@ func appendTree(dst []byte, v any) ([]byte, error) {
 		dst = binary.LittleEndian.AppendUint32(dst, uint32(m.B))
 		dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(m.Height))
 	}
-	return ct.Distances.AppendFlat(dst), nil
+	return dst, nil
 }
 
 func decodeTree(body []byte) (any, error) {
@@ -910,6 +911,9 @@ func decodeTree(body []byte) (any, error) {
 	if r.err != nil {
 		return nil, r.err
 	}
+	if r.off != len(body) {
+		return nil, fmt.Errorf("pipeline: tree artifact has %d trailing bytes", len(body)-r.off)
+	}
 	// An unknown metric or method parses to an error and zero, which is
 	// a known one, so it never round-trips through its name.
 	metric, method := distance.Metric(enums[0]), hac.Method(enums[1])
@@ -918,18 +922,11 @@ func decodeTree(body []byte) (any, error) {
 	if m != metric || l != method || len(labels) == 0 {
 		return nil, fmt.Errorf("pipeline: tree artifact has metric %d, linkage %d and %d leaves", enums[0], enums[1], len(labels))
 	}
-	d, err := distance.DecodeFlat(r.rest())
-	if err != nil {
-		return nil, err
-	}
-	if d.N() != len(labels) {
-		return nil, fmt.Errorf("pipeline: tree artifact has distances over %d leaves for %d labels", d.N(), len(labels))
-	}
 	tree, err := hac.BuildTree(&hac.Linkage{N: len(labels), Method: method, Merges: merges}, labels)
 	if err != nil {
 		return nil, err
 	}
-	return &core.CuisineTree{Name: name, Tree: tree, Distances: d, Metric: metric, Linkage: method}, nil
+	return &core.CuisineTree{Name: name, Tree: tree, Metric: metric, Linkage: method}, nil
 }
 
 // --- elbow: *kmeans.ElbowCurve ------------------------------------------

@@ -436,15 +436,15 @@ func TestFlatDecodeRejectsInvalidArtifacts(t *testing.T) {
 	u32 := binary.LittleEndian.AppendUint32
 	u64 := binary.LittleEndian.AppendUint64
 	euc, avg := byte(distance.Euclidean), byte(hac.Average)
-	// tree writes a tree body over labels whose distances cover n
-	// leaves.
-	tree := func(metric, linkage byte, labels []string, merges []hac.Merge, n int) []byte {
-		body := append(appendString(nil, "t"), metric, linkage)
+	// tree writes a tree body: its name, two enum bytes, the interned
+	// labels and the merges, and nothing after them.
+	tree := func(name string, metric, linkage byte, labels []string, merges []hac.Merge) []byte {
+		body := append(appendString(nil, name), metric, linkage)
 		body = appendInterned(body, labels)
 		for _, m := range merges {
 			body = u64(u32(u32(body, uint32(m.A)), uint32(m.B)), math.Float64bits(m.Height))
 		}
-		return distance.NewCondensed(n).AppendFlat(body)
+		return body
 	}
 	abc := []string{"a", "b", "c"}
 	merges := []hac.Merge{{A: 0, B: 1, Height: 1}, {A: 2, B: 3, Height: 2}}
@@ -488,15 +488,16 @@ func TestFlatDecodeRejectsInvalidArtifacts(t *testing.T) {
 		body  []byte
 		ok    bool
 	}{
-		{"tree/valid", treeCodec, tree(euc, avg, abc, merges, 3), true},
-		{"tree/distances-disagree", treeCodec, tree(euc, avg, abc, merges, 4), false},
-		{"tree/missing-merge", treeCodec, tree(euc, avg, abc, merges[:1], 3), false},
-		{"tree/extra-merge", treeCodec, tree(euc, avg, abc[:2], merges, 2), false},
-		{"tree/unknown-cluster", treeCodec, tree(euc, avg, abc, []hac.Merge{merges[0], {A: 2, B: 9, Height: 2}}, 3), false},
-		{"tree/merged-twice", treeCodec, tree(euc, avg, abc, []hac.Merge{merges[0], {A: 0, B: 3, Height: 2}}, 3), false},
-		{"tree/no-leaves", treeCodec, tree(euc, avg, nil, nil, 0), false},
-		{"tree/unknown-metric", treeCodec, tree(99, avg, abc, merges, 3), false},
-		{"tree/unknown-linkage", treeCodec, tree(euc, 99, abc, merges, 3), false},
+		{"tree/valid", treeCodec, tree("t", euc, avg, abc, merges), true},
+		{"tree/v3-layout", treeCodec, distance.NewCondensed(3).AppendFlat(tree("t", euc, avg, abc, merges)), false},
+		{"tree/trailing-byte", treeCodec, append(tree("t", euc, avg, abc, merges), 0), false},
+		{"tree/missing-merge", treeCodec, tree("t", euc, avg, abc, merges[:1]), false},
+		{"tree/extra-merge", treeCodec, tree("t", euc, avg, abc[:2], merges), false},
+		{"tree/unknown-cluster", treeCodec, tree("t", euc, avg, abc, []hac.Merge{merges[0], {A: 2, B: 9, Height: 2}}), false},
+		{"tree/merged-twice", treeCodec, tree("t", euc, avg, abc, []hac.Merge{merges[0], {A: 0, B: 3, Height: 2}}), false},
+		{"tree/no-leaves", treeCodec, tree("t", euc, avg, nil, nil), false},
+		{"tree/unknown-metric", treeCodec, tree("t", 99, avg, abc, merges), false},
+		{"tree/unknown-linkage", treeCodec, tree("t", euc, 99, abc, merges), false},
 		{"auth/valid", authCodec, auth([]string{"A", "B"}, []itemset.Item{salt, saltP, soy}, 2, 3, 0.5), true},
 		{"auth/items-out-of-order", authCodec, auth([]string{"A", "B"}, []itemset.Item{soy, salt}, 2, 2, 0.5), false},
 		{"auth/kinds-out-of-order", authCodec, auth([]string{"A", "B"}, []itemset.Item{saltP, salt}, 2, 2, 0.5), false},
@@ -532,6 +533,21 @@ func TestFlatDecodeRejectsInvalidArtifacts(t *testing.T) {
 		if err != nil || !bytes.Equal(again, frame) {
 			t.Errorf("%s: valid body does not re-encode to itself (%v)", tc.name, err)
 		}
+	}
+
+	// A pipeline tree's body is exactly its name, enums, labels and
+	// merges: the matrix it was linked from stays in its pdist artifact.
+	ct := codecFixtures(t).tree
+	ctMerges, err := ct.Tree.Merges()
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, err := treeCodec.appendFn(nil, ct)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := tree(ct.Name, byte(ct.Metric), byte(ct.Linkage), ct.Tree.Labels, ctMerges); !bytes.Equal(body, want) {
+		t.Errorf("tree body is %d bytes, want exactly its name, enums, labels and merges (%d bytes)", len(body), len(want))
 	}
 }
 

@@ -21,9 +21,9 @@ import (
 // flips, then treats every input twice: as a store frame read off disk
 // or the peer wire, and as a body that a hostile peer framed with valid
 // checksums. Either way the decode must fail cleanly or yield a value
-// whose re-encoded frame is a prefix of the input (frames may carry
-// trailing bytes past their payload, which the store ignores). It must
-// never panic.
+// whose re-encoded frame is the input, byte for byte: a frame is exactly
+// as long as its header says, since the store persists and serves the
+// frame it verified. It must never panic.
 func fuzzCodec(f *testing.F, c flatCodec, v any) {
 	frame, err := artifact.EncodeFrame(c, v)
 	if err != nil {
@@ -54,7 +54,7 @@ func fuzzCodec(f *testing.F, c flatCodec, v any) {
 		if err != nil {
 			t.Fatalf("re-encode of a decoded %s artifact failed: %v", c.kind, err)
 		}
-		if !bytes.HasPrefix(frame, again) {
+		if !bytes.Equal(frame, again) {
 			t.Fatalf("decoded %s artifact re-encodes to different bytes:\n in  %x\n out %x", c.kind, frame, again)
 		}
 	}

@@ -124,32 +124,6 @@ func (r *RNG) NormFloat64() float64 {
 	}
 }
 
-// Poisson returns a Poisson variate with the given mean using Knuth's
-// method for small means and normal approximation above 60 (adequate for
-// recipe-length sampling where means are ~3-15).
-func (r *RNG) Poisson(mean float64) int {
-	if mean <= 0 {
-		return 0
-	}
-	if mean > 60 {
-		v := int(math.Round(mean + math.Sqrt(mean)*r.NormFloat64()))
-		if v < 0 {
-			return 0
-		}
-		return v
-	}
-	l := math.Exp(-mean)
-	k := 0
-	p := 1.0
-	for {
-		p *= r.Float64()
-		if p <= l {
-			return k
-		}
-		k++
-	}
-}
-
 // Perm returns a uniformly random permutation of [0, n).
 func (r *RNG) Perm(n int) []int {
 	p := make([]int, n)
@@ -162,14 +136,6 @@ func (r *RNG) Perm(n int) []int {
 
 // ShuffleInts shuffles the slice in place (Fisher-Yates).
 func (r *RNG) ShuffleInts(p []int) {
-	for i := len(p) - 1; i > 0; i-- {
-		j := r.Intn(i + 1)
-		p[i], p[j] = p[j], p[i]
-	}
-}
-
-// ShuffleStrings shuffles the slice in place (Fisher-Yates).
-func (r *RNG) ShuffleStrings(p []string) {
 	for i := len(p) - 1; i > 0; i-- {
 		j := r.Intn(i + 1)
 		p[i], p[j] = p[j], p[i]

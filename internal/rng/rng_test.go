@@ -140,36 +140,6 @@ func TestNormFloat64Moments(t *testing.T) {
 	}
 }
 
-func TestPoissonMean(t *testing.T) {
-	r := New(19)
-	for _, mean := range []float64{0.5, 3, 12, 80} {
-		const n = 50000
-		sum := 0
-		for i := 0; i < n; i++ {
-			sum += r.Poisson(mean)
-		}
-		got := float64(sum) / n
-		if math.Abs(got-mean) > 0.05*mean+0.05 {
-			t.Fatalf("Poisson(%v) sample mean = %v", mean, got)
-		}
-	}
-}
-
-func TestPoissonNonNegative(t *testing.T) {
-	r := New(23)
-	if r.Poisson(0) != 0 {
-		t.Fatal("Poisson(0) != 0")
-	}
-	if r.Poisson(-1) != 0 {
-		t.Fatal("Poisson(-1) != 0")
-	}
-	for i := 0; i < 10000; i++ {
-		if r.Poisson(100) < 0 {
-			t.Fatal("Poisson produced a negative count")
-		}
-	}
-}
-
 func TestPermIsPermutation(t *testing.T) {
 	r := New(29)
 	for _, n := range []int{0, 1, 2, 10, 100} {
@@ -269,68 +239,6 @@ func TestWeightedChoiceAllZero(t *testing.T) {
 	}
 	if len(seen) != 3 {
 		t.Fatalf("all-zero weights should fall back to uniform, saw %v", seen)
-	}
-}
-
-func TestBinomial(t *testing.T) {
-	r := New(53)
-	const n, p, draws = 20, 0.25, 20000
-	sum := 0
-	for i := 0; i < draws; i++ {
-		k := r.Binomial(n, p)
-		if k < 0 || k > n {
-			t.Fatalf("Binomial out of range: %d", k)
-		}
-		sum += k
-	}
-	mean := float64(sum) / draws
-	if math.Abs(mean-n*p) > 0.15 {
-		t.Fatalf("Binomial mean = %v, want %v", mean, n*p)
-	}
-}
-
-func TestZipfProbsSumToOne(t *testing.T) {
-	for _, s := range []float64{0, 0.5, 1, 1.7} {
-		z := NewZipf(50, s)
-		sum := 0.0
-		for i := 0; i < z.N(); i++ {
-			sum += z.Prob(i)
-		}
-		if math.Abs(sum-1) > 1e-9 {
-			t.Fatalf("Zipf(s=%v) probs sum to %v", s, sum)
-		}
-	}
-}
-
-func TestZipfMonotone(t *testing.T) {
-	z := NewZipf(100, 1.2)
-	for i := 1; i < z.N(); i++ {
-		if z.Prob(i) > z.Prob(i-1)+1e-12 {
-			t.Fatalf("Zipf probability not non-increasing at rank %d", i)
-		}
-	}
-}
-
-func TestZipfSampleMatchesProb(t *testing.T) {
-	r := New(59)
-	z := NewZipf(20, 1.0)
-	const draws = 200000
-	counts := make([]int, z.N())
-	for i := 0; i < draws; i++ {
-		counts[z.Sample(r)]++
-	}
-	for i := 0; i < 5; i++ { // check the head, where counts are large
-		want := z.Prob(i) * draws
-		if math.Abs(float64(counts[i])-want) > 6*math.Sqrt(want) {
-			t.Fatalf("rank %d sampled %d times, want ~%v", i, counts[i], want)
-		}
-	}
-}
-
-func TestZipfOutOfRangeProb(t *testing.T) {
-	z := NewZipf(5, 1)
-	if z.Prob(-1) != 0 || z.Prob(5) != 0 {
-		t.Fatal("out-of-range Prob should be 0")
 	}
 }
 

@@ -59,22 +59,3 @@ func (r *RNG) WeightedChoice(weights []float64) int {
 	}
 	return len(weights) - 1
 }
-
-// Binomial returns the number of successes in n independent trials with
-// success probability p. For the corpus generator n is at most a few dozen,
-// so direct simulation is both exact and fast enough.
-func (r *RNG) Binomial(n int, p float64) int {
-	if n <= 0 || p <= 0 {
-		return 0
-	}
-	if p >= 1 {
-		return n
-	}
-	k := 0
-	for i := 0; i < n; i++ {
-		if r.Float64() < p {
-			k++
-		}
-	}
-	return k
-}

@@ -137,25 +137,3 @@ func Generate(patterns []itemset.Pattern, opts Options) []Rule {
 	}
 	return out
 }
-
-// ForConsequent filters rules whose consequent contains the item.
-func ForConsequent(rs []Rule, item itemset.Item) []Rule {
-	var out []Rule
-	for _, r := range rs {
-		if r.Consequent.Contains(item) {
-			out = append(out, r)
-		}
-	}
-	return out
-}
-
-// ForAntecedent filters rules whose antecedent contains the item.
-func ForAntecedent(rs []Rule, item itemset.Item) []Rule {
-	var out []Rule
-	for _, r := range rs {
-		if r.Antecedent.Contains(item) {
-			out = append(out, r)
-		}
-	}
-	return out
-}

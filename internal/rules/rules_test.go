@@ -129,26 +129,6 @@ func TestGenerateSkipsSingletons(t *testing.T) {
 	}
 }
 
-func TestFilters(t *testing.T) {
-	ps := mineFor(t, 0.2, txn("a", "b"), txn("a", "b"), txn("b"))
-	rs := Generate(ps, Options{MinConfidence: 0.1})
-	forB := ForConsequent(rs, ing("b"))
-	for _, r := range forB {
-		if !r.Consequent.Contains(ing("b")) {
-			t.Fatal("ForConsequent filter broken")
-		}
-	}
-	fromA := ForAntecedent(rs, ing("a"))
-	if len(fromA) == 0 {
-		t.Fatal("ForAntecedent empty")
-	}
-	for _, r := range fromA {
-		if !r.Antecedent.Contains(ing("a")) {
-			t.Fatal("ForAntecedent filter broken")
-		}
-	}
-}
-
 func TestRuleString(t *testing.T) {
 	r := Rule{
 		Antecedent: itemset.FromNames(itemset.Ingredient, "soy"),

@@ -243,6 +243,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 			f.samples = append(f.samples,
 				val(st.Hits, "stage", kind, "event", "hit"),
 				val(st.DiskHits, "stage", kind, "event", "disk_hit"),
+				val(st.DiskRejects, "stage", kind, "event", "disk_reject"),
 				val(st.PeerHits, "stage", kind, "event", "peer_hit"),
 				val(st.Computed, "stage", kind, "event", "computed"),
 				val(st.Evictions, "stage", kind, "event", "eviction"),
