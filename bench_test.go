@@ -25,6 +25,7 @@ package cuisines
 // full-scale output.
 
 import (
+	"context"
 	"fmt"
 	"runtime"
 	"sync"
@@ -40,6 +41,7 @@ import (
 	"cuisines/internal/hac"
 	"cuisines/internal/kmeans"
 	"cuisines/internal/matrix"
+	"cuisines/internal/pipeline"
 	"cuisines/internal/recipedb"
 	"cuisines/internal/rng"
 	"cuisines/internal/treecmp"
@@ -249,22 +251,24 @@ func BenchmarkFig6GeographicTree(b *testing.B) {
 	}
 }
 
+// runFigures is one cold staged run over the fixture corpus: a fresh
+// memory-only pipeline, so every stage computes.
+func runFigures(db *recipedb.DB, workers int) (*pipeline.Result, error) {
+	return pipeline.New(nil).RunOn(context.Background(), db, pipeline.Params{Method: core.DefaultLinkage, Workers: workers})
+}
+
 // E8 — Sec. VII: the full figure build plus claim validation.
 func BenchmarkSec7TreeValidation(b *testing.B) {
 	f := getFixture(b)
 	b.ResetTimer()
 	var holds int
 	for i := 0; i < b.N; i++ {
-		figs, err := core.BuildFiguresWorkers(f.db, core.DefaultMinSupport, core.DefaultLinkage, 0)
-		if err != nil {
-			b.Fatal(err)
-		}
-		v, err := core.Validate(figs)
+		res, err := runFigures(f.db, 0)
 		if err != nil {
 			b.Fatal(err)
 		}
 		holds = 0
-		for _, c := range v.Claims {
+		for _, c := range res.Validation.Claims {
 			if c.Holds {
 				holds++
 			}
@@ -349,13 +353,14 @@ func BenchmarkCorpusGenerationParallel(b *testing.B) {
 }
 
 // P4 — the whole figure pipeline per worker count (the end-to-end number
-// the facade's Options.Workers controls).
+// the facade's Options.Workers controls): a cold staged run over the
+// fixture corpus, its content hash and a fresh memory store included.
 func BenchmarkBuildFiguresParallel(b *testing.B) {
 	f := getFixture(b)
 	for _, w := range benchWorkerCounts() {
 		b.Run(fmt.Sprintf("workers=%d", w), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := core.BuildFiguresWorkers(f.db, core.DefaultMinSupport, core.DefaultLinkage, w); err != nil {
+				if _, err := runFigures(f.db, w); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -10,6 +10,7 @@ import (
 	"sort"
 	"strconv"
 
+	"cuisines/internal/artifact"
 	"cuisines/internal/hac"
 	"cuisines/internal/pipeline"
 )
@@ -17,10 +18,11 @@ import (
 // runDoctor performs the daemon's startup self-checks and writes a
 // human-readable report to out: flag values parse, the cache directory
 // (if any) is writable, and every artifact file in it carries a codec
-// version the current binary understands. A non-nil error means the
-// daemon could not serve correctly with this configuration; orphaned
-// artifacts (stale codec versions) are only reported — they are ignored
-// and recomputed at runtime, never misread.
+// version the current binary understands and passes frame
+// verification. A non-nil error means the daemon could not serve
+// correctly with this configuration; corrupt and orphaned artifacts
+// (stale codec versions) are only reported — they are ignored and
+// recomputed at runtime, never misread.
 func runDoctor(out io.Writer, cacheDir, linkage string) error {
 	fmt.Fprintf(out, "cuisined doctor\n")
 
@@ -29,15 +31,15 @@ func runDoctor(out io.Writer, cacheDir, linkage string) error {
 	}
 	fmt.Fprintf(out, "  linkage %q: ok\n", linkage)
 
-	versions := pipeline.CodecVersions()
-	kinds := make([]string, 0, len(versions))
-	for k := range versions {
+	codecs := pipeline.Codecs()
+	kinds := make([]string, 0, len(codecs))
+	for k := range codecs {
 		kinds = append(kinds, k)
 	}
 	sort.Strings(kinds)
 	fmt.Fprintf(out, "  codec versions:")
 	for _, k := range kinds {
-		fmt.Fprintf(out, " %s=v%d", k, versions[k])
+		fmt.Fprintf(out, " %s=v%d", k, codecs[k].Version())
 	}
 	fmt.Fprintf(out, "\n")
 
@@ -63,12 +65,12 @@ func runDoctor(out io.Writer, cacheDir, linkage string) error {
 	}
 	fmt.Fprintf(out, "  cache-dir %s: writable\n", cacheDir)
 
-	current, orphaned, foreign, err := inventoryArtifacts(cacheDir, versions)
+	inv, err := inventoryArtifacts(cacheDir, codecs)
 	if err != nil {
 		return err
 	}
-	fmt.Fprintf(out, "  artifacts: %d current, %d orphaned (stale codec version; will be recomputed), %d unrecognized\n",
-		current, orphaned, foreign)
+	fmt.Fprintf(out, "  artifacts: %d current, %d corrupt (will be rejected and recomputed), %d orphaned (stale codec version; will be recomputed), %d unrecognized\n",
+		inv.current, inv.corrupt, inv.orphaned, inv.foreign)
 	fmt.Fprintf(out, "ok\n")
 	return nil
 }
@@ -78,14 +80,20 @@ func runDoctor(out io.Writer, cacheDir, linkage string) error {
 // writing, so the pattern is exact.
 var artifactName = regexp.MustCompile(`^([A-Za-z0-9_.-]+?)-v(\d+)-[0-9a-f]+\.art$`)
 
+// inventory counts a cache directory's .art files by class.
+type inventory struct{ current, corrupt, orphaned, foreign int }
+
 // inventoryArtifacts classifies every .art file in dir against the
-// current codec versions: current (kind known, version matches),
-// orphaned (kind known, version differs — ignored and recomputed at
-// runtime), or unrecognized (unknown kind or unparseable name).
-func inventoryArtifacts(dir string, versions map[string]int) (current, orphaned, foreign int, err error) {
+// current codecs: current (kind known, version matches, frame
+// verifies), corrupt (kind and version match but the frame fails
+// artifact.VerifyFrame — the store rejects and recomputes it), orphaned
+// (kind known, version differs — ignored and recomputed at runtime),
+// or unrecognized (unknown kind or unparseable name).
+func inventoryArtifacts(dir string, codecs map[string]artifact.Codec) (inventory, error) {
+	var inv inventory
 	entries, err := os.ReadDir(dir)
 	if err != nil {
-		return 0, 0, 0, fmt.Errorf("cache-dir %s: %w", dir, err)
+		return inv, fmt.Errorf("cache-dir %s: %w", dir, err)
 	}
 	for _, e := range entries {
 		if e.IsDir() || filepath.Ext(e.Name()) != ".art" {
@@ -93,20 +101,27 @@ func inventoryArtifacts(dir string, versions map[string]int) (current, orphaned,
 		}
 		m := artifactName.FindStringSubmatch(e.Name())
 		if m == nil {
-			foreign++
+			inv.foreign++
 			continue
 		}
-		want, ok := versions[m[1]]
+		codec, ok := codecs[m[1]]
 		if !ok {
-			foreign++
+			inv.foreign++
 			continue
 		}
-		got, _ := strconv.Atoi(m[2])
-		if got == want {
-			current++
+		if got, _ := strconv.Atoi(m[2]); got != codec.Version() {
+			inv.orphaned++
+			continue
+		}
+		data, err := os.ReadFile(filepath.Join(dir, e.Name()))
+		if err != nil {
+			return inv, fmt.Errorf("cache-dir %s: %w", dir, err)
+		}
+		if artifact.VerifyFrame(data, codec) != nil {
+			inv.corrupt++
 		} else {
-			orphaned++
+			inv.current++
 		}
 	}
-	return current, orphaned, foreign, nil
+	return inv, nil
 }

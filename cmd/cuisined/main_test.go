@@ -1,6 +1,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"net"
 	"net/http"
@@ -10,6 +11,8 @@ import (
 	"testing"
 	"time"
 
+	"cuisines/internal/artifact"
+	"cuisines/internal/core"
 	"cuisines/internal/pipeline"
 )
 
@@ -54,11 +57,15 @@ func TestSlowlorisConnectionDropped(t *testing.T) {
 
 func TestDoctorInventoriesArtifacts(t *testing.T) {
 	dir := t.TempDir()
-	versions := pipeline.CodecVersions()
-	current := fmt.Sprintf("mine-v%d-0123456789abcdef0123456789abcdef.art", versions["mine"])
-	orphan := fmt.Sprintf("mine-v%d-0123456789abcdef0123456789abcdef.art", versions["mine"]+7)
-	for _, name := range []string{current, orphan, "not-an-artifact.art"} {
-		if err := os.WriteFile(filepath.Join(dir, name), []byte("x"), 0o644); err != nil {
+	mine := pipeline.Codecs()["mine"]
+	current := fmt.Sprintf("mine-v%d-0123456789abcdef0123456789abcdef.art", mine.Version())
+	orphan := fmt.Sprintf("mine-v%d-0123456789abcdef0123456789abcdef.art", mine.Version()+7)
+	frame, err := artifact.EncodeFrame(mine, []core.RegionPatterns(nil))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, data := range map[string][]byte{current: frame, orphan: []byte("x"), "not-an-artifact.art": []byte("x")} {
+		if err := os.WriteFile(filepath.Join(dir, name), data, 0o644); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -69,11 +76,60 @@ func TestDoctorInventoriesArtifacts(t *testing.T) {
 	}
 	report := out.String()
 	for _, want := range []string{
-		"1 current", "1 orphaned", "1 unrecognized",
-		"writable", fmt.Sprintf("mine=v%d", versions["mine"]), "ok\n",
+		"1 current", "0 corrupt", "1 orphaned", "1 unrecognized",
+		"writable", fmt.Sprintf("mine=v%d", mine.Version()), "ok\n",
 	} {
 		if !strings.Contains(report, want) {
 			t.Errorf("doctor report missing %q:\n%s", want, report)
+		}
+	}
+}
+
+// TestDoctorCountsCorruptArtifacts: a current-version file that fails
+// frame verification — garbage, or a valid frame with one byte
+// appended — is reported corrupt, once each, and not as current.
+func TestDoctorCountsCorruptArtifacts(t *testing.T) {
+	dir := t.TempDir()
+	p := pipeline.New(artifact.NewStore(artifact.Options{Dir: dir}))
+	if _, err := p.Run(context.Background(), pipeline.Params{Scale: 0.02}); err != nil {
+		t.Fatal(err)
+	}
+	files, err := filepath.Glob(filepath.Join(dir, "*.art"))
+	if err != nil || len(files) < 2 {
+		t.Fatalf("pipeline run left %d artifacts: %v", len(files), err)
+	}
+	report := func() string {
+		t.Helper()
+		var out strings.Builder
+		if err := runDoctor(&out, dir, "average"); err != nil {
+			t.Fatalf("doctor failed: %v\n%s", err, out.String())
+		}
+		return out.String()
+	}
+	if r, want := report(), fmt.Sprintf("%d current, 0 corrupt", len(files)); !strings.Contains(r, want) {
+		t.Fatalf("intact cache: report missing %q:\n%s", want, r)
+	}
+
+	if err := os.WriteFile(files[0], []byte("garbage"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	f, err := os.OpenFile(files[1], os.O_APPEND|os.O_WRONLY, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.Write([]byte{0}); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+	r := report()
+	for _, want := range []string{
+		fmt.Sprintf("%d current, 2 corrupt (will be rejected and recomputed)", len(files)-2),
+		"ok\n",
+	} {
+		if !strings.Contains(r, want) {
+			t.Errorf("damaged cache: report missing %q:\n%s", want, r)
 		}
 	}
 }

@@ -219,10 +219,6 @@ type EngineConfig struct {
 	// warm. Empty keeps artifacts in memory only. Corrupted, truncated
 	// or version-mismatched files are silently recomputed, never fatal.
 	CacheDir string
-	// MaxArtifacts bounds the in-memory artifact tier (LRU); <= 0 uses
-	// a default that comfortably holds several analyses worth of
-	// stages.
-	MaxArtifacts int
 	// MaxCacheBytes bounds the CacheDir tier: after each write, the
 	// least recently used artifact files are deleted until the total
 	// is under the cap. <= 0 means a 4 GiB default. Analysis
@@ -246,7 +242,6 @@ type Engine struct {
 func NewEngine(cfg EngineConfig) *Engine {
 	store := artifact.NewStore(artifact.Options{
 		Dir:          cfg.CacheDir,
-		MaxEntries:   cfg.MaxArtifacts,
 		MaxDiskBytes: cfg.MaxCacheBytes,
 	})
 	return &Engine{pipe: pipeline.New(store)}

@@ -607,28 +607,6 @@ func (s *Store) Encoded(key string, codec Codec) ([]byte, ServeSource) {
 // path survives (by re-encoding or missing) but should not hide.
 func (s *Store) DiskServeRejects() uint64 { return s.diskServeRejects.Load() }
 
-// Has reports whether Encoded would likely succeed, without reading
-// payload bytes — the peer HEAD have-check. It is advisory: a stat-able
-// file may still fail verification on the subsequent GET, which the
-// fetching store treats as a miss anyway. A key that fails validKey is
-// never had.
-func (s *Store) Has(key string, codec Codec) bool {
-	if !validKey(key) {
-		return false
-	}
-	s.mu.Lock()
-	if e, ok := s.entries[key]; ok && e.done && e.err == nil && e.kind == codec.Kind() {
-		s.mu.Unlock()
-		return true
-	}
-	s.mu.Unlock()
-	if s.dir == "" {
-		return false
-	}
-	info, err := os.Stat(s.path(key, codec))
-	return err == nil && info.Mode().IsRegular()
-}
-
 // noteDiskWrite maintains the running disk-tier byte estimate and
 // triggers GC only when it crosses the cap, keeping the common write
 // O(1) instead of a directory scan. The estimate may drift (a rename

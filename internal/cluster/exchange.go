@@ -12,8 +12,7 @@ import (
 )
 
 // ArtifactPathPrefix is the peer wire route for artifact frames:
-// GET  {prefix}{kind}/{key} returns the framed encoding (200) or 404;
-// HEAD {prefix}{kind}/{key} is the cheap have-check.
+// GET {prefix}{kind}/{key} returns the framed encoding (200) or 404.
 // The kind segment selects the codec server-side, so the serving node
 // frames (and the fetching node verifies) with the same codec the disk
 // tier uses — a peer response and a disk file are interchangeable.
@@ -173,7 +172,7 @@ func (e *exchange) fetchFrom(ctx context.Context, peer, key string, codec artifa
 	return frame, true
 }
 
-// serveArtifact answers GET/HEAD {ArtifactPathPrefix}{kind}/{key} from
+// serveArtifact answers GET {ArtifactPathPrefix}{kind}/{key} from
 // the local store only — it never computes and never asks other peers,
 // which is what makes the peer protocol loop-free by construction.
 func (e *exchange) serveArtifact(w http.ResponseWriter, r *http.Request) {
@@ -183,16 +182,6 @@ func (e *exchange) serveArtifact(w http.ResponseWriter, r *http.Request) {
 	if !ok || key == "" {
 		e.serveMisses.Add(1)
 		http.Error(w, "unknown artifact kind", http.StatusNotFound)
-		return
-	}
-	if r.Method == http.MethodHead {
-		if e.store.Has(key, codec) {
-			e.serveHits.Add(1)
-			w.WriteHeader(http.StatusOK)
-		} else {
-			e.serveMisses.Add(1)
-			w.WriteHeader(http.StatusNotFound)
-		}
 		return
 	}
 	frame, src := e.store.Encoded(key, codec)

@@ -191,7 +191,7 @@ func (n *Node) Metrics() Metrics { return n.exchange.metrics() }
 // Peers returns the current health snapshot of every peer.
 func (n *Node) Peers() []PeerStatus { return n.health.snapshot() }
 
-// ServeArtifact answers the peer wire route (GET/HEAD
+// ServeArtifact answers the peer wire route (GET
 // {ArtifactPathPrefix}{kind}/{key}) from the local store only.
 func (n *Node) ServeArtifact(w http.ResponseWriter, r *http.Request) {
 	n.exchange.serveArtifact(w, r)

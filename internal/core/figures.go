@@ -1,17 +1,13 @@
 package core
 
 import (
-	"fmt"
-
 	"cuisines/internal/authenticity"
 	"cuisines/internal/distance"
 	"cuisines/internal/encode"
-	"cuisines/internal/geo"
 	"cuisines/internal/hac"
 	"cuisines/internal/itemset"
 	"cuisines/internal/kmeans"
 	"cuisines/internal/parallel"
-	"cuisines/internal/recipedb"
 )
 
 // DefaultLinkage is the linkage method used for the cosine, Jaccard,
@@ -48,8 +44,8 @@ type CuisineTree struct {
 // own distances (a pdist over a feature matrix, or the geographic
 // great-circle matrix); metric labels the tree and does not enter the
 // linkage. It is the pipeline's tree stage (bootstrap replicates
-// included, which run through the pipeline) and the tail of
-// BuildFiguresWorkers and the per-kind trees.
+// included, which run through the pipeline) and the tail of the
+// per-kind trees.
 func LinkTree(name string, d *distance.Condensed, labels []string, metric distance.Metric, method hac.Method) (*CuisineTree, error) {
 	lk, err := hac.Cluster(d, method)
 	if err != nil {
@@ -69,9 +65,8 @@ func LinkTree(name string, d *distance.Condensed, labels []string, metric distan
 
 // AuthMinRegionPrevalence is the Fig. 5 long-tail cutoff: items whose
 // prevalence never reaches it in any region are dropped from the
-// authenticity matrix. Shared by the monolithic build below and the
-// staged pipeline (internal/pipeline), where it is part of the auth
-// stage key.
+// authenticity matrix. The staged pipeline (internal/pipeline) makes it
+// part of the auth stage key.
 const AuthMinRegionPrevalence = 0.03
 
 // ElbowKMax and ElbowSeed pin the Fig. 1 sweep; the staged pipeline
@@ -97,8 +92,8 @@ func SplitWorkers(workers int) (outer, inner int) {
 }
 
 // BuildPatternFeatures derives Table I and the anchored binary pattern
-// feature matrix from a mining run — the "matrices" step shared by
-// BuildFiguresWorkers and the staged pipeline.
+// feature matrix from a mining run — the staged pipeline's "matrices"
+// step.
 func BuildPatternFeatures(mined []RegionPatterns, minSupport float64) (*Table1, *encode.PatternMatrix, error) {
 	ranker := NewRanker(mined, 0)
 	t1 := &Table1{MinSupport: minSupport}
@@ -155,85 +150,4 @@ func AnchoredPatterns(sets [][]itemset.Pattern) [][]itemset.Pattern {
 		}
 	}
 	return out
-}
-
-// BuildFiguresWorkers runs the whole evaluation on a database in one
-// call, without the staged pipeline's artifact store. It is the
-// reference the pipeline is pinned against (TestByteIdentityWithMonolithicBuild)
-// and what BenchmarkBuildFiguresParallel measures; every shipped command
-// builds its figures through internal/pipeline. method is the linkage
-// for the cosine/Jaccard/authenticity/geographic trees (the Euclidean
-// pattern tree always uses EuclideanLinkage). workers <= 0 means
-// GOMAXPROCS and 1 forces the fully sequential path. The build
-// parallelizes at two grains: the per-cuisine Eclat runs fan out first
-// over the full budget, then the six independent figure builds (the
-// Fig. 1 elbow sweep, the three pattern trees, the authenticity matrix
-// + tree, and the geographic tree) run concurrently, with the budget
-// split between the outer fan-out and each figure's inner pdist /
-// k-sweep so the total concurrency stays bounded by workers rather than
-// multiplying across the nesting. Each figure lands in its own slot and
-// depends only on the immutable inputs, so the artifact set is
-// identical to the sequential build for any worker count.
-func BuildFiguresWorkers(db *recipedb.DB, minSupport float64, method hac.Method, workers int) (*Figures, error) {
-	if minSupport <= 0 {
-		minSupport = DefaultMinSupport
-	}
-	mined, err := MineRegionsWorkers(db, minSupport, workers)
-	if err != nil {
-		return nil, err
-	}
-	t1, pm, err := BuildPatternFeatures(mined, minSupport)
-	if err != nil {
-		return nil, err
-	}
-	if pm.X.Rows() < 2 {
-		return nil, fmt.Errorf("core: need at least two cuisines, have %d", pm.X.Rows())
-	}
-	outer, inner := SplitWorkers(workers)
-	figs := &Figures{Table1: t1, Patterns: pm, Mined: mined}
-	patternTree := func(metric distance.Metric, method hac.Method) (*CuisineTree, error) {
-		d := distance.PdistWorkers(pm.X, metric, inner)
-		return LinkTree("patterns-"+metric.String(), d, pm.Regions, metric, method)
-	}
-	err = parallel.Do(outer,
-		func() (err error) {
-			figs.Elbow, err = kmeans.Elbow(pm.X, ElbowKMax, kmeans.Options{Seed: ElbowSeed, Workers: inner})
-			return err
-		},
-		func() (err error) {
-			figs.Euclidean, err = patternTree(distance.Euclidean, EuclideanLinkage)
-			return err
-		},
-		func() (err error) {
-			figs.Cosine, err = patternTree(distance.Cosine, method)
-			return err
-		},
-		func() (err error) {
-			figs.Jaccard, err = patternTree(distance.Jaccard, method)
-			return err
-		},
-		func() (err error) {
-			am, err := authenticity.Build(db, authenticity.Options{MinRegionPrevalence: AuthMinRegionPrevalence})
-			if err != nil {
-				return err
-			}
-			figs.AuthMat = am
-			d := distance.PdistWorkers(am.FeatureMatrix(), distance.Euclidean, inner)
-			figs.Auth, err = LinkTree("authenticity-euclidean", d, am.Regions, distance.Euclidean, method)
-			return err
-		},
-		func() (err error) {
-			d, err := geo.DistanceMatrix(db.Regions())
-			if err != nil {
-				return err
-			}
-			// Metric is a label only; the distances are haversine km.
-			figs.Geo, err = LinkTree("geographic", d, db.Regions(), distance.Euclidean, method)
-			return err
-		},
-	)
-	if err != nil {
-		return nil, err
-	}
-	return figs, nil
 }

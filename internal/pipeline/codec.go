@@ -75,20 +75,9 @@ func stage[T any](ctx context.Context, s *artifact.Store, key string, codec arti
 	return v.(T), nil
 }
 
-// CodecVersions reports the current codec version for every stage kind.
-// `cuisined -doctor` uses it to inventory a cache directory: a file
-// whose embedded version differs from the current one is orphaned (it
-// will be ignored and recomputed, never misread).
-func CodecVersions() map[string]int {
-	out := make(map[string]int)
-	for k, c := range Codecs() {
-		out[k] = c.Version()
-	}
-	return out
-}
-
 // Codecs returns the current stage codecs by kind. The cluster layer
-// uses it to frame and verify artifacts on the peer wire — the same
+// uses it to frame and verify artifacts on the peer wire, and
+// `cuisined -doctor` to inventory a cache directory — the same
 // codecs the disk tier uses, so a peer's bytes and a disk file are
 // interchangeable.
 func Codecs() map[string]artifact.Codec {

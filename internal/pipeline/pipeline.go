@@ -1,7 +1,7 @@
-// Package pipeline decomposes the paper's evaluation into an explicit
-// stage graph with per-stage, content-addressed artifact caching
-// (DESIGN.md §8). Where core.BuildFiguresWorkers runs the pipeline as
-// one opaque call, this package names each edge of the dataflow —
+// Package pipeline runs the paper's evaluation as an explicit stage
+// graph with per-stage, content-addressed artifact caching (DESIGN.md
+// §8). It is the one place the figure chain is wired; each edge of the
+// dataflow is named —
 //
 //	corpus(seed, scale)
 //	  └─ mine(corpus, minSupport)
@@ -22,10 +22,11 @@
 // artifacts, and a disk-backed store survives restarts.
 //
 // Invariant carried over from the parallel layer (DESIGN.md §3):
-// outputs are byte-identical to the sequential single-shot build for
-// any worker count and any cache state — cold, warm-memory or
-// warm-disk. Stages are pure functions of their inputs, serialization
-// round-trips exactly, and worker counts never enter a key.
+// outputs are byte-identical for any worker count and any cache state
+// — cold, warm-memory, warm-disk or fetched from a peer — which the
+// root package's identity matrix pins to one golden. Stages are pure
+// functions of their inputs, serialization round-trips exactly, and
+// worker counts never enter a key.
 package pipeline
 
 import (
@@ -141,11 +142,13 @@ func withDefaults(pr Params) Params {
 	return pr
 }
 
-// runFrom executes every stage downstream of the corpus. The stage
-// fan-out mirrors core.BuildFiguresWorkers: the six independent figure
-// chains run concurrently with the worker budget split between the
-// outer fan-out and each chain's inner pdist / k-sweep, so total
-// concurrency stays bounded by Workers rather than multiplying.
+// runFrom executes every stage downstream of the corpus. Mining fans
+// out per cuisine over the full budget; then the six independent figure
+// chains run concurrently with the budget split between the outer
+// fan-out and each chain's inner pdist / k-sweep (core.SplitWorkers),
+// so total concurrency stays bounded by Workers rather than
+// multiplying. Each chain lands in its own slot, so the result is the
+// same for any worker count.
 //
 // Only the mine and auth computes read recipes, so db is called from
 // those two alone: a run whose mine and auth artifacts are stored never

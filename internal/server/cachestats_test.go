@@ -130,6 +130,65 @@ func TestWarmRestartServesFromDisk(t *testing.T) {
 	}
 }
 
+// TestCacheStatsAgreesWithMetrics: /v1/cachestats and /metrics read
+// the same per-stage counters, so after a cold request and a warm
+// restart — one of whose files is corrupt, so the restart both loads
+// and rejects — every stage's hits, disk hits, disk rejects, peer hits
+// and computes agree between the two, sample for sample.
+func TestCacheStatsAgreesWithMetrics(t *testing.T) {
+	dir := t.TempDir()
+	opts := cuisines.Options{Scale: testScale}
+	agree := func(boot string, s *Server) {
+		t.Helper()
+		_, body, _ := get(t, s, "/v1/cachestats")
+		stages := decode[cuisines.CacheStatsResponse](t, body).Stages
+		_, metricsBody, _ := get(t, s, "/metrics")
+		samples := parseMetrics(t, string(metricsBody))
+		for kind := range pipeline.Codecs() {
+			st := stages[kind]
+			for _, ev := range []struct {
+				event string
+				n     uint64
+			}{
+				{"hit", st.Hits}, {"disk_hit", st.DiskHits}, {"disk_reject", st.DiskRejects},
+				{"peer_hit", st.PeerHits}, {"computed", st.Computed},
+			} {
+				series := fmt.Sprintf("cuisined_stage_cache_events_total{stage=%q,event=%q}", kind, ev.event)
+				got, ok := samples[series]
+				if !ok {
+					t.Errorf("%s: /metrics has no %s", boot, series)
+				} else if got != float64(ev.n) {
+					t.Errorf("%s: %s = %v, /v1/cachestats says %d", boot, series, got, ev.n)
+				}
+			}
+		}
+	}
+
+	cold := New(Config{Base: opts, Engine: cuisines.NewEngine(cuisines.EngineConfig{CacheDir: dir})})
+	if code, body, _ := get(t, cold, "/v1/table"); code != 200 {
+		t.Fatalf("cold table: %d %s", code, body)
+	}
+	agree("cold", cold)
+
+	trees, err := filepath.Glob(filepath.Join(dir, "tree-*.art"))
+	if err != nil || len(trees) == 0 {
+		t.Fatalf("no tree artifacts on disk: %v", err)
+	}
+	if err := os.WriteFile(trees[0], []byte("garbage"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	warm := New(Config{Base: opts, Engine: cuisines.NewEngine(cuisines.EngineConfig{CacheDir: dir})})
+	for _, path := range []string{"/v1/table", "/v1/stats"} {
+		if code, body, _ := get(t, warm, path); code != 200 {
+			t.Fatalf("warm %s: %d %s", path, code, body)
+		}
+	}
+	if st := warm.engine.CacheStats()["tree"]; st.DiskRejects != 1 || st.Computed != 1 {
+		t.Fatalf("warm restart over a corrupt tree file: %+v, want 1 reject and 1 compute", st)
+	}
+	agree("warm restart", warm)
+}
+
 // corpusFreePaths is one URL per /v1 analysis family that reads no
 // recipes, so a warm restart answers each without loading the corpus.
 var corpusFreePaths = []string{
@@ -233,7 +292,7 @@ func TestWarmRestartLoadsCorpusOnDemand(t *testing.T) {
 type gobValidateCodec struct{}
 
 func (gobValidateCodec) Kind() string { return "validate" }
-func (gobValidateCodec) Version() int { return pipeline.CodecVersions()["validate"] }
+func (gobValidateCodec) Version() int { return pipeline.Codecs()["validate"].Version() }
 
 func (gobValidateCodec) AppendEncode(dst []byte, v any) ([]byte, error) {
 	var buf bytes.Buffer
