@@ -119,16 +119,19 @@ type StatsResponse struct {
 // and were fetched or recomputed instead, PeerHits are artifacts
 // fetched from cluster peers instead of recomputed, Computed counts
 // actual stage executions — the number the staged pipeline exists to
-// minimize — and InFlightJoins counts requests that latched onto an
-// already-running computation.
+// minimize — InFlightJoins counts requests that latched onto an
+// already-running computation, and DiskWriteErrors counts artifacts
+// the persistent tier failed to write (served anyway, but not
+// persisted for the next restart).
 type StageCacheStats struct {
-	Hits          uint64 `json:"hits"`
-	DiskHits      uint64 `json:"disk_hits"`
-	DiskRejects   uint64 `json:"disk_rejects"`
-	PeerHits      uint64 `json:"peer_hits"`
-	Computed      uint64 `json:"computed"`
-	Evictions     uint64 `json:"evictions"`
-	InFlightJoins uint64 `json:"inflight_joins"`
+	Hits            uint64 `json:"hits"`
+	DiskHits        uint64 `json:"disk_hits"`
+	DiskRejects     uint64 `json:"disk_rejects"`
+	PeerHits        uint64 `json:"peer_hits"`
+	Computed        uint64 `json:"computed"`
+	Evictions       uint64 `json:"evictions"`
+	InFlightJoins   uint64 `json:"inflight_joins"`
+	DiskWriteErrors uint64 `json:"disk_write_errors"`
 }
 
 // AnalysisCacheStats counts the daemon's analysis-level cache traffic

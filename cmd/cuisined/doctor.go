@@ -18,11 +18,11 @@ import (
 // runDoctor performs the daemon's startup self-checks and writes a
 // human-readable report to out: flag values parse, the cache directory
 // (if any) is writable, and every artifact file in it carries a codec
-// version the current binary understands and passes frame
-// verification. A non-nil error means the daemon could not serve
-// correctly with this configuration; corrupt and orphaned artifacts
-// (stale codec versions) are only reported — they are ignored and
-// recomputed at runtime, never misread.
+// version the current binary understands and decodes. A non-nil error
+// means the daemon could not serve correctly with this configuration;
+// corrupt and orphaned artifacts (stale codec versions) are only
+// reported — they are ignored and recomputed at runtime, never
+// misread.
 func runDoctor(out io.Writer, cacheDir, linkage string) error {
 	fmt.Fprintf(out, "cuisined doctor\n")
 
@@ -84,9 +84,10 @@ var artifactName = regexp.MustCompile(`^([A-Za-z0-9_.-]+?)-v(\d+)-[0-9a-f]+\.art
 type inventory struct{ current, corrupt, orphaned, foreign int }
 
 // inventoryArtifacts classifies every .art file in dir against the
-// current codecs: current (kind known, version matches, frame
-// verifies), corrupt (kind and version match but the frame fails
-// artifact.VerifyFrame — the store rejects and recomputes it), orphaned
+// current codecs: current (kind known, version matches, frame decodes),
+// corrupt (kind and version match but artifact.DecodeFrame refuses the
+// frame — a checksum that verifies over a body its decoder rejects
+// included — so the store rejects and recomputes it), orphaned
 // (kind known, version differs — ignored and recomputed at runtime),
 // or unrecognized (unknown kind or unparseable name).
 func inventoryArtifacts(dir string, codecs map[string]artifact.Codec) (inventory, error) {
@@ -117,7 +118,7 @@ func inventoryArtifacts(dir string, codecs map[string]artifact.Codec) (inventory
 		if err != nil {
 			return inv, fmt.Errorf("cache-dir %s: %w", dir, err)
 		}
-		if artifact.VerifyFrame(data, codec) != nil {
+		if _, err := artifact.DecodeFrame(data, codec); err != nil {
 			inv.corrupt++
 		} else {
 			inv.current++

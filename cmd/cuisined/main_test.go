@@ -13,6 +13,7 @@ import (
 
 	"cuisines/internal/artifact"
 	"cuisines/internal/core"
+	"cuisines/internal/kmeans"
 	"cuisines/internal/pipeline"
 )
 
@@ -86,8 +87,10 @@ func TestDoctorInventoriesArtifacts(t *testing.T) {
 }
 
 // TestDoctorCountsCorruptArtifacts: a current-version file that fails
-// frame verification — garbage, or a valid frame with one byte
-// appended — is reported corrupt, once each, and not as current.
+// to decode is reported corrupt, once each, and not as current. Three
+// kinds of damage: garbage, a valid frame with one byte appended, and
+// a correctly checksummed elbow frame whose body holds a negative WCSS,
+// which only the decoder refuses.
 func TestDoctorCountsCorruptArtifacts(t *testing.T) {
 	dir := t.TempDir()
 	p := pipeline.New(artifact.NewStore(artifact.Options{Dir: dir}))
@@ -123,9 +126,21 @@ func TestDoctorCountsCorruptArtifacts(t *testing.T) {
 	if err := f.Close(); err != nil {
 		t.Fatal(err)
 	}
+	elbow := pipeline.Codecs()["elbow"]
+	frame, err := artifact.EncodeFrame(elbow, kmeans.NewElbowCurve([]kmeans.ElbowPoint{{K: 1, WCSS: 9}, {K: 2, WCSS: -4}}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if artifact.VerifyFrame(frame, elbow) != nil {
+		t.Fatal("the negative-WCSS elbow frame fails verification; it must fail only its decoder")
+	}
+	name := fmt.Sprintf("elbow-v%d-%s.art", elbow.Version(), artifact.Key("elbow", "negative-wcss"))
+	if err := os.WriteFile(filepath.Join(dir, name), frame, 0o644); err != nil {
+		t.Fatal(err)
+	}
 	r := report()
 	for _, want := range []string{
-		fmt.Sprintf("%d current, 2 corrupt (will be rejected and recomputed)", len(files)-2),
+		fmt.Sprintf("%d current, 3 corrupt (will be rejected and recomputed)", len(files)-2),
 		"ok\n",
 	} {
 		if !strings.Contains(r, want) {

@@ -35,6 +35,7 @@ import (
 	"cuisines/internal/corpus"
 	"cuisines/internal/distance"
 	"cuisines/internal/hac"
+	"cuisines/internal/kmeans"
 	"cuisines/internal/miner"
 	"cuisines/internal/pipeline"
 	"cuisines/internal/recipedb"
@@ -59,11 +60,12 @@ type Options struct {
 	Linkage string
 	// Workers bounds the worker pool every parallel stage draws from:
 	// per-region corpus generation, the per-cuisine mining runs, the
-	// pdist row fan-outs, the Fig. 1 elbow sweep and the concurrent
-	// construction of the five dendrograms. 0 (the default) means
-	// runtime.GOMAXPROCS(0); 1 forces the fully sequential path. Every
-	// result is byte-identical for any value — parallelism only changes
-	// how fast the answer arrives, never the answer (see DESIGN.md §3).
+	// pdist row fan-outs, the concurrent construction of the five
+	// dendrograms and the on-demand Fig. 1 elbow sweep. 0 (the
+	// default) means runtime.GOMAXPROCS(0); 1 forces the fully
+	// sequential path. Every result is byte-identical for any value —
+	// parallelism only changes how fast the answer arrives, never the
+	// answer (see DESIGN.md §3).
 	Workers int
 	// Miner names the frequent-itemset miner. Eclat is the only one,
 	// so the field accepts only "" and "eclat" (any case) and
@@ -186,6 +188,7 @@ func (f Figure) String() string {
 // RunFromCSV or RunFromJSONL keeps the recipes it was given.)
 type Analysis struct {
 	corpus     func() (*recipedb.DB, error)
+	elbow      func() (*kmeans.ElbowCurve, error)
 	figures    *core.Figures
 	validation *core.Validation
 
@@ -248,9 +251,10 @@ func NewEngine(cfg EngineConfig) *Engine {
 }
 
 // Run generates the calibrated corpus and executes the complete
-// pipeline — per-cuisine Eclat mining, Table I significance ranking, the
-// Fig. 1 elbow analysis, the five dendrograms, and the Sec. VII
-// validation — reusing any stage artifacts the engine already holds.
+// pipeline — per-cuisine Eclat mining, Table I significance ranking,
+// the five dendrograms, and the Sec. VII validation — reusing any stage
+// artifacts the engine already holds. The Fig. 1 elbow analysis runs
+// on demand, on the first ElbowReport or ElbowSharp.
 func (e *Engine) Run(opts Options) (*Analysis, error) {
 	return e.RunContext(context.Background(), opts)
 }
@@ -283,13 +287,15 @@ func (e *Engine) RunContext(ctx context.Context, opts Options) (*Analysis, error
 	return newAnalysis(ctx, res), nil
 }
 
-// newAnalysis wraps a pipeline result. The corpus resolver keeps ctx's
-// values but not its cancellation: an accessor may run long after the
-// request that built the Analysis has finished.
+// newAnalysis wraps a pipeline result. The corpus and elbow resolvers
+// keep ctx's values but not its cancellation: an accessor may run long
+// after the request that built the Analysis has finished. The elbow is
+// resolved at most once per Analysis.
 func newAnalysis(ctx context.Context, res *pipeline.Result) *Analysis {
 	ctx = context.WithoutCancel(ctx)
 	return &Analysis{
 		corpus:     func() (*recipedb.DB, error) { return res.DB(ctx) },
+		elbow:      sync.OnceValues(func() (*kmeans.ElbowCurve, error) { return res.Elbow(ctx) }),
 		figures:    res.Figures,
 		validation: res.Validation,
 	}
@@ -347,13 +353,14 @@ func (e *Engine) CacheStats() map[string]StageCacheStats {
 	out := make(map[string]StageCacheStats, len(stats))
 	for kind, s := range stats {
 		out[kind] = StageCacheStats{
-			Hits:          s.Hits,
-			DiskHits:      s.DiskHits,
-			DiskRejects:   s.DiskRejects,
-			PeerHits:      s.PeerHits,
-			Computed:      s.Computed,
-			Evictions:     s.Evictions,
-			InFlightJoins: s.InFlightJoins,
+			Hits:            s.Hits,
+			DiskHits:        s.DiskHits,
+			DiskRejects:     s.DiskRejects,
+			PeerHits:        s.PeerHits,
+			Computed:        s.Computed,
+			Evictions:       s.Evictions,
+			InFlightJoins:   s.InFlightJoins,
+			DiskWriteErrors: s.DiskWriteErrors,
 		}
 	}
 	return out
@@ -550,13 +557,25 @@ func (a *Analysis) recipes() *recipedb.DB {
 	return db
 }
 
-// ElbowReport renders the Fig. 1 elbow analysis.
+// elbowCurve resolves the Fig. 1 curve on first use: no other output
+// reads it, so an analysis nobody asks for Fig. 1 never computes,
+// loads or fetches it. As with recipes, a failure here is a bug.
+func (a *Analysis) elbowCurve() *kmeans.ElbowCurve {
+	c, err := a.elbow()
+	if err != nil {
+		panic(fmt.Sprintf("cuisines: resolve elbow: %v", err))
+	}
+	return c
+}
+
+// ElbowReport renders the Fig. 1 elbow analysis. The first call to it
+// or ElbowSharp runs (or loads) the k-means sweep.
 func (a *Analysis) ElbowReport() string {
 	var b strings.Builder
-	_ = a.figures.Elbow.Render(&b)
+	_ = a.elbowCurve().Render(&b)
 	return b.String()
 }
 
 // ElbowSharp reports whether the WCSS curve had a pronounced elbow (the
 // paper's Fig. 1 finds none).
-func (a *Analysis) ElbowSharp() bool { return a.figures.Elbow.Sharp() }
+func (a *Analysis) ElbowSharp() bool { return a.elbowCurve().Sharp() }

@@ -31,7 +31,8 @@ const identityScale = 0.05
 // figureSections renders every output an Analysis derives without its
 // corpus: Table I, each dendrogram with its Newick string, the Fig. 1
 // elbow report and the Sec. VII report with every claim's verdict.
-func figureSections(t *testing.T, a *Analysis) string {
+// beforeElbow, when set, is called just before the elbow report.
+func figureSections(t *testing.T, a *Analysis, beforeElbow func()) string {
 	t.Helper()
 	var b strings.Builder
 	b.WriteString("== Table I\n" + a.RenderTable())
@@ -45,6 +46,9 @@ func figureSections(t *testing.T, a *Analysis) string {
 			t.Fatal(err)
 		}
 		fmt.Fprintf(&b, "== %s\n%s%s\n", f, d, nw)
+	}
+	if beforeElbow != nil {
+		beforeElbow()
 	}
 	b.WriteString("== Fig. 1\n" + a.ElbowReport())
 	b.WriteString("== Sec. VII\n" + a.RenderValidation())
@@ -76,6 +80,13 @@ func corpusTouches(e *Engine) uint64 {
 	return st.DiskHits + st.PeerHits + st.Computed
 }
 
+// elbowTouches counts how often the elbow stage was resolved from any
+// tier: memory, disk, a peer or a compute.
+func elbowTouches(e *Engine) uint64 {
+	st := e.CacheStats()["elbow"]
+	return st.Hits + st.DiskHits + st.PeerHits + st.Computed
+}
+
 // firstDiff names the first line where got departs from want.
 func firstDiff(got, want string) string {
 	g, w := strings.Split(got, "\n"), strings.Split(want, "\n")
@@ -104,6 +115,9 @@ var identityWant []byte
 // byte for byte. Eager cells read the corpus (Stats, FoodPairings)
 // before anything else; demand-driven cells read it last, and a
 // warm-disk or peer analysis must not touch the corpus until then.
+// Demand-driven cells also check that the elbow stage stays untouched
+// until ElbowReport, and that ElbowReport and ElbowSharp resolve it
+// exactly once between them.
 // Warm-disk and peer cells compute nothing, and a peer cell fetches
 // every stage kind from its peer.
 func identityMatrix(t *testing.T, workers int) {
@@ -126,6 +140,7 @@ func identityMatrix(t *testing.T, workers int) {
 			// before the corpus is first read.
 			cell := func(state string, e *Engine, untouched func()) {
 				t.Helper()
+				elbows := elbowTouches(e)
 				a, err := e.Run(opts)
 				if err != nil {
 					t.Fatalf("%s: %v", state, err)
@@ -133,9 +148,17 @@ func identityMatrix(t *testing.T, workers int) {
 				var figs, corp string
 				if eager {
 					corp = corpusSections(t, a)
-					figs = figureSections(t, a)
+					figs = figureSections(t, a, nil)
 				} else {
-					figs = figureSections(t, a)
+					figs = figureSections(t, a, func() {
+						if n := elbowTouches(e) - elbows; n != 0 {
+							t.Errorf("%s: elbow stage touched %d times before ElbowReport, want 0", state, n)
+						}
+					})
+					a.ElbowSharp()
+					if n := elbowTouches(e) - elbows; n != 1 {
+						t.Errorf("%s: elbow stage touched %d times by ElbowReport and ElbowSharp, want 1", state, n)
+					}
 					if untouched != nil {
 						untouched()
 					}

@@ -100,17 +100,21 @@ func validKey(key string) bool {
 // read but failed verification or decode (each then falls through to
 // the next tier, as a miss would), PeerHits are artifacts obtained from
 // a cluster peer via the Fetcher hook, Computed counts actual stage
-// executions, Evictions counts memory-tier LRU evictions, and
+// executions, Evictions counts memory-tier LRU evictions,
 // InFlightJoins counts callers that latched onto an in-flight
-// computation instead of starting their own.
+// computation instead of starting their own, and DiskWriteErrors
+// counts artifacts the disk tier failed to persist (an encode or I/O
+// error; the value is still served, but the next restart recomputes
+// or refetches it).
 type Stats struct {
-	Hits          uint64 `json:"hits"`
-	DiskHits      uint64 `json:"disk_hits"`
-	DiskRejects   uint64 `json:"disk_rejects"`
-	PeerHits      uint64 `json:"peer_hits"`
-	Computed      uint64 `json:"computed"`
-	Evictions     uint64 `json:"evictions"`
-	InFlightJoins uint64 `json:"inflight_joins"`
+	Hits            uint64 `json:"hits"`
+	DiskHits        uint64 `json:"disk_hits"`
+	DiskRejects     uint64 `json:"disk_rejects"`
+	PeerHits        uint64 `json:"peer_hits"`
+	Computed        uint64 `json:"computed"`
+	Evictions       uint64 `json:"evictions"`
+	InFlightJoins   uint64 `json:"inflight_joins"`
+	DiskWriteErrors uint64 `json:"disk_write_errors"`
 }
 
 // Fetcher is the peer-exchange hook: on a local miss (memory and disk)
@@ -140,8 +144,9 @@ type Options struct {
 }
 
 // DefaultMaxEntries bounds the memory tier when the caller does not: a
-// full analysis produces ~13 artifacts, so the default comfortably
-// holds several analyses worth of stages.
+// full analysis produces 15 artifacts (16 once its on-demand elbow is
+// resolved), so the default holds about eight analyses worth of
+// stages.
 const DefaultMaxEntries = 128
 
 // DefaultMaxDiskBytes bounds the disk tier when the caller does not:
@@ -295,9 +300,12 @@ func (s *Store) GetOrCompute(ctx context.Context, key string, codec Codec, compu
 	v, err := compute()
 	s.finish(e, kind, v, err, srcCompute)
 	// The disk write is best effort: an encoding or I/O failure leaves
-	// the cache cold but never fails the pipeline.
-	if err == nil && s.dir != "" {
-		if frame, err := EncodeFrame(codec, v); err == nil {
+	// the cache cold but never fails the pipeline. Either failure is
+	// counted as a DiskWriteError.
+	if err == nil && s.dir != "" && validKey(key) {
+		if frame, err := EncodeFrame(codec, v); err != nil {
+			s.noteDiskWriteError(kind)
+		} else {
 			s.writeFrame(key, codec, frame)
 		}
 	}
@@ -367,8 +375,8 @@ func (s *Store) Summary() []string {
 	out := make([]string, len(kinds))
 	for i, k := range kinds {
 		st := stats[k]
-		out[i] = fmt.Sprintf("%s: hits=%d disk_hits=%d disk_rejects=%d peer_hits=%d computed=%d evictions=%d inflight_joins=%d",
-			k, st.Hits, st.DiskHits, st.DiskRejects, st.PeerHits, st.Computed, st.Evictions, st.InFlightJoins)
+		out[i] = fmt.Sprintf("%s: hits=%d disk_hits=%d disk_rejects=%d peer_hits=%d computed=%d evictions=%d inflight_joins=%d disk_write_errors=%d",
+			k, st.Hits, st.DiskHits, st.DiskRejects, st.PeerHits, st.Computed, st.Evictions, st.InFlightJoins, st.DiskWriteErrors)
 	}
 	return out
 }
@@ -521,33 +529,49 @@ func touch(path string) {
 	_ = os.Chtimes(path, now, now)
 }
 
-// writeFrame is the shared disk-tier write path: temp file + rename so
-// a crash mid-write cannot leave a torn artifact under the final name.
-// It also persists verified peer frames as-is, so a node that warmed
-// from the cluster stays warm across its own restarts. Without a disk
-// tier, or for an invalid key, it writes nothing.
+// writeFrame is the shared disk-tier write path. It also persists
+// verified peer frames as-is, so a node that warmed from the cluster
+// stays warm across its own restarts. Without a disk tier, or for an
+// invalid key, it writes nothing; a failed write is counted as a
+// DiskWriteError and otherwise ignored.
 func (s *Store) writeFrame(key string, codec Codec, frame []byte) {
 	if s.dir == "" || !validKey(key) {
 		return
 	}
-	if err := os.MkdirAll(s.dir, 0o755); err != nil {
+	if err := s.writeFile(s.path(key, codec), frame); err != nil {
+		s.noteDiskWriteError(codec.Kind())
 		return
+	}
+	s.noteDiskWrite(int64(len(frame)))
+}
+
+// writeFile writes data to path through a temp file + rename, so a
+// crash mid-write cannot leave a torn artifact under the final name.
+func (s *Store) writeFile(path string, data []byte) error {
+	if err := os.MkdirAll(s.dir, 0o755); err != nil {
+		return err
 	}
 	f, err := os.CreateTemp(s.dir, ".tmp-*")
 	if err != nil {
-		return
+		return err
 	}
 	defer os.Remove(f.Name())
-	if _, err := f.Write(frame); err != nil {
+	if _, err := f.Write(data); err != nil {
 		f.Close()
-		return
+		return err
 	}
 	if err := f.Close(); err != nil {
-		return
+		return err
 	}
-	if os.Rename(f.Name(), s.path(key, codec)) == nil {
-		s.noteDiskWrite(int64(len(frame)))
-	}
+	return os.Rename(f.Name(), path)
+}
+
+// noteDiskWriteError counts one artifact of kind that the disk tier
+// failed to persist.
+func (s *Store) noteDiskWriteError(kind string) {
+	s.mu.Lock()
+	s.statsFor(kind).DiskWriteErrors++
+	s.mu.Unlock()
 }
 
 // ServeSource names which tier answered an Encoded call.

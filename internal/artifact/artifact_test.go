@@ -326,6 +326,68 @@ func TestUnwritableDirIsNotFatal(t *testing.T) {
 	}
 }
 
+// failEncodeCodec is intCodec with an encoder that always fails.
+type failEncodeCodec struct{ intCodec }
+
+func (failEncodeCodec) AppendEncode([]byte, any) ([]byte, error) {
+	return nil, fmt.Errorf("encode refused")
+}
+
+// TestDiskWriteErrorsAreCounted: a store whose Dir is a regular file
+// cannot persist anything, yet returns every computed and peer-fetched
+// value, and counts one disk write error per artifact, by kind. Hits on
+// the memory tier write nothing and count nothing; an encoder failure
+// counts like an I/O failure.
+func TestDiskWriteErrorsAreCounted(t *testing.T) {
+	file := filepath.Join(t.TempDir(), "not-a-dir")
+	if err := os.WriteFile(file, nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	s := NewStore(Options{Dir: file})
+	a, b := intCodec{kind: "a", version: 1}, intCodec{kind: "b", version: 1}
+	peerFrame, err := EncodeFrame(b, 9)
+	if err != nil {
+		t.Fatal(err)
+	}
+	peerKey := Key("peer")
+	s.SetFetcher(func(_ context.Context, key string, _ Codec) ([]byte, bool) {
+		return peerFrame, key == peerKey
+	})
+	for i, tc := range []struct {
+		key   string
+		codec Codec
+		want  int
+	}{
+		{Key("a1"), a, 1}, {Key("a2"), a, 2}, {Key("b1"), b, 3}, {peerKey, b, 9},
+		{Key("a1"), a, 1}, // a memory hit writes nothing
+	} {
+		v, err := s.GetOrCompute(context.Background(), tc.key, tc.codec, func() (any, error) { return tc.want, nil })
+		if err != nil || v.(int) != tc.want {
+			t.Fatalf("get %d: %v, %v, want %d", i, v, err, tc.want)
+		}
+	}
+	st := s.Stats()
+	if st["a"].DiskWriteErrors != 2 || st["a"].Computed != 2 || st["a"].Hits != 1 {
+		t.Errorf("kind a: %+v, want 2 computed, 1 hit and 2 disk write errors", st["a"])
+	}
+	if st["b"].DiskWriteErrors != 2 || st["b"].Computed != 1 || st["b"].PeerHits != 1 {
+		t.Errorf("kind b: %+v, want 1 computed, 1 peer hit and 2 disk write errors", st["b"])
+	}
+
+	dir := t.TempDir()
+	s = NewStore(Options{Dir: dir})
+	c := failEncodeCodec{intCodec{kind: "c", version: 1}}
+	if v, err := s.GetOrCompute(context.Background(), diskKey, c, func() (any, error) { return 4, nil }); err != nil || v.(int) != 4 {
+		t.Fatalf("failing encoder was fatal: %v, %v", v, err)
+	}
+	if st := s.Stats()["c"]; st.DiskWriteErrors != 1 {
+		t.Errorf("failing encoder: %+v, want 1 disk write error", st)
+	}
+	if files, _ := filepath.Glob(filepath.Join(dir, "*")); len(files) != 0 {
+		t.Errorf("failing encoder left files: %v", files)
+	}
+}
+
 func TestValidKey(t *testing.T) {
 	if k := Key("stage", "x"); !validKey(k) {
 		t.Fatalf("Key output %q rejected", k)

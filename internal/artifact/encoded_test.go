@@ -27,7 +27,12 @@ func TestEncodedServesVerifiedDiskFrame(t *testing.T) {
 	disk := artifact.NewStore(artifact.Options{Dir: dir})
 	mem := artifact.NewStore(artifact.Options{})
 	for _, s := range []*artifact.Store{disk, mem} {
-		if _, err := pipeline.New(s).Run(ctx, pipeline.Params{Scale: 0.1}); err != nil {
+		res, err := pipeline.New(s).Run(ctx, pipeline.Params{Scale: 0.1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		// The elbow is resolved on demand only.
+		if _, err := res.Elbow(ctx); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -8,24 +8,37 @@ import (
 
 	"cuisines/internal/core"
 	"cuisines/internal/corpus"
+	"cuisines/internal/kmeans"
 	"cuisines/internal/pipeline"
 	"cuisines/internal/recipedb"
 )
 
-// figuresFixture builds figures once on a reduced corpus for the
-// integration tests, through the staged pipeline every command uses.
-var figuresFixture *core.Figures
+// resultFixture runs the staged pipeline every command uses once on a
+// reduced corpus for the integration tests.
+var resultFixture *pipeline.Result
 
-func getFigures(t *testing.T) *core.Figures {
+func getResult(t *testing.T) *pipeline.Result {
 	t.Helper()
-	if figuresFixture == nil {
+	if resultFixture == nil {
 		res, err := pipeline.New(nil).Run(context.Background(), pipeline.Params{Scale: 0.25, Method: core.DefaultLinkage})
 		if err != nil {
 			t.Fatal(err)
 		}
-		figuresFixture = res.Figures
+		resultFixture = res
 	}
-	return figuresFixture
+	return resultFixture
+}
+
+func getFigures(t *testing.T) *core.Figures { return getResult(t).Figures }
+
+// getElbow resolves the fixture's on-demand Fig. 1 curve.
+func getElbow(t *testing.T) *kmeans.ElbowCurve {
+	t.Helper()
+	curve, err := getResult(t).Elbow(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return curve
 }
 
 func TestBuildFiguresComplete(t *testing.T) {
@@ -41,8 +54,8 @@ func TestBuildFiguresComplete(t *testing.T) {
 	if f.Euclidean.Linkage != core.EuclideanLinkage {
 		t.Fatal("euclidean tree must use the euclidean linkage")
 	}
-	if len(f.Elbow.Points) != 15 {
-		t.Fatalf("elbow points = %d", len(f.Elbow.Points))
+	if n := len(getElbow(t).Points); n != 15 {
+		t.Fatalf("elbow points = %d", n)
 	}
 	if f.Patterns.X.Rows() != 26 || f.Patterns.X.Cols() == 0 {
 		t.Fatal("pattern matrix empty")
@@ -55,9 +68,9 @@ func TestBuildFiguresComplete(t *testing.T) {
 func TestFig1NoSharpElbow(t *testing.T) {
 	// The paper's Fig. 1 finding: "no sharp edge or elbow like structure
 	// is obtained".
-	f := getFigures(t)
-	if f.Elbow.Sharp() {
-		t.Fatalf("cuisine features produced a sharp elbow (strength %.3f)", f.Elbow.ElbowStrength)
+	curve := getElbow(t)
+	if curve.Sharp() {
+		t.Fatalf("cuisine features produced a sharp elbow (strength %.3f)", curve.ElbowStrength)
 	}
 }
 

@@ -1,13 +1,14 @@
 // Package parallel is the deterministic fan-out layer shared by every hot
-// stage of the pipeline (corpus generation, per-cuisine mining, pdist, the
-// elbow sweep and figure construction). It provides a bounded worker pool
-// in three shapes — a dynamic parallel-for, a chunked parallel-for, and an
-// order-preserving map — all with the same contract: the result of a
-// parallel run is byte-identical to the sequential run, for any worker
-// count. Determinism comes from the index, not the schedule: every job is
-// keyed by its position in [0, n), reads only immutable shared inputs, and
-// writes only its own slot of the assembled output. Workers only decide
-// *when* a job runs, never *what* it computes or *where* its result lands.
+// stage of the pipeline (corpus generation, per-cuisine mining, pdist,
+// dendrogram construction and the on-demand elbow sweep). It provides a
+// bounded worker pool in three shapes — a dynamic parallel-for, a
+// chunked parallel-for, and an order-preserving map — all with the same
+// contract: the result of a parallel run is byte-identical to the
+// sequential run, for any worker count. Determinism comes from the
+// index, not the schedule: every job is keyed by its position in
+// [0, n), reads only immutable shared inputs, and writes only its own
+// slot of the assembled output. Workers only decide *when* a job runs,
+// never *what* it computes or *where* its result lands.
 //
 // The package deliberately has no queues, channels of results, or
 // completion callbacks: those introduce schedule-dependent ordering, which

@@ -54,6 +54,11 @@ func codecFixtures(tb testing.TB) codecFixture {
 			codecFix.err = err
 			return
 		}
+		elbow, err := res.Elbow(ctx)
+		if err != nil {
+			codecFix.err = err
+			return
+		}
 		figs := res.Figures
 		codecFix = codecFixture{
 			db:       db,
@@ -62,7 +67,7 @@ func codecFixtures(tb testing.TB) codecFixture {
 			pdist:    distance.PdistWorkers(figs.Patterns.X, distance.Euclidean, 0),
 			auth:     figs.AuthMat,
 			tree:     figs.Euclidean,
-			elbow:    figs.Elbow,
+			elbow:    elbow,
 			validate: res.Validation,
 		}
 	})

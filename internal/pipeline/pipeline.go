@@ -6,7 +6,7 @@
 //	corpus(seed, scale)
 //	  └─ mine(corpus, minSupport)
 //	       └─ matrices(mine)                → Table I + pattern features
-//	            ├─ elbow(matrices)          → Fig. 1
+//	            ├─ elbow(matrices)          → Fig. 1, on demand only
 //	            └─ pdist(matrices, metric)  → Figs. 2-4 distances
 //	                 └─ tree(pdist, linkage)
 //	  └─ auth(corpus)                       → Fig. 5 features
@@ -19,7 +19,9 @@
 // stable hashes of the stage's parameters plus its inputs' keys, so
 // two analyses that share a prefix of the graph (same corpus and
 // mining run, different linkage or figure) share the cached upstream
-// artifacts, and a disk-backed store survives restarts.
+// artifacts, and a disk-backed store survives restarts. A run resolves
+// every stage but the elbow: nothing downstream reads Fig. 1, so
+// Result.Elbow resolves it only when a caller asks for it.
 //
 // Invariant carried over from the parallel layer (DESIGN.md §3):
 // outputs are byte-identical for any worker count and any cache state
@@ -64,9 +66,11 @@ type Params struct {
 
 // Result is one full run of the paper's evaluation in pipeline form.
 // DB resolves the run's corpus on demand: a run whose every downstream
-// artifact was already stored never loads it (DESIGN.md §8).
+// artifact was already stored never loads it (DESIGN.md §8). Elbow
+// resolves the Fig. 1 curve on demand, so Figures.Elbow is nil.
 type Result struct {
 	DB         Corpus
+	Elbow      Elbow
 	Figures    *core.Figures
 	Validation *core.Validation
 }
@@ -75,6 +79,12 @@ type Result struct {
 // stage through the store, so a miss there recomputes it; RunOn's
 // returns the database the caller supplied.
 type Corpus func(context.Context) (*recipedb.DB, error)
+
+// Elbow resolves a run's Fig. 1 elbow curve through the store, so a
+// miss there computes the k-means sweep over the run's full worker
+// budget. No other stage reads the curve, and a run that is never asked
+// for it never computes, loads or fetches it.
+type Elbow func(context.Context) (*kmeans.ElbowCurve, error)
 
 // Pipeline executes the stage graph against one artifact store.
 // Pipelines sharing a store share every cached stage.
@@ -142,13 +152,14 @@ func withDefaults(pr Params) Params {
 	return pr
 }
 
-// runFrom executes every stage downstream of the corpus. Mining fans
-// out per cuisine over the full budget; then the six independent figure
-// chains run concurrently with the budget split between the outer
-// fan-out and each chain's inner pdist / k-sweep (core.SplitWorkers),
-// so total concurrency stays bounded by Workers rather than
-// multiplying. Each chain lands in its own slot, so the result is the
-// same for any worker count.
+// runFrom executes every stage downstream of the corpus but the elbow.
+// Mining fans out per cuisine over the full budget; then the five
+// dendrogram chains run concurrently with the budget split between the
+// outer fan-out and each chain's inner pdist (core.SplitWorkers), so
+// total concurrency stays bounded by Workers rather than multiplying.
+// Each chain lands in its own slot, so the result is the same for any
+// worker count. The Fig. 1 elbow is left to Result.Elbow, which keys
+// it exactly as a run would and sweeps k over the full budget.
 //
 // Only the mine and auth computes read recipes, so db is called from
 // those two alone: a run whose mine and auth artifacts are stored never
@@ -188,7 +199,8 @@ func (p *Pipeline) runFrom(ctx context.Context, corpusKey string, db Corpus, pr 
 		return nil, fmt.Errorf("pipeline: need at least two cuisines, have %d", feats.Matrix.X.Rows())
 	}
 
-	// Stage keys for the six figure chains, all derivable upfront.
+	// Stage keys for the five figure chains and the elbow, all
+	// derivable upfront.
 	authKey := artifact.Key("auth", corpusKey, fmt.Sprintf("minprev=%g", core.AuthMinRegionPrevalence))
 	authPdistKey := artifact.Key("pdist", authKey, distance.Euclidean.String())
 	geodistKey := artifact.Key("geodist", corpusKey)
@@ -219,12 +231,6 @@ func (p *Pipeline) runFrom(ctx context.Context, corpusKey string, db Corpus, pr 
 		})
 	}
 	err = parallel.Do(outer,
-		func() (err error) {
-			figs.Elbow, err = stage(ctx, p.store, elbowKey, elbowCodec, func() (*kmeans.ElbowCurve, error) {
-				return kmeans.Elbow(feats.Matrix.X, core.ElbowKMax, kmeans.Options{Seed: core.ElbowSeed, Workers: inner})
-			})
-			return err
-		},
 		func() (err error) {
 			figs.Euclidean, err = patternTree(distance.Euclidean, core.EuclideanLinkage, keyEuc)
 			return err
@@ -285,7 +291,12 @@ func (p *Pipeline) runFrom(ctx context.Context, corpusKey string, db Corpus, pr 
 	if err != nil {
 		return nil, err
 	}
-	return &Result{DB: db, Figures: figs, Validation: v}, nil
+	elbow := func(ctx context.Context) (*kmeans.ElbowCurve, error) {
+		return stage(ctx, p.store, elbowKey, elbowCodec, func() (*kmeans.ElbowCurve, error) {
+			return kmeans.Elbow(feats.Matrix.X, core.ElbowKMax, kmeans.Options{Seed: core.ElbowSeed, Workers: pr.Workers})
+		})
+	}
+	return &Result{DB: db, Elbow: elbow, Figures: figs, Validation: v}, nil
 }
 
 // ContentKey hashes a database's full content — recipes in stored

@@ -67,7 +67,11 @@ func figureSections(t *testing.T, r *Result) string {
 			f.label, f.label, f.ct.Metric, f.ct.Linkage, f.ct.Tree.Render(), f.ct.Tree.Newick())
 	}
 	b.WriteString("== Fig. 1\n")
-	if err := r.Figures.Elbow.Render(&b); err != nil {
+	curve, err := r.Elbow(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := curve.Render(&b); err != nil {
 		t.Fatal(err)
 	}
 	b.WriteString("== Sec. VII\n")
@@ -122,17 +126,58 @@ func TestByteIdentityWithMonolithicBuild(t *testing.T) {
 	}
 }
 
+// runWithElbow runs the graph and resolves its on-demand elbow, so the
+// reuse tests count every stage kind.
+func runWithElbow(t *testing.T, p *Pipeline, pr Params) {
+	t.Helper()
+	res, err := p.Run(context.Background(), pr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := res.Elbow(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestElbowOnDemand: neither a run nor a bootstrap touches the elbow
+// stage, which nothing downstream reads. The stage's counters stay
+// absent until a caller resolves the curve; then it computes once, and
+// resolving it again is a memory hit.
+func TestElbowOnDemand(t *testing.T) {
+	ctx := context.Background()
+	p := New(nil)
+	pr := testParams(core.DefaultLinkage, 0)
+	res, err := p.Run(ctx, pr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := p.Bootstrap(ctx, pr, 2); err != nil {
+		t.Fatal(err)
+	}
+	if st, ok := p.Store().Stats()["elbow"]; ok {
+		t.Fatalf("run and bootstrap touched the elbow stage: %+v", st)
+	}
+	if res.Figures.Elbow != nil {
+		t.Error("Figures.Elbow is set; the elbow resolves only on demand")
+	}
+	for range 2 {
+		if _, err := res.Elbow(ctx); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if st := p.Store().Stats()["elbow"]; st.Computed != 1 || st.Hits != 1 {
+		t.Errorf("elbow resolved twice: %+v, want computed 1, hits 1", st)
+	}
+}
+
 // TestLinkageOnlyChangeReusesUpstream is the staged-reuse acceptance
 // test: switching only the linkage must reuse the cached corpus,
 // mining, matrix and pdist artifacts — each upstream stage executes
 // exactly once across the two runs.
 func TestLinkageOnlyChangeReusesUpstream(t *testing.T) {
 	p := New(nil)
-	if _, err := p.Run(context.Background(), testParams(hac.Average, 0)); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := p.Run(context.Background(), testParams(hac.Ward, 0)); err != nil {
-		t.Fatal(err)
+	for _, method := range []hac.Method{hac.Average, hac.Ward} {
+		runWithElbow(t, p, testParams(method, 0))
 	}
 	st := p.Store().Stats()
 	for _, kind := range []string{"corpus", "mine", "matrices", "auth", "geodist", "elbow"} {
@@ -160,13 +205,9 @@ func TestLinkageOnlyChangeReusesUpstream(t *testing.T) {
 func TestMinSupportOnlyChangeReusesCorpus(t *testing.T) {
 	p := New(nil)
 	pr := testParams(core.DefaultLinkage, 0)
-	if _, err := p.Run(context.Background(), pr); err != nil {
-		t.Fatal(err)
-	}
+	runWithElbow(t, p, pr)
 	pr.MinSupport = 0.25
-	if _, err := p.Run(context.Background(), pr); err != nil {
-		t.Fatal(err)
-	}
+	runWithElbow(t, p, pr)
 	st := p.Store().Stats()
 	for _, kind := range []string{"corpus", "auth", "geodist"} {
 		if got := st[kind].Computed; got != 1 {

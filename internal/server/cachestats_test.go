@@ -131,14 +131,17 @@ func TestWarmRestartServesFromDisk(t *testing.T) {
 }
 
 // TestCacheStatsAgreesWithMetrics: /v1/cachestats and /metrics read
-// the same per-stage counters, so after a cold request and a warm
-// restart — one of whose files is corrupt, so the restart both loads
-// and rejects — every stage's hits, disk hits, disk rejects, peer hits
-// and computes agree between the two, sample for sample.
+// the same per-stage counters, so after a cold request, a warm restart
+// — one of whose files is corrupt, so the restart both loads and
+// rejects — and a boot whose cache dir is a regular file, so every
+// write fails, every stage's hits, disk hits, disk rejects, peer hits,
+// computes and disk write errors agree between the two, sample for
+// sample. The cold /v1/table computes no elbow: nothing it serves
+// reads Fig. 1.
 func TestCacheStatsAgreesWithMetrics(t *testing.T) {
 	dir := t.TempDir()
 	opts := cuisines.Options{Scale: testScale}
-	agree := func(boot string, s *Server) {
+	agree := func(boot string, s *Server) map[string]float64 {
 		t.Helper()
 		_, body, _ := get(t, s, "/v1/cachestats")
 		stages := decode[cuisines.CacheStatsResponse](t, body).Stages
@@ -152,6 +155,7 @@ func TestCacheStatsAgreesWithMetrics(t *testing.T) {
 			}{
 				{"hit", st.Hits}, {"disk_hit", st.DiskHits}, {"disk_reject", st.DiskRejects},
 				{"peer_hit", st.PeerHits}, {"computed", st.Computed},
+				{"disk_write_error", st.DiskWriteErrors},
 			} {
 				series := fmt.Sprintf("cuisined_stage_cache_events_total{stage=%q,event=%q}", kind, ev.event)
 				got, ok := samples[series]
@@ -162,13 +166,20 @@ func TestCacheStatsAgreesWithMetrics(t *testing.T) {
 				}
 			}
 		}
+		return samples
 	}
 
 	cold := New(Config{Base: opts, Engine: cuisines.NewEngine(cuisines.EngineConfig{CacheDir: dir})})
 	if code, body, _ := get(t, cold, "/v1/table"); code != 200 {
 		t.Fatalf("cold table: %d %s", code, body)
 	}
-	agree("cold", cold)
+	samples := agree("cold", cold)
+	if n := samples[`cuisined_stage_cache_events_total{stage="elbow",event="computed"}`]; n != 0 {
+		t.Errorf("cold /v1/table computed the elbow %v times, want 0", n)
+	}
+	if n := samples[`cuisined_stage_cache_events_total{stage="tree",event="disk_write_error"}`]; n != 0 {
+		t.Errorf("cold boot counted %v tree disk write errors, want 0", n)
+	}
 
 	trees, err := filepath.Glob(filepath.Join(dir, "tree-*.art"))
 	if err != nil || len(trees) == 0 {
@@ -187,6 +198,21 @@ func TestCacheStatsAgreesWithMetrics(t *testing.T) {
 		t.Fatalf("warm restart over a corrupt tree file: %+v, want 1 reject and 1 compute", st)
 	}
 	agree("warm restart", warm)
+
+	notDir := filepath.Join(t.TempDir(), "cache")
+	if err := os.WriteFile(notDir, nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	unwritable := New(Config{Base: opts, Engine: cuisines.NewEngine(cuisines.EngineConfig{CacheDir: notDir})})
+	if code, body, _ := get(t, unwritable, "/v1/table"); code != 200 {
+		t.Fatalf("table over an unwritable cache dir: %d %s", code, body)
+	}
+	for kind, st := range unwritable.engine.CacheStats() {
+		if st.DiskWriteErrors != st.Computed || st.Computed == 0 {
+			t.Errorf("unwritable cache dir: %s %+v, want one disk write error per compute", kind, st)
+		}
+	}
+	agree("unwritable cache dir", unwritable)
 }
 
 // corpusFreePaths is one URL per /v1 analysis family that reads no

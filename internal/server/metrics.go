@@ -247,7 +247,8 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 				val(st.PeerHits, "stage", kind, "event", "peer_hit"),
 				val(st.Computed, "stage", kind, "event", "computed"),
 				val(st.Evictions, "stage", kind, "event", "eviction"),
-				val(st.InFlightJoins, "stage", kind, "event", "inflight_join"))
+				val(st.InFlightJoins, "stage", kind, "event", "inflight_join"),
+				val(st.DiskWriteErrors, "stage", kind, "event", "disk_write_error"))
 		}
 		fams = append(fams, f)
 	}

@@ -91,7 +91,7 @@ func TestStatsMemoized(t *testing.T) {
 
 // TestDerivedStateConcurrent hammers the memoized accessors from many
 // goroutines; the race detector (CI runs -race) verifies the sync.Once
-// guards.
+// and sync.OnceValues guards.
 func TestDerivedStateConcurrent(t *testing.T) {
 	a := getAnalysis(t)
 	var wg sync.WaitGroup
@@ -109,6 +109,9 @@ func TestDerivedStateConcurrent(t *testing.T) {
 			}
 			if st := a.Stats(); st.Regions != 26 {
 				t.Errorf("stats regions = %d", st.Regions)
+			}
+			if a.ElbowSharp() {
+				t.Error("the on-demand elbow resolved to a sharp curve")
 			}
 		}()
 	}
