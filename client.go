@@ -117,7 +117,9 @@ type StatsResponse struct {
 // Hits are memory-tier hits, DiskHits are persistent-tier loads,
 // DiskRejects are persisted files that failed verification or decode
 // and were fetched or recomputed instead, PeerHits are artifacts
-// fetched from cluster peers instead of recomputed, Computed counts
+// fetched from cluster peers instead of recomputed, PeerRejects are
+// peer frames that failed verification or decode and were recomputed
+// instead, Computed counts
 // actual stage executions — the number the staged pipeline exists to
 // minimize — InFlightJoins counts requests that latched onto an
 // already-running computation, and DiskWriteErrors counts artifacts
@@ -128,6 +130,7 @@ type StageCacheStats struct {
 	DiskHits        uint64 `json:"disk_hits"`
 	DiskRejects     uint64 `json:"disk_rejects"`
 	PeerHits        uint64 `json:"peer_hits"`
+	PeerRejects     uint64 `json:"peer_rejects"`
 	Computed        uint64 `json:"computed"`
 	Evictions       uint64 `json:"evictions"`
 	InFlightJoins   uint64 `json:"inflight_joins"`

@@ -18,7 +18,7 @@
 // The -check mode is the CI hook: it re-parses the committed file and
 // the smoke-run output, failing the job if either has stopped being
 // valid benchjson output. The document format itself lives in
-// internal/benchfmt, shared with cmd/loadgen.
+// internal/benchfmt, shared with the load benchmark in bench/.
 package main
 
 import (

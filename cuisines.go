@@ -357,6 +357,7 @@ func (e *Engine) CacheStats() map[string]StageCacheStats {
 			DiskHits:        s.DiskHits,
 			DiskRejects:     s.DiskRejects,
 			PeerHits:        s.PeerHits,
+			PeerRejects:     s.PeerRejects,
 			Computed:        s.Computed,
 			Evictions:       s.Evictions,
 			InFlightJoins:   s.InFlightJoins,

@@ -99,7 +99,9 @@ func validKey(key string) bool {
 // DiskHits are disk-tier loads, DiskRejects are disk files that were
 // read but failed verification or decode (each then falls through to
 // the next tier, as a miss would), PeerHits are artifacts obtained from
-// a cluster peer via the Fetcher hook, Computed counts actual stage
+// a cluster peer via the Fetcher hook, PeerRejects are peer frames
+// that failed verification or decode (the stage then computes),
+// Computed counts actual stage
 // executions, Evictions counts memory-tier LRU evictions,
 // InFlightJoins counts callers that latched onto an in-flight
 // computation instead of starting their own, and DiskWriteErrors
@@ -111,6 +113,7 @@ type Stats struct {
 	DiskHits        uint64 `json:"disk_hits"`
 	DiskRejects     uint64 `json:"disk_rejects"`
 	PeerHits        uint64 `json:"peer_hits"`
+	PeerRejects     uint64 `json:"peer_rejects"`
 	Computed        uint64 `json:"computed"`
 	Evictions       uint64 `json:"evictions"`
 	InFlightJoins   uint64 `json:"inflight_joins"`
@@ -283,11 +286,15 @@ func (s *Store) GetOrCompute(ctx context.Context, key string, codec Codec, compu
 		if frame, ok := f(ctx, key, codec); ok {
 			// Decode re-verifies the frame end to end (magic, versions,
 			// kind, checksum): the fetcher's word is never trusted.
-			if v, err := DecodeFrame(frame, codec); err == nil {
+			v, err := DecodeFrame(frame, codec)
+			if err == nil {
 				s.finish(e, kind, v, nil, srcPeer)
 				s.writeFrame(key, codec, frame)
 				return v, nil
 			}
+			s.mu.Lock()
+			s.statsFor(kind).PeerRejects++
+			s.mu.Unlock()
 		}
 	}
 	if err := ctx.Err(); err != nil {
@@ -375,8 +382,8 @@ func (s *Store) Summary() []string {
 	out := make([]string, len(kinds))
 	for i, k := range kinds {
 		st := stats[k]
-		out[i] = fmt.Sprintf("%s: hits=%d disk_hits=%d disk_rejects=%d peer_hits=%d computed=%d evictions=%d inflight_joins=%d disk_write_errors=%d",
-			k, st.Hits, st.DiskHits, st.DiskRejects, st.PeerHits, st.Computed, st.Evictions, st.InFlightJoins, st.DiskWriteErrors)
+		out[i] = fmt.Sprintf("%s: hits=%d disk_hits=%d disk_rejects=%d peer_hits=%d peer_rejects=%d computed=%d evictions=%d inflight_joins=%d disk_write_errors=%d",
+			k, st.Hits, st.DiskHits, st.DiskRejects, st.PeerHits, st.PeerRejects, st.Computed, st.Evictions, st.InFlightJoins, st.DiskWriteErrors)
 	}
 	return out
 }

@@ -1,5 +1,5 @@
 // Package benchfmt holds the cuisines-bench/v1 report format shared by
-// cmd/benchjson (which records `go test -bench` suites) and cmd/loadgen
+// cmd/benchjson (which records `go test -bench` suites) and bench/
 // (which records daemon load-test runs): the JSON document types, the
 // standard-bench-output parser, the label-merging writer, and the
 // validator CI runs over committed BENCH_*.json files.
@@ -35,9 +35,11 @@ type Run struct {
 }
 
 // Result is one measurement. For go-test benchmarks it is one parsed
-// output line; for loadgen it is one endpoint's latency summary, with
-// NsPerOp the mean latency and percentiles under Metrics. Metrics holds
-// custom units (e.g. "patterns", "d0", "p99_ms").
+// output line; for bench/ it is one workload, with NsPerOp its median
+// latency and every metric under Metrics (the load reports BENCH_8-10,
+// recorded by the since-removed cmd/loadgen, hold one endpoint per
+// Result, NsPerOp its mean latency). Metrics holds custom units (e.g.
+// "patterns", "d0", "p50_ms").
 type Result struct {
 	Name        string             `json:"name"`
 	Procs       int                `json:"procs,omitempty"`

@@ -312,8 +312,9 @@ func sameArtifact(a, b any) bool {
 // version, a valid sha256, and as payload the gob encoding of a
 // Validation whose fit has no Report — what a gob-coded validate stage
 // would decode and serve until a nil dereference. The frame must be
-// refused: the stage recomputes, every fit has a Report, and the run
-// renders exactly as a cold run.
+// refused and counted as the validate stage's one peer reject: the
+// stage recomputes, every fit has a Report, and the run renders
+// exactly as a cold run.
 func TestPoisonedValidateFrameRecomputes(t *testing.T) {
 	ctx := context.Background()
 	pr := testParams(hac.Average, 0)
@@ -348,8 +349,8 @@ func TestPoisonedValidateFrameRecomputes(t *testing.T) {
 		if kind == "validate" {
 			want = 1
 		}
-		if st.Computed != want {
-			t.Errorf("%s computed %d times, want %d (%+v)", kind, st.Computed, want, st)
+		if st.Computed != want || st.PeerRejects != want {
+			t.Errorf("%s computed %d times with %d peer rejects, want %d of each (%+v)", kind, st.Computed, st.PeerRejects, want, st)
 		}
 	}
 	for _, f := range got.Validation.TreeFit {

@@ -135,9 +135,9 @@ func TestWarmRestartServesFromDisk(t *testing.T) {
 // — one of whose files is corrupt, so the restart both loads and
 // rejects — and a boot whose cache dir is a regular file, so every
 // write fails, every stage's hits, disk hits, disk rejects, peer hits,
-// computes and disk write errors agree between the two, sample for
-// sample. The cold /v1/table computes no elbow: nothing it serves
-// reads Fig. 1.
+// peer rejects, computes and disk write errors agree between the two,
+// sample for sample. The cold /v1/table computes no elbow: nothing it
+// serves reads Fig. 1.
 func TestCacheStatsAgreesWithMetrics(t *testing.T) {
 	dir := t.TempDir()
 	opts := cuisines.Options{Scale: testScale}
@@ -154,7 +154,7 @@ func TestCacheStatsAgreesWithMetrics(t *testing.T) {
 				n     uint64
 			}{
 				{"hit", st.Hits}, {"disk_hit", st.DiskHits}, {"disk_reject", st.DiskRejects},
-				{"peer_hit", st.PeerHits}, {"computed", st.Computed},
+				{"peer_hit", st.PeerHits}, {"peer_reject", st.PeerRejects}, {"computed", st.Computed},
 				{"disk_write_error", st.DiskWriteErrors},
 			} {
 				series := fmt.Sprintf("cuisined_stage_cache_events_total{stage=%q,event=%q}", kind, ev.event)

@@ -13,8 +13,8 @@ import (
 // a node receiving it always serves locally, so misrouted requests
 // (stale health views on two nodes) degrade to one extra hop, never a
 // proxy loop. Clients may set it themselves to pin local serving —
-// the loadgen -local flag and the cluster tests do, to exercise the
-// peer artifact exchange rather than request routing.
+// the cluster tests and CI's cluster smoke do, to exercise the peer
+// artifact exchange rather than request routing.
 const HopHeader = "X-Cuisined-Hop"
 
 // RoutingKey derives the cluster routing key for opts: the canonical

@@ -245,6 +245,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 				val(st.DiskHits, "stage", kind, "event", "disk_hit"),
 				val(st.DiskRejects, "stage", kind, "event", "disk_reject"),
 				val(st.PeerHits, "stage", kind, "event", "peer_hit"),
+				val(st.PeerRejects, "stage", kind, "event", "peer_reject"),
 				val(st.Computed, "stage", kind, "event", "computed"),
 				val(st.Evictions, "stage", kind, "event", "eviction"),
 				val(st.InFlightJoins, "stage", kind, "event", "inflight_join"),
