@@ -113,71 +113,6 @@ type StatsResponse struct {
 	Miner string `json:"miner"`
 }
 
-// StageCacheStats counts one pipeline stage's artifact cache traffic.
-// Hits are memory-tier hits, DiskHits are persistent-tier loads,
-// DiskRejects are persisted files that failed verification or decode
-// and were fetched or recomputed instead, PeerHits are artifacts
-// fetched from cluster peers instead of recomputed, PeerRejects are
-// peer frames that failed verification or decode and were recomputed
-// instead, Computed counts
-// actual stage executions — the number the staged pipeline exists to
-// minimize — InFlightJoins counts requests that latched onto an
-// already-running computation, and DiskWriteErrors counts artifacts
-// the persistent tier failed to write (served anyway, but not
-// persisted for the next restart).
-type StageCacheStats struct {
-	Hits            uint64 `json:"hits"`
-	DiskHits        uint64 `json:"disk_hits"`
-	DiskRejects     uint64 `json:"disk_rejects"`
-	PeerHits        uint64 `json:"peer_hits"`
-	PeerRejects     uint64 `json:"peer_rejects"`
-	Computed        uint64 `json:"computed"`
-	Evictions       uint64 `json:"evictions"`
-	InFlightJoins   uint64 `json:"inflight_joins"`
-	DiskWriteErrors uint64 `json:"disk_write_errors"`
-}
-
-// AnalysisCacheStats counts the daemon's analysis-level cache traffic
-// (the LRU of assembled Analysis objects in front of the stage store).
-type AnalysisCacheStats struct {
-	Size          int    `json:"size"`
-	Capacity      int    `json:"capacity"`
-	Hits          uint64 `json:"hits"`
-	Misses        uint64 `json:"misses"`
-	Evictions     uint64 `json:"evictions"`
-	InFlightJoins uint64 `json:"inflight_joins"`
-}
-
-// RenderCacheStats counts the daemon's rendered-response cache traffic
-// (DESIGN.md §14): entries are fully-rendered response bodies keyed by
-// (analysis key, endpoint, canonical query), so a hit skips the derive
-// and marshal work entirely. NotModified counts conditional requests
-// answered 304; GzipVariants counts compressed variants built (at most
-// once per entry).
-type RenderCacheStats struct {
-	Entries       int    `json:"entries"`
-	Bytes         int64  `json:"bytes"`
-	CapacityBytes int64  `json:"capacity_bytes"`
-	Hits          uint64 `json:"hits"`
-	Misses        uint64 `json:"misses"`
-	Evictions     uint64 `json:"evictions"`
-	InFlightJoins uint64 `json:"inflight_joins"`
-	GzipVariants  uint64 `json:"gzip_variants"`
-	NotModified   uint64 `json:"not_modified"`
-}
-
-// CacheStatsResponse is the /v1/cachestats body: the analysis cache
-// counters plus the per-stage artifact store counters, keyed by stage
-// kind ("corpus", "mine", "matrices", "auth", "pdist", "geodist",
-// "tree", "elbow", "validate"), plus the rendered-response cache
-// counters. Stages is empty when the daemon runs with a custom
-// pipeline entry point that bypasses the stage graph.
-type CacheStatsResponse struct {
-	Analyses AnalysisCacheStats         `json:"analyses"`
-	Stages   map[string]StageCacheStats `json:"stages"`
-	Renders  RenderCacheStats           `json:"renders"`
-}
-
 // ClusterPeer is one peer's liveness as seen by the answering node's
 // health checker.
 type ClusterPeer struct {
@@ -190,43 +125,16 @@ type ClusterPeer struct {
 	LastProbe string `json:"last_probe,omitempty"`
 }
 
-// ClusterExchangeStats counts the answering node's peer artifact
-// exchange traffic: the fetch side (this node asking peers on local
-// store misses) and the serve side (peers asking this node).
-// FetchRejects counts responses that failed frame verification —
-// nonzero means a peer is corrupt or incompatible, never that the
-// cache took bad bytes. ServeDisk and ServeMemory split the GET serves
-// by source (the verified disk frame as stored, or a re-encode of the
-// memory value); ServeDiskRejects counts local disk frames that failed
-// verification on a serve.
-type ClusterExchangeStats struct {
-	FetchAttempts    uint64 `json:"fetch_attempts"`
-	FetchHits        uint64 `json:"fetch_hits"`
-	FetchMisses      uint64 `json:"fetch_misses"`
-	FetchErrors      uint64 `json:"fetch_errors"`
-	FetchRejects     uint64 `json:"fetch_rejects"`
-	ServeHits        uint64 `json:"serve_hits"`
-	ServeMisses      uint64 `json:"serve_misses"`
-	ServeDisk        uint64 `json:"serve_disk"`
-	ServeMemory      uint64 `json:"serve_memory"`
-	ServeDiskRejects uint64 `json:"serve_disk_rejects"`
-}
-
 // ClusterResponse is the /v1/cluster body. Enabled false (the whole
 // body zero) means the daemon runs single-node; otherwise it reports
-// this node's identity, the static ring membership, per-peer health,
-// exchange counters, and how many requests it proxied to ring owners
-// (ProxyFallbacks counts proxies that failed over to local compute
-// because the owner died mid-request).
+// this node's identity, the static ring membership and per-peer
+// health. The exchange and proxy counters are on /metrics.
 type ClusterResponse struct {
-	Enabled        bool                 `json:"enabled"`
-	Self           string               `json:"self,omitempty"`
-	Members        []string             `json:"members,omitempty"`
-	Replicas       int                  `json:"replicas,omitempty"`
-	Peers          []ClusterPeer        `json:"peers,omitempty"`
-	Exchange       ClusterExchangeStats `json:"exchange"`
-	Proxied        uint64               `json:"proxied"`
-	ProxyFallbacks uint64               `json:"proxy_fallbacks"`
+	Enabled  bool          `json:"enabled"`
+	Self     string        `json:"self,omitempty"`
+	Members  []string      `json:"members,omitempty"`
+	Replicas int           `json:"replicas,omitempty"`
+	Peers    []ClusterPeer `json:"peers,omitempty"`
 }
 
 // Client is a thin client for the cuisined daemon: each method mirrors
@@ -491,16 +399,8 @@ func (c *Client) Health(ctx context.Context) (HealthResponse, error) {
 	return h, err
 }
 
-// CacheStats fetches the daemon's analysis-cache and per-stage
-// artifact-cache counters.
-func (c *Client) CacheStats(ctx context.Context) (CacheStatsResponse, error) {
-	var s CacheStatsResponse
-	err := c.get(ctx, "/v1/cachestats", nil, &s)
-	return s, err
-}
-
 // Cluster reports the answering node's cluster membership and peer
-// exchange counters (/v1/cluster). Enabled false means single-node.
+// health (/v1/cluster). Enabled false means single-node.
 func (c *Client) Cluster(ctx context.Context) (ClusterResponse, error) {
 	var s ClusterResponse
 	err := c.get(ctx, "/v1/cluster", nil, &s)

@@ -19,7 +19,6 @@
 //	curl localhost:8372/v1/table
 //	curl localhost:8372/v1/newick/fig5-authenticity
 //	curl 'localhost:8372/v1/closest/fig6-geographic?region=UK'
-//	curl localhost:8372/v1/cachestats
 //	curl localhost:8372/metrics
 //
 // Requests may select a different analysis with seed=, scale=, support=
@@ -42,7 +41,7 @@
 // past its depth the daemon answers 429 + Retry-After instead of
 // queueing unboundedly. /metrics exposes Prometheus-text counters. The
 // daemon shuts down gracefully on SIGINT/SIGTERM, draining in-flight
-// requests first and logging its cache counters.
+// requests first and logging its final /metrics exposition.
 package main
 
 import (
@@ -188,7 +187,7 @@ func main() {
 		// /v1 request joins the in-flight run instead of starting
 		// another. The goroutine is tied to the signal context (shutdown
 		// aborts an unfinished warm) and awaited before the final
-		// counter log, so that log reflects its cache traffic.
+		// metrics log, so that log reflects its cache traffic.
 		go func() {
 			defer close(preloadDone)
 			start := time.Now()
@@ -226,16 +225,9 @@ func main() {
 			log.Fatal(err)
 		}
 		<-preloadDone
-		st := srv.CacheStats()
-		log.Printf("analysis cache: size=%d/%d hits=%d misses=%d evictions=%d inflight_joins=%d",
-			st.Analyses.Size, st.Analyses.Capacity, st.Analyses.Hits, st.Analyses.Misses,
-			st.Analyses.Evictions, st.Analyses.InFlightJoins)
-		log.Printf("render cache: entries=%d bytes=%d/%d hits=%d misses=%d evictions=%d gzip=%d not_modified=%d",
-			st.Renders.Entries, st.Renders.Bytes, st.Renders.CapacityBytes, st.Renders.Hits,
-			st.Renders.Misses, st.Renders.Evictions, st.Renders.GzipVariants, st.Renders.NotModified)
-		for _, line := range engine.CacheSummary() {
-			log.Printf("stage %s", line)
-		}
+		var final strings.Builder
+		srv.WriteMetrics(&final)
+		log.Printf("final metrics:\n%s", final.String())
 		log.Printf("shut down cleanly")
 	}
 }

@@ -203,14 +203,6 @@ type Analysis struct {
 
 	cophOnce [numFigures]sync.Once
 	coph     [numFigures]*distance.Condensed
-
-	// rulesMu guards the bounded association-rule memo (rules.go):
-	// rule generation takes distinct parameters per call, so it
-	// memoizes per parameter tuple in a small FIFO map rather than a
-	// sync.Once like the derivations above.
-	rulesMu    sync.Mutex
-	rulesMemo  map[rulesKey][]AssociationRule
-	rulesOrder []rulesKey
 }
 
 // EngineConfig configures an Engine.
@@ -345,31 +337,14 @@ func (e *Engine) runOn(db *recipedb.DB, opts Options) (*Analysis, error) {
 	return newAnalysis(ctx, res), nil
 }
 
+// StageCacheStats counts one pipeline stage's artifact cache traffic;
+// artifact.Stats documents each counter.
+type StageCacheStats = artifact.Stats
+
 // CacheStats returns the engine's per-stage artifact cache counters,
 // keyed by stage kind ("corpus", "mine", "matrices", "auth", "pdist",
 // "geodist", "tree", "elbow", "validate").
-func (e *Engine) CacheStats() map[string]StageCacheStats {
-	stats := e.pipe.Store().Stats()
-	out := make(map[string]StageCacheStats, len(stats))
-	for kind, s := range stats {
-		out[kind] = StageCacheStats{
-			Hits:            s.Hits,
-			DiskHits:        s.DiskHits,
-			DiskRejects:     s.DiskRejects,
-			PeerHits:        s.PeerHits,
-			PeerRejects:     s.PeerRejects,
-			Computed:        s.Computed,
-			Evictions:       s.Evictions,
-			InFlightJoins:   s.InFlightJoins,
-			DiskWriteErrors: s.DiskWriteErrors,
-		}
-	}
-	return out
-}
-
-// CacheSummary renders the per-stage counters as one stable line per
-// stage — the daemon logs it at shutdown.
-func (e *Engine) CacheSummary() []string { return e.pipe.Store().Summary() }
+func (e *Engine) CacheStats() map[string]StageCacheStats { return e.pipe.Store().Stats() }
 
 // ArtifactStore exposes the engine's stage artifact store. The cluster
 // layer (internal/cluster) attaches to it: installing a peer fetcher

@@ -107,7 +107,9 @@ func validKey(key string) bool {
 // computation instead of starting their own, and DiskWriteErrors
 // counts artifacts the disk tier failed to persist (an encode or I/O
 // error; the value is still served, but the next restart recomputes
-// or refetches it).
+// or refetches it). cuisined publishes each field as one event of
+// cuisined_stage_cache_events_total on /metrics, its only counter
+// surface, so a new counter is a field here plus a sample there.
 type Stats struct {
 	Hits            uint64 `json:"hits"`
 	DiskHits        uint64 `json:"disk_hits"`
@@ -368,24 +370,6 @@ func (s *Store) Len() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.lru.Len()
-}
-
-// Summary renders the per-kind counters as one stable, human-readable
-// line per kind — the daemon's shutdown log format.
-func (s *Store) Summary() []string {
-	stats := s.Stats()
-	kinds := make([]string, 0, len(stats))
-	for k := range stats {
-		kinds = append(kinds, k)
-	}
-	sort.Strings(kinds)
-	out := make([]string, len(kinds))
-	for i, k := range kinds {
-		st := stats[k]
-		out[i] = fmt.Sprintf("%s: hits=%d disk_hits=%d disk_rejects=%d peer_hits=%d peer_rejects=%d computed=%d evictions=%d inflight_joins=%d disk_write_errors=%d",
-			k, st.Hits, st.DiskHits, st.DiskRejects, st.PeerHits, st.PeerRejects, st.Computed, st.Evictions, st.InFlightJoins, st.DiskWriteErrors)
-	}
-	return out
 }
 
 // Frame format — shared by the disk tier and the peer wire protocol:

@@ -18,6 +18,8 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"regexp"
+	"strconv"
+	"strings"
 	"testing"
 	"time"
 
@@ -120,6 +122,27 @@ func getNodeHdr(t *testing.T, base, path string, local bool, headers map[string]
 		t.Fatal(err)
 	}
 	return resp.StatusCode, body, resp.Header
+}
+
+// metricValue scrapes a node's /metrics and returns the value of one
+// series, given as it appears on its sample line (name plus labels).
+func metricValue(t *testing.T, base, series string) float64 {
+	t.Helper()
+	code, body := getNode(t, base, "/metrics", true)
+	if code != 200 {
+		t.Fatalf("GET %s/metrics = %d", base, code)
+	}
+	for _, line := range strings.Split(string(body), "\n") {
+		if v, ok := strings.CutPrefix(line, series+" "); ok {
+			f, err := strconv.ParseFloat(v, 64)
+			if err != nil {
+				t.Fatalf("%s/metrics: %q: %v", base, line, err)
+			}
+			return f
+		}
+	}
+	t.Fatalf("%s/metrics has no %s:\n%s", base, series, body)
+	return 0
 }
 
 // stageTotals sums the per-stage cache counters of one engine.
@@ -250,17 +273,10 @@ func TestClusterWarmServing(t *testing.T) {
 	if !cr.Enabled || cr.Self != nodes[1].url || len(cr.Members) != 3 || len(cr.Peers) != 2 {
 		t.Fatalf("/v1/cluster: %+v", cr)
 	}
-	if cr.Exchange.FetchHits == 0 {
-		t.Fatalf("/v1/cluster exchange counters empty: %+v", cr.Exchange)
-	}
-	// Node A's fleet view carries its serve sources.
-	code, body = getNode(t, nodes[0].url, "/v1/cluster", true)
-	var crA cuisines.ClusterResponse
-	if err := json.Unmarshal(body, &crA); code != 200 || err != nil {
-		t.Fatalf("GET node A /v1/cluster = %d, %v", code, err)
-	}
-	if m := nodes[0].node.Metrics(); crA.Exchange.ServeDisk != m.ServeDisk || crA.Exchange.ServeMemory != 0 {
-		t.Fatalf("node A /v1/cluster exchange %+v, want serve_disk %d and serve_memory 0", crA.Exchange, m.ServeDisk)
+	// Node A's serve sources on /metrics are its exchange's counts.
+	if m := nodes[0].node.Metrics(); metricValue(t, nodes[0].url, `cuisined_peer_serve_source_total{source="disk"}`) != float64(m.ServeDisk) ||
+		metricValue(t, nodes[0].url, `cuisined_peer_serve_source_total{source="memory"}`) != 0 {
+		t.Fatalf("node A /metrics serve sources disagree with its exchange %+v", m)
 	}
 }
 
@@ -304,7 +320,8 @@ func TestClusterRestartFetchesNoCorpus(t *testing.T) {
 		}
 	}
 	m := b.node.Metrics()
-	if m.FetchAttempts != others || m.FetchHits != others || m.FetchRejects != 0 {
+	attempts := m.FetchHits + m.FetchMisses + m.FetchErrors + m.FetchRejects
+	if attempts != others || m.FetchHits != others || m.FetchRejects != 0 {
 		t.Fatalf("node B exchange %+v; want exactly %d verified fetches, one per non-corpus artifact", m, others)
 	}
 }
@@ -532,13 +549,9 @@ func TestClusterProxyAndDeadOwnerFallback(t *testing.T) {
 		t.Fatal("gzip proxied body does not decode to the owner's identity bytes")
 	}
 
-	var cr cuisines.ClusterResponse
-	_, body := getNode(t, b.url, "/v1/cluster", true)
-	if err := json.Unmarshal(body, &cr); err != nil {
-		t.Fatal(err)
-	}
-	if cr.Proxied == 0 {
-		t.Fatalf("proxy counter not incremented: %+v", cr)
+	const proxied, fallbacks = "cuisined_proxied_requests_total", "cuisined_proxy_fallbacks_total"
+	if n := metricValue(t, b.url, proxied); n == 0 {
+		t.Fatalf("%s not incremented", proxied)
 	}
 
 	// Kill the owner. The forward fails mid-request and B falls back to
@@ -551,14 +564,10 @@ func TestClusterProxyAndDeadOwnerFallback(t *testing.T) {
 	if computed, _ := stageTotals(b.engine); computed == 0 {
 		t.Fatal("fallback did not compute locally")
 	}
-	_, body = getNode(t, b.url, "/v1/cluster", true)
-	if err := json.Unmarshal(body, &cr); err != nil {
-		t.Fatal(err)
+	if n := metricValue(t, b.url, fallbacks); n == 0 {
+		t.Fatalf("%s not incremented", fallbacks)
 	}
-	if cr.ProxyFallbacks == 0 {
-		t.Fatalf("fallback counter not incremented: %+v", cr)
-	}
-	proxiedBefore := cr.Proxied
+	proxiedBefore := metricValue(t, b.url, proxied)
 
 	// After a health sweep the dead owner is off the ring: the next
 	// request routes locally directly, no proxy attempt at all.
@@ -572,11 +581,7 @@ func TestClusterProxyAndDeadOwnerFallback(t *testing.T) {
 	if code != 200 {
 		t.Fatalf("post-sweep GET = %d", code)
 	}
-	_, body = getNode(t, b.url, "/v1/cluster", true)
-	if err := json.Unmarshal(body, &cr); err != nil {
-		t.Fatal(err)
-	}
-	if cr.Proxied != proxiedBefore {
-		t.Fatalf("request to a known-dead owner was still proxied (%d -> %d)", proxiedBefore, cr.Proxied)
+	if n := metricValue(t, b.url, proxied); n != proxiedBefore {
+		t.Fatalf("request to a known-dead owner was still proxied (%v -> %v)", proxiedBefore, n)
 	}
 }

@@ -28,50 +28,47 @@ const DefaultFetchTimeout = 30 * time.Second
 // headroom without letting a broken peer stream unbounded garbage.
 const DefaultMaxFrameBytes = 256 << 20
 
-// Metrics is a snapshot of the exchange counters, rendered on /metrics
-// and inside /v1/cluster.
+// Metrics is a snapshot of the exchange counters, rendered on /metrics.
+// Every fetch ends in exactly one of hit, miss, error or reject, so
+// their sum is the number of peer GETs issued.
 type Metrics struct {
 	// Fetch side (this node asking peers).
-	FetchAttempts uint64 `json:"fetch_attempts"` // peer GETs issued
-	FetchHits     uint64 `json:"fetch_hits"`     // verified frames received
-	FetchMisses   uint64 `json:"fetch_misses"`   // peer answered 404
-	FetchErrors   uint64 `json:"fetch_errors"`   // transport/status errors
-	FetchRejects  uint64 `json:"fetch_rejects"`  // responses failing frame verification
+	FetchHits    uint64 // verified frames received
+	FetchMisses  uint64 // peer answered 404
+	FetchErrors  uint64 // transport/status errors
+	FetchRejects uint64 // responses failing frame verification
 	// Serve side (peers asking this node). Every GET hit is answered
 	// by one source: the verified disk frame as stored, or a re-encode
 	// of the memory value. ServeDiskRejects counts local disk frames
 	// that failed verification on a serve.
-	ServeHits        uint64 `json:"serve_hits"`
-	ServeMisses      uint64 `json:"serve_misses"`
-	ServeDisk        uint64 `json:"serve_disk"`
-	ServeMemory      uint64 `json:"serve_memory"`
-	ServeDiskRejects uint64 `json:"serve_disk_rejects"`
+	ServeHits        uint64
+	ServeMisses      uint64
+	ServeDisk        uint64
+	ServeMemory      uint64
+	ServeDiskRejects uint64
 }
 
 // exchange implements both halves of the peer artifact protocol.
 type exchange struct {
-	self    string
-	client  *http.Client
-	store   *artifact.Store
-	codecs  map[string]artifact.Codec
-	ring    *Ring
-	health  *health
-	maxSize int64
+	self   string
+	client *http.Client
+	store  *artifact.Store
+	codecs map[string]artifact.Codec
+	ring   *Ring
+	health *health
 
-	fetchAttempts atomic.Uint64
-	fetchHits     atomic.Uint64
-	fetchMisses   atomic.Uint64
-	fetchErrors   atomic.Uint64
-	fetchRejects  atomic.Uint64
-	serveHits     atomic.Uint64
-	serveMisses   atomic.Uint64
-	serveDisk     atomic.Uint64
-	serveMemory   atomic.Uint64
+	fetchHits    atomic.Uint64
+	fetchMisses  atomic.Uint64
+	fetchErrors  atomic.Uint64
+	fetchRejects atomic.Uint64
+	serveHits    atomic.Uint64
+	serveMisses  atomic.Uint64
+	serveDisk    atomic.Uint64
+	serveMemory  atomic.Uint64
 }
 
 func (e *exchange) metrics() Metrics {
 	return Metrics{
-		FetchAttempts:    e.fetchAttempts.Load(),
 		FetchHits:        e.fetchHits.Load(),
 		FetchMisses:      e.fetchMisses.Load(),
 		FetchErrors:      e.fetchErrors.Load(),
@@ -137,7 +134,6 @@ func (e *exchange) fetch(ctx context.Context, key string, codec artifact.Codec) 
 }
 
 func (e *exchange) fetchFrom(ctx context.Context, peer, key string, codec artifact.Codec) ([]byte, bool) {
-	e.fetchAttempts.Add(1)
 	url := peer + ArtifactPathPrefix + codec.Kind() + "/" + key
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, url, nil)
 	if err != nil {
@@ -159,8 +155,8 @@ func (e *exchange) fetchFrom(ctx context.Context, peer, key string, codec artifa
 		e.fetchErrors.Add(1)
 		return nil, false
 	}
-	frame, err := io.ReadAll(io.LimitReader(resp.Body, e.maxSize+1))
-	if err != nil || int64(len(frame)) > e.maxSize {
+	frame, err := io.ReadAll(io.LimitReader(resp.Body, DefaultMaxFrameBytes+1))
+	if err != nil || len(frame) > DefaultMaxFrameBytes {
 		e.fetchErrors.Add(1)
 		return nil, false
 	}

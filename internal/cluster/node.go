@@ -21,8 +21,6 @@ type Config struct {
 	// Replicas is how many distinct owners each key has on the ring;
 	// <= 0 means DefaultReplicas.
 	Replicas int
-	// VNodes is the hash points per member; <= 0 means DefaultVNodes.
-	VNodes int
 	// Store is the artifact store to attach the peer exchange to.
 	// Required. New installs the fetch hook on it.
 	Store *artifact.Store
@@ -41,9 +39,6 @@ type Config struct {
 	// FetchTimeout caps one peer artifact fetch; <= 0 means
 	// DefaultFetchTimeout.
 	FetchTimeout time.Duration
-	// MaxFrameBytes caps a peer response read; <= 0 means
-	// DefaultMaxFrameBytes.
-	MaxFrameBytes int64
 }
 
 // Node is one cuisined's membership in the cluster: the ring, the
@@ -95,20 +90,15 @@ func New(cfg Config) (*Node, error) {
 	if fetchTimeout <= 0 {
 		fetchTimeout = DefaultFetchTimeout
 	}
-	maxFrame := cfg.MaxFrameBytes
-	if maxFrame <= 0 {
-		maxFrame = DefaultMaxFrameBytes
-	}
 	h := newHealth(peers, cfg.ProbeTimeout, cfg.Now)
-	ring := NewRing(append([]string{self}, peers...), cfg.VNodes, cfg.Replicas)
+	ring := NewRing(append([]string{self}, peers...), cfg.Replicas)
 	ex := &exchange{
-		self:    self,
-		client:  &http.Client{Timeout: fetchTimeout},
-		store:   cfg.Store,
-		codecs:  cfg.Codecs,
-		ring:    ring,
-		health:  h,
-		maxSize: maxFrame,
+		self:   self,
+		client: &http.Client{Timeout: fetchTimeout},
+		store:  cfg.Store,
+		codecs: cfg.Codecs,
+		ring:   ring,
+		health: h,
 	}
 	n := &Node{
 		self:     self,

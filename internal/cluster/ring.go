@@ -53,12 +53,9 @@ type ringPoint struct {
 
 // NewRing builds a ring over members (order-insensitive: points depend
 // only on the member names, so every node in a fleet computes the same
-// ring from the same -peers list regardless of list order). vnodes and
-// replicas <= 0 use the defaults.
-func NewRing(members []string, vnodes, replicas int) *Ring {
-	if vnodes <= 0 {
-		vnodes = DefaultVNodes
-	}
+// ring from the same -peers list regardless of list order). Each
+// member gets DefaultVNodes points; replicas <= 0 uses DefaultReplicas.
+func NewRing(members []string, replicas int) *Ring {
 	if replicas <= 0 {
 		replicas = DefaultReplicas
 	}
@@ -69,7 +66,7 @@ func NewRing(members []string, vnodes, replicas int) *Ring {
 	for mi, m := range ms {
 		h := sha256.New()
 		h.Write([]byte(m))
-		for v := 0; v < vnodes; v++ {
+		for v := 0; v < DefaultVNodes; v++ {
 			binary.LittleEndian.PutUint64(buf[:], uint64(v))
 			vh := sha256.New()
 			vh.Write(buf[:])

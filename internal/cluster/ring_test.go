@@ -16,9 +16,9 @@ var testMembers = []string{
 // node builds the ring from its own -peers list, so two nodes given the
 // same member set in different orders must agree on every key's owners.
 func TestRingOrderInsensitive(t *testing.T) {
-	a := NewRing(testMembers, 0, 0)
+	a := NewRing(testMembers, 0)
 	shuffled := []string{testMembers[2], testMembers[0], testMembers[3], testMembers[1]}
-	b := NewRing(shuffled, 0, 0)
+	b := NewRing(shuffled, 0)
 	for i := 0; i < 1000; i++ {
 		key := fmt.Sprintf("analysis|key-%d", i)
 		oa, ob := a.Owners(key, nil), b.Owners(key, nil)
@@ -36,7 +36,7 @@ func TestRingOrderInsensitive(t *testing.T) {
 // TestRingOwnersDistinct: replicas means distinct members, capped by
 // the member count.
 func TestRingOwnersDistinct(t *testing.T) {
-	r := NewRing(testMembers, 0, 3)
+	r := NewRing(testMembers, 3)
 	for i := 0; i < 200; i++ {
 		owners := r.Owners(fmt.Sprintf("k%d", i), nil)
 		if len(owners) != 3 {
@@ -51,7 +51,7 @@ func TestRingOwnersDistinct(t *testing.T) {
 		}
 	}
 	// More replicas than members: every member, once.
-	small := NewRing(testMembers[:2], 0, 5)
+	small := NewRing(testMembers[:2], 5)
 	if owners := small.Owners("k", nil); len(owners) != 2 {
 		t.Fatalf("2-member ring with replicas=5: owners = %v", owners)
 	}
@@ -61,7 +61,7 @@ func TestRingOwnersDistinct(t *testing.T) {
 // with replicas >= 2 that is exactly the member already holding the
 // artifact warm.
 func TestRingDeadPromotion(t *testing.T) {
-	r := NewRing(testMembers, 0, 2)
+	r := NewRing(testMembers, 2)
 	for i := 0; i < 200; i++ {
 		key := fmt.Sprintf("k%d", i)
 		before := r.Owners(key, nil)
@@ -82,11 +82,11 @@ func TestRingDeadPromotion(t *testing.T) {
 // TestRingAllDead: a fleet with nothing alive returns no owners, which
 // callers treat as "serve locally".
 func TestRingAllDead(t *testing.T) {
-	r := NewRing(testMembers, 0, 2)
+	r := NewRing(testMembers, 2)
 	if owners := r.Owners("k", func(string) bool { return false }); len(owners) != 0 {
 		t.Fatalf("all-dead ring returned owners %v", owners)
 	}
-	empty := NewRing(nil, 0, 0)
+	empty := NewRing(nil, 0)
 	if owners := empty.Owners("k", nil); owners != nil {
 		t.Fatalf("empty ring returned owners %v", owners)
 	}
@@ -96,7 +96,7 @@ func TestRingAllDead(t *testing.T) {
 // roughly evenly; a member falling far below its fair share means the
 // point hashing regressed.
 func TestRingDistribution(t *testing.T) {
-	r := NewRing(testMembers, 0, 1)
+	r := NewRing(testMembers, 1)
 	counts := map[string]int{}
 	const n = 10000
 	for i := 0; i < n; i++ {
@@ -115,7 +115,7 @@ func TestRingDistribution(t *testing.T) {
 // the ring never mutates after construction, so owner assignment is a
 // pure function of (members, key).
 func TestRingStability(t *testing.T) {
-	r := NewRing(testMembers, 0, 2)
+	r := NewRing(testMembers, 2)
 	for _, key := range []string{"a", "b", "analysis|{Scale:0.02}"} {
 		owners := r.Owners(key, nil)
 		again := r.Owners(key, nil)

@@ -23,7 +23,7 @@ type PatternFeatures struct {
 }
 
 // The stage codecs. Kind strings are the stage names reported by
-// cachestats and used in artifact file names.
+// /metrics (the stage label) and used in artifact file names.
 //
 // Version history. Everything downstream of mine went to version 2 when
 // the miner-backend layer tightened SortPatterns' tie-break (same-name

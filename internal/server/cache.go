@@ -234,11 +234,22 @@ func (c *Cache) await(ctx context.Context, e *entry) (*cuisines.Analysis, error)
 	}
 }
 
+// CacheStats is a point-in-time snapshot of the analysis cache's
+// occupancy and counters.
+type CacheStats struct {
+	Size          int
+	Capacity      int
+	Hits          uint64
+	Misses        uint64
+	Evictions     uint64
+	InFlightJoins uint64
+}
+
 // Stats returns the cache's counters and current occupancy.
-func (c *Cache) Stats() cuisines.AnalysisCacheStats {
+func (c *Cache) Stats() CacheStats {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return cuisines.AnalysisCacheStats{
+	return CacheStats{
 		Size:          c.lru.Len(),
 		Capacity:      c.max,
 		Hits:          c.hits,

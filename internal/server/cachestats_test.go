@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"cuisines"
@@ -14,6 +15,21 @@ import (
 	"cuisines/internal/core"
 	"cuisines/internal/pipeline"
 )
+
+// scrape reads s's /metrics exposition as series -> value.
+func scrape(t *testing.T, s *Server) map[string]float64 {
+	t.Helper()
+	code, body, _ := get(t, s, "/metrics")
+	if code != 200 {
+		t.Fatalf("metrics: %d %s", code, body)
+	}
+	return parseMetrics(t, string(body))
+}
+
+// stageSeries names one per-stage artifact cache sample on /metrics.
+func stageSeries(kind, event string) string {
+	return fmt.Sprintf("cuisined_stage_cache_events_total{stage=%q,event=%q}", kind, event)
+}
 
 // stubAnalysis produces a tiny real analysis for cache-stats tests.
 func stubAnalysis(t *testing.T) *cuisines.Analysis {
@@ -36,20 +52,20 @@ func TestCacheStatsEndpointCounters(t *testing.T) {
 			t.Fatalf("table %d: %d %s", i, code, body)
 		}
 	}
-	code, body, _ := get(t, s, "/v1/cachestats")
-	if code != 200 {
-		t.Fatalf("cachestats: %d %s", code, body)
+	m := scrape(t, s)
+	misses, hits := m[`cuisined_analysis_cache_events_total{event="miss"}`], m[`cuisined_analysis_cache_events_total{event="hit"}`]
+	if misses != 1 || hits != 2 {
+		t.Errorf("analysis cache: %v misses and %v hits, want 1 and 2", misses, hits)
 	}
-	st := decode[cuisines.CacheStatsResponse](t, body)
-	if st.Analyses.Misses != 1 || st.Analyses.Hits != 2 {
-		t.Errorf("analyses = %+v, want 1 miss and 2 hits", st.Analyses)
+	size, capacity := m["cuisined_analysis_cache_entries"], m["cuisined_analysis_cache_capacity"]
+	if size != 1 || capacity != DefaultCacheSize {
+		t.Errorf("analysis cache: size %v capacity %v, want 1 and %d", size, capacity, DefaultCacheSize)
 	}
-	if st.Analyses.Size != 1 || st.Analyses.Capacity != DefaultCacheSize {
-		t.Errorf("analyses = %+v, want size 1 capacity %d", st.Analyses, DefaultCacheSize)
-	}
-	// A custom Runner bypasses the stage graph: stages present but empty.
-	if len(st.Stages) != 0 {
-		t.Errorf("stages = %+v, want empty with a custom runner", st.Stages)
+	// A custom Runner bypasses the stage graph: no stage series at all.
+	for series := range m {
+		if strings.HasPrefix(series, "cuisined_stage_cache_events_total") {
+			t.Errorf("custom runner exposes %s", series)
+		}
 	}
 }
 
@@ -66,29 +82,26 @@ func TestCacheStatsExposesStages(t *testing.T) {
 	if code, body, _ := get(t, s, "/v1/table?linkage=ward"); code != 200 {
 		t.Fatalf("table?linkage=ward: %d %s", code, body)
 	}
-	code, body, _ := get(t, s, "/v1/cachestats")
-	if code != 200 {
-		t.Fatalf("cachestats: %d %s", code, body)
-	}
-	st := decode[cuisines.CacheStatsResponse](t, body)
-	if st.Analyses.Misses != 2 {
-		t.Errorf("analyses = %+v, want 2 misses", st.Analyses)
+	m := scrape(t, s)
+	if misses := m[`cuisined_analysis_cache_events_total{event="miss"}`]; misses != 2 {
+		t.Errorf("analysis cache: %v misses, want 2", misses)
 	}
 	for _, kind := range []string{"corpus", "mine", "matrices"} {
-		got, ok := st.Stages[kind]
+		computed, ok := m[stageSeries(kind, "computed")]
 		if !ok {
-			t.Errorf("stages missing %q: %+v", kind, st.Stages)
+			t.Errorf("/metrics has no %s", stageSeries(kind, "computed"))
 			continue
 		}
-		if got.Computed != 1 {
-			t.Errorf("%s computed %d times across a linkage-only change, want 1", kind, got.Computed)
+		if computed != 1 {
+			t.Errorf("%s computed %v times across a linkage-only change, want 1", kind, computed)
 		}
+		hits, diskHits := m[stageSeries(kind, "hit")], m[stageSeries(kind, "disk_hit")]
 		if kind == "corpus" {
-			if got.Hits != 0 || got.DiskHits != 0 {
-				t.Errorf("corpus read again after it was computed: %+v", got)
+			if hits != 0 || diskHits != 0 {
+				t.Errorf("corpus read again after it was computed: %v hits, %v disk hits", hits, diskHits)
 			}
-		} else if got.Hits == 0 {
-			t.Errorf("%s has no memory hits after a linkage-only change: %+v", kind, got)
+		} else if hits == 0 {
+			t.Errorf("%s has no memory hits after a linkage-only change", kind)
 		}
 	}
 }
@@ -115,38 +128,47 @@ func TestWarmRestartServesFromDisk(t *testing.T) {
 	if string(body1) != string(body2) {
 		t.Error("warm-disk /v1/table differs from cold")
 	}
-	_, statsBody, _ := get(t, s2, "/v1/cachestats")
-	st := decode[cuisines.CacheStatsResponse](t, statsBody)
-	for kind, sc := range st.Stages {
-		if sc.Computed != 0 {
-			t.Errorf("stage %s computed %d times on warm restart, want 0 (stats: %+v)", kind, sc.Computed, st.Stages)
+	// Every stage has series; one the restart touched has some event.
+	m := scrape(t, s2)
+	touched := 0
+	for kind := range pipeline.Codecs() {
+		var events float64
+		for series, v := range m {
+			if strings.HasPrefix(series, fmt.Sprintf("cuisined_stage_cache_events_total{stage=%q,", kind)) {
+				events += v
+			}
 		}
-		if sc.DiskHits == 0 {
-			t.Errorf("stage %s loaded nothing from disk on warm restart: %+v", kind, sc)
+		if events == 0 {
+			continue
+		}
+		touched++
+		if n := m[stageSeries(kind, "computed")]; n != 0 {
+			t.Errorf("stage %s computed %v times on warm restart, want 0", kind, n)
+		}
+		if m[stageSeries(kind, "disk_hit")] == 0 {
+			t.Errorf("stage %s loaded nothing from disk on warm restart", kind)
 		}
 	}
-	if len(st.Stages) == 0 {
-		t.Error("no stage stats on warm restart")
+	if touched == 0 {
+		t.Error("no stage traffic on warm restart")
 	}
 }
 
-// TestCacheStatsAgreesWithMetrics: /v1/cachestats and /metrics read
-// the same per-stage counters, so after a cold request, a warm restart
+// TestMetricsAgreesWithEngineCacheStats: /metrics publishes the
+// engine's per-stage counters (Engine.CacheStats), so after a cold request, a warm restart
 // — one of whose files is corrupt, so the restart both loads and
 // rejects — and a boot whose cache dir is a regular file, so every
 // write fails, every stage's hits, disk hits, disk rejects, peer hits,
 // peer rejects, computes and disk write errors agree between the two,
 // sample for sample. The cold /v1/table computes no elbow: nothing it
 // serves reads Fig. 1.
-func TestCacheStatsAgreesWithMetrics(t *testing.T) {
+func TestMetricsAgreesWithEngineCacheStats(t *testing.T) {
 	dir := t.TempDir()
 	opts := cuisines.Options{Scale: testScale}
 	agree := func(boot string, s *Server) map[string]float64 {
 		t.Helper()
-		_, body, _ := get(t, s, "/v1/cachestats")
-		stages := decode[cuisines.CacheStatsResponse](t, body).Stages
-		_, metricsBody, _ := get(t, s, "/metrics")
-		samples := parseMetrics(t, string(metricsBody))
+		stages := s.engine.CacheStats()
+		samples := scrape(t, s)
 		for kind := range pipeline.Codecs() {
 			st := stages[kind]
 			for _, ev := range []struct {
@@ -157,12 +179,12 @@ func TestCacheStatsAgreesWithMetrics(t *testing.T) {
 				{"peer_hit", st.PeerHits}, {"peer_reject", st.PeerRejects}, {"computed", st.Computed},
 				{"disk_write_error", st.DiskWriteErrors},
 			} {
-				series := fmt.Sprintf("cuisined_stage_cache_events_total{stage=%q,event=%q}", kind, ev.event)
+				series := stageSeries(kind, ev.event)
 				got, ok := samples[series]
 				if !ok {
 					t.Errorf("%s: /metrics has no %s", boot, series)
 				} else if got != float64(ev.n) {
-					t.Errorf("%s: %s = %v, /v1/cachestats says %d", boot, series, got, ev.n)
+					t.Errorf("%s: %s = %v, Engine.CacheStats says %d", boot, series, got, ev.n)
 				}
 			}
 		}
@@ -174,10 +196,10 @@ func TestCacheStatsAgreesWithMetrics(t *testing.T) {
 		t.Fatalf("cold table: %d %s", code, body)
 	}
 	samples := agree("cold", cold)
-	if n := samples[`cuisined_stage_cache_events_total{stage="elbow",event="computed"}`]; n != 0 {
+	if n := samples[stageSeries("elbow", "computed")]; n != 0 {
 		t.Errorf("cold /v1/table computed the elbow %v times, want 0", n)
 	}
-	if n := samples[`cuisined_stage_cache_events_total{stage="tree",event="disk_write_error"}`]; n != 0 {
+	if n := samples[stageSeries("tree", "disk_write_error")]; n != 0 {
 		t.Errorf("cold boot counted %v tree disk write errors, want 0", n)
 	}
 
@@ -365,15 +387,14 @@ func TestPoisonedValidateFileRecomputes(t *testing.T) {
 	if code != 200 || string(warm) != string(cold) {
 		t.Fatalf("claims over the poisoned file: %d\n%s\nwant\n%s", code, warm, cold)
 	}
-	_, statsBody, _ := get(t, s2, "/v1/cachestats")
-	st := decode[cuisines.CacheStatsResponse](t, statsBody)
-	for kind, sc := range st.Stages {
-		want := uint64(0)
+	m := scrape(t, s2)
+	for kind := range pipeline.Codecs() {
+		want := 0.0
 		if kind == "validate" {
 			want = 1
 		}
-		if sc.Computed != want {
-			t.Errorf("stage %s computed %d times, want %d (stats: %+v)", kind, sc.Computed, want, sc)
+		if n := m[stageSeries(kind, "computed")]; n != want {
+			t.Errorf("stage %s computed %v times, want %v", kind, n, want)
 		}
 	}
 }
@@ -391,9 +412,9 @@ func TestCacheStatsCountsEvictions(t *testing.T) {
 			t.Fatalf("%s: %d %s", path, code, body)
 		}
 	}
-	_, body, _ := get(t, s, "/v1/cachestats")
-	st := decode[cuisines.CacheStatsResponse](t, body)
-	if st.Analyses.Evictions != 2 || st.Analyses.Misses != 3 {
-		t.Errorf("analyses = %+v, want 3 misses and 2 evictions", st.Analyses)
+	m := scrape(t, s)
+	misses, evictions := m[`cuisined_analysis_cache_events_total{event="miss"}`], m[`cuisined_analysis_cache_events_total{event="eviction"}`]
+	if evictions != 2 || misses != 3 {
+		t.Errorf("analysis cache: %v misses and %v evictions, want 3 and 2", misses, evictions)
 	}
 }

@@ -122,26 +122,11 @@ func (s *Server) handleCluster(w http.ResponseWriter, _ *http.Request) {
 
 func (s *Server) clusterResponse() cuisines.ClusterResponse {
 	n := s.cluster
-	m := n.Metrics()
 	resp := cuisines.ClusterResponse{
 		Enabled:  true,
 		Self:     n.Self(),
 		Members:  n.Ring().Members(),
 		Replicas: n.Ring().Replicas(),
-		Exchange: cuisines.ClusterExchangeStats{
-			FetchAttempts:    m.FetchAttempts,
-			FetchHits:        m.FetchHits,
-			FetchMisses:      m.FetchMisses,
-			FetchErrors:      m.FetchErrors,
-			FetchRejects:     m.FetchRejects,
-			ServeHits:        m.ServeHits,
-			ServeMisses:      m.ServeMisses,
-			ServeDisk:        m.ServeDisk,
-			ServeMemory:      m.ServeMemory,
-			ServeDiskRejects: m.ServeDiskRejects,
-		},
-		Proxied:        s.proxy.proxied.Load(),
-		ProxyFallbacks: s.proxy.fallbacks.Load(),
 	}
 	for _, p := range n.Peers() {
 		resp.Peers = append(resp.Peers, cuisines.ClusterPeer{

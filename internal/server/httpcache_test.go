@@ -341,9 +341,8 @@ func TestConcurrentRevalidation(t *testing.T) {
 func TestCacheStatsReportsRenders(t *testing.T) {
 	s := testServer(t)
 	get(t, s, "/v1/table")
-	_, body, _ := get(t, s, "/v1/cachestats")
-	st := decode[cuisines.CacheStatsResponse](t, body)
-	if st.Renders.Entries < 1 || st.Renders.CapacityBytes <= 0 {
-		t.Fatalf("cachestats renders: %+v", st.Renders)
+	m := scrape(t, s)
+	if entries, capacity := m["cuisined_render_cache_entries"], m["cuisined_render_cache_capacity_bytes"]; entries < 1 || capacity <= 0 {
+		t.Fatalf("render cache: %v entries, %v capacity bytes", entries, capacity)
 	}
 }

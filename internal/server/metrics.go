@@ -203,11 +203,17 @@ func sortedKeys[V any](m map[string]V) []string {
 // form that round-trips.
 func formatFloat(f float64) string { return strconv.FormatFloat(f, 'g', -1, 64) }
 
-// handleMetrics renders the full exposition: HTTP series plus the
-// analysis-cache, render-cache, per-stage artifact-cache, admission
-// and cluster series the daemon already tracks internally.
 func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
+	s.WriteMetrics(w)
+}
+
+// WriteMetrics writes the full Prometheus text exposition — the body
+// of /metrics — to w: HTTP series plus the analysis-cache,
+// render-cache, per-stage artifact-cache, admission and cluster series
+// the daemon tracks internally. It is the daemon's one counter
+// surface; cuisined also logs it at shutdown.
+func (s *Server) WriteMetrics(w io.Writer) {
 	cs := s.cache.Stats()
 	rs := s.renders.Stats()
 	fams := append(s.met.families(),

@@ -24,8 +24,8 @@ import (
 // CacheControl is sent with every cacheable /v1 response: clients and
 // intermediaries may store bodies but must revalidate before reuse.
 // Revalidation is nearly free here (a 304 carries no body), and
-// no-cache keeps the daemon in charge when a future corpus epoch
-// changes what a key serves (ROADMAP: streaming corpus).
+// no-cache keeps the daemon in charge should what a key serves ever
+// change.
 const CacheControl = "public, no-cache"
 
 // resource is an endpoint request with its analysis resolved: the

@@ -112,7 +112,7 @@ func New(cfg Config) *Server {
 	} else {
 		// A custom Runner bypasses the stage graph entirely; reporting
 		// a bystander engine's counters would misdescribe the serving
-		// path, so cachestats shows stages only when the engine serves.
+		// path, so /metrics shows stages only when the engine serves.
 		engine = nil
 	}
 	var gate *Gate
@@ -163,7 +163,6 @@ func New(cfg Config) *Server {
 		s.route(mux, "GET /internal/v1/artifact/{kind}/{key}", s.cluster.ServeArtifact)
 	}
 	s.route(mux, "GET /v1/cluster", s.handleCluster)
-	s.route(mux, "GET /v1/cachestats", s.handleCacheStats)
 	s.route(mux, "GET /v1/table", s.with(s.handleTable))
 	s.route(mux, "GET /v1/dendrogram/{figure}", s.withFigure(s.handleDendrogram))
 	s.route(mux, "GET /v1/newick/{figure}", s.withFigure(s.handleNewick))
@@ -409,36 +408,6 @@ func (s *Server) withFigure(h figureHandler) http.HandlerFunc {
 
 func (s *Server) handleHealth(w http.ResponseWriter, _ *http.Request) {
 	writeJSON(w, http.StatusOK, cuisines.HealthResponse{Status: "ok", Cached: s.cache.Len()})
-}
-
-// CacheStats reports the analysis cache counters plus the engine's
-// per-stage artifact counters (empty when a custom Runner bypasses the
-// stage graph). The daemon logs the same numbers at shutdown.
-func (s *Server) CacheStats() cuisines.CacheStatsResponse {
-	rs := s.renders.Stats()
-	resp := cuisines.CacheStatsResponse{
-		Analyses: s.cache.Stats(),
-		Stages:   map[string]cuisines.StageCacheStats{},
-		Renders: cuisines.RenderCacheStats{
-			Entries:       rs.Entries,
-			Bytes:         rs.Bytes,
-			CapacityBytes: rs.MaxBytes,
-			Hits:          rs.Hits,
-			Misses:        rs.Misses,
-			Evictions:     rs.Evictions,
-			InFlightJoins: rs.InFlightJoins,
-			GzipVariants:  rs.GzipVariants,
-			NotModified:   s.notModified.Load(),
-		},
-	}
-	if s.engine != nil {
-		resp.Stages = s.engine.CacheStats()
-	}
-	return resp
-}
-
-func (s *Server) handleCacheStats(w http.ResponseWriter, _ *http.Request) {
-	writeJSON(w, http.StatusOK, s.CacheStats())
 }
 
 func (s *Server) handleTable(w http.ResponseWriter, r *http.Request, rc *resource) {

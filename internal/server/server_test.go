@@ -215,6 +215,7 @@ func TestEndpoints(t *testing.T) {
 		{"bad support", "/v1/table?support=1.5", 400, checkError},
 		{"unknown linkage", "/v1/table?linkage=centroid", 400, checkError},
 		{"unknown path", "/v1/nope", 404, nil},
+		{"retired cachestats", "/v1/cachestats", 404, nil},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -99,64 +99,17 @@ func joinPlus(names []string) string {
 
 // AssociationRules derives rules from a cuisine's frequent patterns
 // (Sec. II/IV's association-rule framing). minConfidence <= 0 uses 0.5;
-// maxRules <= 0 returns everything.
+// maxRules <= 0 returns everything. Each call derives afresh: cuisined
+// memoizes the rendered response per URL in its render cache.
 func (a *Analysis) AssociationRules(region string, minConfidence float64, maxRules int) ([]AssociationRule, error) {
-	return a.rules(region, minConfidence, maxRules, false)
+	return a.deriveRules(region, minConfidence, maxRules, false)
 }
 
 // IngredientPairings is AssociationRules restricted to rules whose items
 // are all ingredients — the food-pairing view (Jain et al., Ahn et al.)
 // that motivates the paper's Sec. II.
 func (a *Analysis) IngredientPairings(region string, minConfidence float64, maxRules int) ([]AssociationRule, error) {
-	return a.rules(region, minConfidence, maxRules, true)
-}
-
-// rulesKey identifies one rule derivation in the Analysis memo.
-type rulesKey struct {
-	region          string
-	minConfidence   float64
-	maxRules        int
-	ingredientsOnly bool
-}
-
-// rulesMemoMax bounds the per-Analysis rule memo. FIFO, not LRU, so
-// insertion order alone decides eviction — deterministic, and immune to
-// the map-iteration nondeterminism cuisinelint forbids in this package.
-const rulesMemoMax = 64
-
-// rules memoizes deriveRules per parameter tuple: /v1/rules, /v1/pairings
-// and /v1/substitutes re-request the same handful of tuples on every
-// warm hit, and generation walks every mined pattern each time. The
-// returned slice is shared with the memo — callers must not mutate it
-// (the serving layer only marshals).
-func (a *Analysis) rules(region string, minConfidence float64, maxRules int, ingredientsOnly bool) ([]AssociationRule, error) {
-	key := rulesKey{region, minConfidence, maxRules, ingredientsOnly}
-	a.rulesMu.Lock()
-	if out, ok := a.rulesMemo[key]; ok {
-		a.rulesMu.Unlock()
-		return out, nil
-	}
-	a.rulesMu.Unlock()
-
-	out, err := a.deriveRules(region, minConfidence, maxRules, ingredientsOnly)
-	if err != nil {
-		return nil, err
-	}
-
-	a.rulesMu.Lock()
-	if _, exists := a.rulesMemo[key]; !exists {
-		if a.rulesMemo == nil {
-			a.rulesMemo = make(map[rulesKey][]AssociationRule)
-		}
-		a.rulesOrder = append(a.rulesOrder, key)
-		for len(a.rulesOrder) > rulesMemoMax {
-			delete(a.rulesMemo, a.rulesOrder[0])
-			a.rulesOrder = a.rulesOrder[1:]
-		}
-		a.rulesMemo[key] = out
-	}
-	a.rulesMu.Unlock()
-	return out, nil
+	return a.deriveRules(region, minConfidence, maxRules, true)
 }
 
 func (a *Analysis) deriveRules(region string, minConfidence float64, maxRules int, ingredientsOnly bool) ([]AssociationRule, error) {
